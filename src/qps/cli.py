@@ -14,7 +14,7 @@ import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod
 from .theta import kernel_table
-from .schwinger import s_op, t_family, t_overlap, depolarize
+from .schwinger import t_family, t_overlap, depolarize
 from .quasiprob import (
     validate_density,
     maximally_mixed,
@@ -218,23 +218,16 @@ def cmd_teleport(args):
     alpha = center_mod(args.alpha, N)
     beta = center_mod(args.beta, N)
     rho3, p = teleport(rho, alpha, beta)
-    ell = half_width(N)
     W1 = phase_fn_direct(rho, 0).grid.real
     W3 = phase_fn_direct(rho3, 0).grid.real
-    # locate the phase-space displacement by exhaustive shift matching
-    best = None
-    for da in labels(N):
-        for db in labels(N):
-            shifted = np.empty_like(W1)
-            for mu in labels(N):
-                for nu in labels(N):
-                    shifted[mu + ell, nu + ell] = W1[
-                        center_mod(mu - da, N) + ell, center_mod(nu - db, N) + ell
-                    ]
-            d = np.abs(W3 - shifted).max()
-            if best is None or d < best[0]:
-                best = (d, int(da), int(db))
-    err, da, db = best
+    # locate the phase-space displacement by exhaustive shift matching;
+    # argmin keeps the first minimum in label order
+    ks = labels(N)
+    dists = np.array(
+        [[np.abs(W3 - np.roll(W1, (da, db), axis=(0, 1))).max() for db in ks] for da in ks]
+    )
+    i, j = np.unravel_index(np.argmin(dists), dists.shape)
+    err, da, db = dists[i, j], int(ks[i]), int(ks[j])
     # report the displacement that maps the receiver grid back onto the
     # sender grid; the recovery operation undoes exactly this amount
     da, db = center_mod(-da, N), center_mod(-db, N)
@@ -308,14 +301,7 @@ def _selftest_checks(N):
         r3, p = teleport(rho, 1, -1)
         W3 = phase_fn_direct(r3, 0).grid
         W1 = phase_fn_direct(rho, 0).grid
-        err = max(
-            abs(
-                W3[mu + ell, nu + ell]
-                - W1[center_mod(mu - 1, N) + ell, center_mod(nu - 1, N) + ell]
-            )
-            for mu in labels(N)
-            for nu in labels(N)
-        )
+        err = np.abs(W3 - np.roll(W1, (1, 1), axis=(0, 1))).max()
         yield ("teleport shift law", max(err, abs(p - 1 / N**2)), 1e-9)
 
 

@@ -3,9 +3,10 @@
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
+The Fourier helpers at the end are shared by every DFT in the package.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -100,6 +101,29 @@ def partial_trace(A, dims, keep):
 
 def dft_matrix(N):
     """Discrete Fourier matrix F[mu, nu] = exp(2*pi*i*mu*nu/N)/sqrt(N) over centered labels."""
-    N = check_dim(N)
+    return _dft_phases(check_dim(N)).conj() / np.sqrt(N)
+
+
+@lru_cache(maxsize=None)
+def _dft_phases(N):
+    """Read-only phases ph[eta + ell, mu + ell] = exp(-2*pi*i*eta*mu/N); symmetric."""
     k = labels(N)
-    return np.exp(2j * np.pi * np.outer(k, k) / N) / np.sqrt(N)
+    ph = np.exp(-2j * np.pi * np.outer(k, k) / N)
+    ph.setflags(write=False)
+    return ph
+
+
+def _dft2(X):
+    """Dual plane to phase space: sum_{eta,xi} ph[eta, mu] ph[xi, nu] X[eta, xi] / sqrt(N)."""
+    ph = _dft_phases(X.shape[0])
+    return ph @ X @ ph / np.sqrt(X.shape[0])
+
+
+def _correlate(values, weights):
+    """Circular correlation sum_{k'} weights(k' - k) values(k') over every axis, by FFT.
+
+    `weights` is indexed by centered offset; real inputs give a real result.
+    """
+    w0 = np.fft.ifftshift(weights)  # offset 0 moved to index 0
+    out = np.fft.ifftn(np.fft.fftn(values) * np.fft.ifftn(w0)) * w0.size
+    return out.real if np.isrealobj(values) and np.isrealobj(weights) else out

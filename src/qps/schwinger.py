@@ -8,13 +8,16 @@ shift V|kappa> = |kappa - 1>, so that U V = exp(-2*pi*i/N) V U.  This is
 the unique pairing (up to relabeling) for which the adjoint identity
 S(eta, xi)^dag = S(-eta, -xi) holds with the symmetrization phase
 exp(+i*pi*eta*xi/N).
+
+Each S(eta, xi) is a monomial matrix, so all N^2 traces Tr[S(eta, xi) O]
+are one gather of the cyclic diagonals of O plus one DFT, O(N^3).
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, dagger
+from .lattice import check_dim, half_width, labels, center_mod, dagger, _dft_phases
 from .theta import kernel_table
 
 __all__ = [
@@ -97,7 +100,7 @@ def _t_family(s, N):
     for eta in ks:
         for xi in ks:
             stack[eta + ell, xi + ell] = s_op(eta, xi, N)
-    ph = np.exp(-2j * np.pi * np.outer(ks, ks) / N)  # ph[eta, mu]
+    ph = _dft_phases(N)  # ph[eta, mu]
     T = np.einsum("em,fn,ef,efij->mnij", ph, ph, Kpow, stack) / np.sqrt(N)
     T.setflags(write=False)
     return T
@@ -132,27 +135,45 @@ def t_overlap(t, s, dmu, dnu, N):
     return complex(np.sum(ph * Kpow) / N)
 
 
+@lru_cache(maxsize=None)
+def _diagonals(N):
+    """Indices [xi + ell, kappa + ell] of O[kappa, kappa - xi], and the phases
+    front[eta + ell, xi + ell] = exp(-i*pi*eta*xi/N) / sqrt(N).
+
+    Column kappa of S(eta, xi) holds its one entry in row kappa - xi, so
+    Tr[S(eta, xi) O] = front * sum_kappa exp(2*pi*i*eta*kappa/N) O[kappa, kappa - xi].
+    """
+    ks, rows = labels(N), np.arange(N)
+    cols = (rows - ks[:, None]) % N
+    front = np.exp(-1j * np.pi * np.outer(ks, ks) / N) / np.sqrt(N)
+    for a in (rows, cols, front):
+        a.setflags(write=False)
+    return rows, cols, front
+
+
+def _traces(O):
+    """X[eta + ell, xi + ell] = Tr[S(eta, xi) O] for every label pair."""
+    N = O.shape[0]
+    rows, cols, front = _diagonals(N)
+    return (_dft_phases(N).conj() @ O[rows, cols].T) * front
+
+
 def decompose_schwinger(O):
     """Coefficients C[eta + ell, xi + ell] = Tr[S(eta, xi)^dag O]."""
     O = np.asarray(O)
-    N = check_dim(O.shape[0])
-    ell = half_width(N)
-    C = np.empty((N, N), dtype=complex)
-    for eta in labels(N):
-        for xi in labels(N):
-            C[eta + ell, xi + ell] = np.trace(s_op(-eta, -xi, N) @ O)
-    return C
+    check_dim(O.shape[0])
+    # S(eta, xi)^dag = S(-eta, -xi): negate both labels
+    return _traces(O)[::-1, ::-1]
 
 
 def reconstruct_schwinger(C):
     """Rebuild the operator sum_{eta,xi} C(eta, xi) S(eta, xi)."""
     C = np.asarray(C)
     N = check_dim(C.shape[0])
-    ell = half_width(N)
-    O = np.zeros((N, N), dtype=complex)
-    for eta in labels(N):
-        for xi in labels(N):
-            O += C[eta + ell, xi + ell] * s_op(eta, xi, N)
+    rows, cols, front = _diagonals(N)
+    # inverse DFT of the gather in `_traces`, scattered onto the cyclic diagonals
+    O = np.empty((N, N), dtype=complex)
+    O[cols, rows] = (C * front).T @ _dft_phases(N).conj()
     return O
 
 

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, tensor, dagger
+from .lattice import (
+    check_dim, half_width, labels, center_mod, tensor, dagger, _dft_phases, _dft2, _correlate,
+)
 from .theta import kernel_value, smoothing_1d
 from .schwinger import check_order, s_op
 from .quasiprob import (
@@ -126,16 +128,9 @@ def smooth_marginal(dist):
     s = complex(dist.s)
     if abs(s - 1) > 1e-12 and abs(s) > 1e-12:
         raise ValueError(f"marginal smoothing is defined at s = 1 or 0, got {s}")
-    ks = labels(N)
-    out = np.array(
-        [
-            sum(
-                smoothing_1d(int(kp) - int(k), N) * dist.values[kp + half_width(N)]
-                for kp in ks
-            )
-            for k in ks
-        ]
-    )
+    # smoothing_1d is N-periodic, so one weight per centered offset suffices
+    weights = np.array([smoothing_1d(int(chi), N) for chi in labels(N)])
+    out = _correlate(dist.values, weights)
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
 
 
@@ -235,19 +230,12 @@ def _ray_invert(dist, za, zb, N):
     at s = 0 they drop out entirely.
     """
     s = complex(dist.s)
-    ell = half_width(N)
-    ks = labels(N)
-    out = np.empty(N, dtype=complex)
-    for t in ks:
-        if abs(s) < 1e-14:
-            ratio = 1.0
-        else:
+    # out[t] = sum_k exp(2*pi*i*k*t/N) values(k) / N
+    out = _dft_phases(N).conj() @ dist.values / N
+    if abs(s) >= 1e-14:
+        for i, t in enumerate(labels(N)):
             base = kernel_value(t, 0, N) if dist.axis == "Q" else kernel_value(0, t, N)
-            ratio = (base / kernel_value(za * t, zb * t, N)) ** s
-        tot = sum(
-            np.exp(2j * np.pi * k * t / N) * dist.values[k + ell] for k in ks
-        )
-        out[t + ell] = ratio * tot / N
+            out[i] *= (base / kernel_value(za * t, zb * t, N)) ** s
     return out
 
 
@@ -313,17 +301,10 @@ def reconstruct_wigner(rho, shots=None, rng=None):
     Xi = np.zeros((N, N), dtype=complex)
     for k in range(N):
         dist = measured(radon_q(F, 1, k))
-        vals = char_from_radon_q(dist, 1, k, N)
-        for t in ks:
-            Xi[center_mod(t, N) + ell, center_mod(k * t, N) + ell] = vals[t + ell]
-    dist = measured(radon_r(F, 0, 1))
-    vals = char_from_radon_r(dist, 0, 1, N)
-    for t in ks:
-        Xi[ell, t + ell] = vals[t + ell]
+        Xi[ks + ell, center_mod(k * ks, N) + ell] = char_from_radon_q(dist, 1, k, N)
+    Xi[ell, :] = char_from_radon_r(measured(radon_r(F, 0, 1)), 0, 1, N)
 
-    ph = np.exp(-2j * np.pi * np.outer(ks, ks) / N)
-    grid = np.einsum("em,fn,ef->mn", ph, ph, Xi) / np.sqrt(N)
-    return PhaseSpaceFunction(0, grid)
+    return PhaseSpaceFunction(0, _dft2(Xi))
 
 
 def scattering_circuit(rho, eta=None, xi=None, unitary=None):
