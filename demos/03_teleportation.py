@@ -17,7 +17,7 @@ from qps import (
     center_mod,
     kernel_table,
     random_density,
-    phase_fn_direct,
+    phase_fn,
     BellLabel,
     bell_state,
     bell_projector,
@@ -77,8 +77,8 @@ print(f"\nOutcome ({alpha}, {beta}) observed with p = {p:.10f} (1/N^2 = {1 / N *
 
 # Phase-space shift law: the receiver's function is the sender's displaced
 # by (alpha, -beta), cyclically on the centered labels.
-F1 = phase_fn_direct(rho1, 0)
-F3 = phase_fn_direct(rho3, 0)
+F1 = phase_fn(rho1, 0)
+F3 = phase_fn(rho3, 0)
 ks = labels(N)
 shifted = F1.grid[np.ix_(
     [center_mod(m - alpha, N) + ELL for m in ks],

@@ -53,7 +53,6 @@ from .quasiprob import (
     random_density,
     char_fn,
     phase_fn,
-    phase_fn_direct,
     smoothing_table,
     smooth_p_to_w,
     smooth_w_to_h,

@@ -22,12 +22,11 @@ from .quasiprob import (
     coherent_projector,
     char_fn,
     phase_fn,
-    phase_fn_direct,
     smooth_p_to_w,
     smooth_w_to_h,
     random_density,
 )
-from .tomography import CoverageError, reconstruct_wigner, scattering_circuit
+from .tomography import CoverageError, reconstruct_wigner, scattering_circuit, _ray_loop
 from .teleport import BellLabel, bell_projector, teleport
 
 EXIT_OK = 0
@@ -163,33 +162,11 @@ def cmd_tomo(args):
     rho = parse_state(args.state, N)
     if rho.shape[0] != N:
         raise UsageError(f"state dimension {rho.shape[0]} does not match --dim {N}")
-    from .tomography import (
-        _is_prime,
-        radon_q,
-        radon_r,
-        char_from_radon_q,
-        char_from_radon_r,
-        sample_marginal,
-    )
-
-    if not _is_prime(N):
-        raise CoverageError(
-            f"ray coverage requires prime N; N = {N} has degenerate rays"
-        )
     rng = np.random.default_rng(args.seed) if args.shots else None
+    R, rays = _ray_loop(rho, args.shots or None, rng)
     ell = half_width(N)
-    F = phase_fn(rho, 0)
     Xi = char_fn(rho, 0).grid
-
-    def measured(dist):
-        return sample_marginal(dist, args.shots, rng) if args.shots else dist
-
-    rays = [((1, k), "Q") for k in range(N)] + [((0, 1), "R")]
-    for (za, zb), axis in rays:
-        if axis == "Q":
-            vals = char_from_radon_q(measured(radon_q(F, za, zb)), za, zb, N)
-        else:
-            vals = char_from_radon_r(measured(radon_r(F, za, zb)), za, zb, N)
+    for (za, zb), vals in rays:
         ray_err = max(
             abs(
                 vals[t + ell]
@@ -199,9 +176,7 @@ def cmd_tomo(args):
         )
         print(f"ray ({za},{zb}): max |dXi| = {_fmt(float(ray_err))}")
 
-    W = F.grid
-    R = reconstruct_wigner(rho, shots=args.shots, rng=np.random.default_rng(args.seed) if args.shots else None).grid
-    err = float(np.abs(R - W).max())
+    err = float(np.abs(R.grid - phase_fn(rho, 0).grid).max())
     if args.shots:
         print(f"shots: {args.shots}  seed: {args.seed}")
         print(f"statistical max |dW|: {_fmt(err)}")
@@ -218,8 +193,8 @@ def cmd_teleport(args):
     alpha = center_mod(args.alpha, N)
     beta = center_mod(args.beta, N)
     rho3, p = teleport(rho, alpha, beta)
-    W1 = phase_fn_direct(rho, 0).grid.real
-    W3 = phase_fn_direct(rho3, 0).grid.real
+    W1 = phase_fn(rho, 0).grid.real
+    W3 = phase_fn(rho3, 0).grid.real
     # locate the phase-space displacement by exhaustive shift matching;
     # argmin keeps the first minimum in label order
     ks = labels(N)
@@ -299,8 +274,8 @@ def _selftest_checks(N):
         yield ("tomography round trip (composite N skipped)", 0.0, 1.0)
     if N <= 7:
         r3, p = teleport(rho, 1, -1)
-        W3 = phase_fn_direct(r3, 0).grid
-        W1 = phase_fn_direct(rho, 0).grid
+        W3 = phase_fn(r3, 0).grid
+        W1 = phase_fn(rho, 0).grid
         err = np.abs(W3 - np.roll(W1, (1, 1), axis=(0, 1))).max()
         yield ("teleport shift law", max(err, abs(p - 1 / N**2)), 1e-9)
 

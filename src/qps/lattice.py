@@ -114,9 +114,12 @@ def _dft_phases(N):
 
 
 def _dft2(X):
-    """Dual plane to phase space: sum_{eta,xi} ph[eta, mu] ph[xi, nu] X[eta, xi] / sqrt(N)."""
-    ph = _dft_phases(X.shape[0])
-    return ph @ X @ ph / np.sqrt(X.shape[0])
+    """Dual plane to phase space: sum_{eta,xi} ph[eta, mu] ph[xi, nu] X[..., eta, xi] / sqrt(N).
+
+    Leading axes of X are a batch.
+    """
+    N = X.shape[-1]
+    return _dft_phases(N) @ X @ _dft_phases(N) / np.sqrt(N)
 
 
 def _correlate(values, weights):

@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, labels, _dft_phases, _dft2, _correlate
+from .lattice import check_dim, labels, _dft_phases, _correlate
 from .theta import kernel_table, gamma_table, fock_coefficients
-from .schwinger import check_order, t_family, t_op, decompose_t, _traces
+from .schwinger import check_order, t_op, decompose_t, reconstruct_t, _kernel_power, _traces
 
 __all__ = [
     "FormalismViolation",
@@ -30,7 +30,6 @@ __all__ = [
     "random_density",
     "char_fn",
     "phase_fn",
-    "phase_fn_direct",
     "smoothing_table",
     "smooth_p_to_w",
     "smooth_w_to_h",
@@ -145,29 +144,13 @@ def char_fn(rho, s):
     rho = np.asarray(rho)
     s = check_order(s)
     N = check_dim(rho.shape[0])
-    # K^(-s) as exp(-s log K): the complex power K ** (-s) runs up to 15x
-    # slower after a complex matrix product; they agree to |s log K| * eps
-    Kpow = np.exp(-s * np.log(kernel_table(N)))
-    return CharacteristicFunction(s, Kpow * _traces(rho))
+    return CharacteristicFunction(s, _kernel_power(s, N) * _traces(rho))
 
 
 def phase_fn(rho, s):
-    """Phase-space function F^(s)(mu, nu) as the 2-D DFT of Xi^(s).
-
-    phase_fn_direct traces against the T^(s) family instead; the two differ
-    by round-off amplified by K^(-s), up to about N * max|K^(-Re s)| * eps.
-    """
-    xi = char_fn(rho, s)
-    return PhaseSpaceFunction(xi.s, _dft2(xi.grid))
-
-
-def phase_fn_direct(rho, s):
-    """F^(s)(mu, nu) = Tr[T^(s)(mu, nu) rho] by direct kernel traces."""
-    rho = np.asarray(rho)
+    """Phase-space function F^(s)(mu, nu) = Tr[T^(s)(mu, nu) rho], the 2-D DFT of Xi^(s)."""
     s = check_order(s)
-    N = check_dim(rho.shape[0])
-    grid = np.einsum("mnij,ji->mn", t_family(s, N), rho)
-    return PhaseSpaceFunction(s, grid)
+    return PhaseSpaceFunction(s, decompose_t(rho, -s))
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +215,7 @@ def t_matrix_element(m, n, mu, nu, s, N):
         raise IndexError(f"number-basis indices must lie in 0..{N - 1}, got {m},{n}")
     s = check_order(s)
     ks = labels(N)
-    Kpow = kernel_table(N) ** (-s)
+    Kpow = _kernel_power(s, N)
     G = gamma_table(N)[m, n]
     ph = np.exp(-2j * np.pi * np.add.outer(ks * mu, ks * nu) / N)
     return complex(np.sum(ph * Kpow * G) / N)
@@ -243,8 +226,7 @@ def reconstruct_rho(F, tol=1e-8):
 
     rho = (1/N) sum F^(s)(mu, nu) T^(-s)(mu, nu); flags a non-unit trace.
     """
-    fam = t_family(-complex(F.s), F.dim)
-    rho = np.einsum("mn,mnij->ij", F.grid, fam) / F.dim
+    rho = reconstruct_t(F.grid, -complex(F.s))
     if abs(np.trace(rho) - 1.0) > tol:
         raise FormalismViolation(
             f"reconstructed operator has trace {np.trace(rho)}, expected 1"

@@ -10,14 +10,17 @@ S(eta, xi)^dag = S(-eta, -xi) holds with the symmetrization phase
 exp(+i*pi*eta*xi/N).
 
 Each S(eta, xi) is a monomial matrix, so all N^2 traces Tr[S(eta, xi) O]
-are one gather of the cyclic diagonals of O plus one DFT, O(N^3).
+are one gather of the cyclic diagonals of O plus one DFT, O(N^3), and a sum
+over the basis is the inverse scatter.  Every other route between operators
+and label grids (the T^(s) expansions, the family itself and the depolarizer
+average) is that gather or scatter plus a 2-D DFT against K^(-s).
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, dagger, _dft_phases
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
 from .theta import kernel_table
 
 __all__ = [
@@ -83,25 +86,32 @@ def s_op(eta, xi, N):
     return S
 
 
+def _kernel_power(s, N):
+    """K^(-s) over the centered label square, as exp(-s log K).
+
+    numpy's complex power K ** (-s) runs up to 15x slower after a complex
+    matrix product; the two agree to |s log K| * eps.
+    """
+    return np.exp(-s * np.log(kernel_table(N)))
+
+
 def s_op_ordered(eta, xi, s, N):
     """s-ordered basis element K(eta, xi)^(-s) S(eta, xi) (principal power)."""
     s = check_order(s)
     ell = half_width(N)
-    K = kernel_table(N)[center_mod(eta, N) + ell, center_mod(xi, N) + ell]
-    return K ** (-s) * s_op(eta, xi, N)
+    Kpow = _kernel_power(s, N)[center_mod(eta, N) + ell, center_mod(xi, N) + ell]
+    return Kpow * s_op(eta, xi, N)
 
 
 @lru_cache(maxsize=None)
 def _t_family(s, N):
-    ell = half_width(N)
-    ks = labels(N)
-    Kpow = kernel_table(N) ** (-s)
-    stack = np.empty((N, N, N, N), dtype=complex)
-    for eta in ks:
-        for xi in ks:
-            stack[eta + ell, xi + ell] = s_op(eta, xi, N)
-    ph = _dft_phases(N)  # ph[eta, mu]
-    T = np.einsum("em,fn,ef,efij->mnij", ph, ph, Kpow, stack) / np.sqrt(N)
+    # T^(s)(mu, nu) = N * reconstruct_t(unit grid at (mu, nu), s); one row of
+    # mu at a time keeps the peak memory near the N^4 result
+    units = np.eye(N * N).reshape(N, N, N, N)
+    Kpow = _kernel_power(s, N)
+    T = np.empty((N, N, N, N), dtype=complex)
+    for m in range(N):
+        T[m] = reconstruct_schwinger(Kpow * _dft2(units[m]))
     T.setflags(write=False)
     return T
 
@@ -128,7 +138,7 @@ def t_overlap(t, s, dmu, dnu, N):
     s = check_order(s)
     N = check_dim(N)
     ks = labels(N)
-    Kpow = kernel_table(N) ** (-(t + s))
+    Kpow = _kernel_power(t + s, N)
     ph = np.exp(
         2j * np.pi * (np.add.outer(ks * dmu, ks * dnu)) / N
     )
@@ -167,13 +177,16 @@ def decompose_schwinger(O):
 
 
 def reconstruct_schwinger(C):
-    """Rebuild the operator sum_{eta,xi} C(eta, xi) S(eta, xi)."""
+    """Rebuild the operator sum_{eta,xi} C(eta, xi) S(eta, xi).
+
+    Leading axes of C are a batch.
+    """
     C = np.asarray(C)
-    N = check_dim(C.shape[0])
+    N = check_dim(C.shape[-1])
     rows, cols, front = _diagonals(N)
     # inverse DFT of the gather in `_traces`, scattered onto the cyclic diagonals
-    O = np.empty((N, N), dtype=complex)
-    O[cols, rows] = (C * front).T @ _dft_phases(N).conj()
+    O = np.empty(C.shape, dtype=complex)
+    O[..., cols, rows] = (C * front).swapaxes(-1, -2) @ _dft_phases(N).conj()
     return O
 
 
@@ -182,8 +195,7 @@ def decompose_t(O, s):
     O = np.asarray(O)
     s = check_order(s)
     N = check_dim(O.shape[0])
-    fam = t_family(-s, N)
-    return np.einsum("mnij,ji->mn", fam, O)
+    return _dft2(_kernel_power(-s, N) * _traces(O))
 
 
 def reconstruct_t(grid, s):
@@ -191,8 +203,18 @@ def reconstruct_t(grid, s):
     grid = np.asarray(grid)
     s = check_order(s)
     N = check_dim(grid.shape[0])
-    fam = t_family(s, N)
-    return np.einsum("mn,mnij->ij", grid, fam) / N
+    return reconstruct_schwinger(_kernel_power(s, N) * _dft2(grid)) / N
+
+
+def _conjugation_average(O, w):
+    """sum_{eta,xi} w(eta, xi) X O X^dag / N over X = sqrt(N) S(eta, xi).
+
+    Conjugation by X multiplies the coefficient of S(eta', xi') by
+    exp(2*pi*i*(xi*eta' - eta*xi')/N), so the average multiplies the
+    Schwinger coefficients of O by a 2-D DFT of the weights.
+    """
+    M = (_dft2(w) / np.sqrt(len(w))).T[::-1]
+    return reconstruct_schwinger(decompose_schwinger(O) * M)
 
 
 def depolarize(O, omega=0.0):
@@ -204,9 +226,4 @@ def depolarize(O, omega=0.0):
     O = np.asarray(O)
     N = check_dim(O.shape[0])
     s = check_order(1j * omega)
-    acc = np.zeros((N, N), dtype=complex)
-    for eta in labels(N):
-        for xi in labels(N):
-            X = np.sqrt(N) * s_op_ordered(eta, xi, s, N)
-            acc += X @ O @ dagger(X)
-    return acc / N
+    return _conjugation_average(O, np.abs(_kernel_power(s, N)) ** 2)

@@ -18,9 +18,8 @@ from .lattice import (
     partial_trace,
     dft_matrix,
 )
-from .theta import kernel_table
-from .schwinger import check_order, u_matrix, v_matrix, s_op, t_op, t_family
-from .quasiprob import PhaseSpaceFunction, validate_density, phase_fn_direct
+from .schwinger import check_order, u_matrix, v_matrix, t_op, t_family, reconstruct_t, _kernel_power
+from .quasiprob import validate_density, phase_fn
 
 __all__ = [
     "BellLabel",
@@ -207,7 +206,7 @@ def r_kernel(alpha, beta, ds, N):
     N = check_dim(N)
     ds = complex(ds)
     ks = labels(N)
-    Kpow = kernel_table(N) ** ds
+    Kpow = _kernel_power(-ds, N)
     # exp{(2 pi i / N) [eta (mu1 - mu3 + alpha) - xi (nu1 - nu3 - beta)]}
     pe = np.exp(2j * np.pi * np.multiply.outer(np.subtract.outer(ks, ks) + alpha, ks) / N)
     px = np.exp(-2j * np.pi * np.multiply.outer(np.subtract.outer(ks, ks) - beta, ks) / N)
@@ -234,10 +233,7 @@ def teleport_via_coeffs(rho1, alpha, beta, s1, s3):
     teleport() for any admissible (s1, s3).
     """
     rho1 = validate_density(rho1)
-    N = rho1.shape[0]
     s1 = check_order(s1)
     s3 = check_order(s3)
-    F1 = phase_fn_direct(rho1, -s1)
-    lam = lambda_coeffs(F1, alpha, beta, s3)
-    fam = t_family(s3, N)
-    return np.einsum("mn,mnij->ij", lam, fam) / N
+    F1 = phase_fn(rho1, -s1)
+    return reconstruct_t(lambda_coeffs(F1, alpha, beta, s3), s3)

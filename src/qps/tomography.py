@@ -12,8 +12,8 @@ import numpy as np
 from .lattice import (
     check_dim, half_width, labels, center_mod, tensor, dagger, _dft_phases, _dft2, _correlate,
 )
-from .theta import kernel_value, smoothing_1d
-from .schwinger import check_order, s_op
+from .theta import kernel_value, smoothing_1d, phase_phi
+from .schwinger import check_order, s_op, reconstruct_schwinger
 from .quasiprob import (
     PhaseSpaceFunction,
     CharacteristicFunction,
@@ -135,12 +135,22 @@ def smooth_marginal(dist):
 
 
 def _generator_sum(N, phase, eta_of, xi_of):
+    """sum_{eta,xi} phase(eta, xi) S(eta_of, xi_of) / sqrt(N) as one scatter.
+
+    The phases are added into one coefficient grid at the reduced labels;
+    a raw label outside [-ell, ell] contributes with the sign
+    (-1)**phase_phi relating S at the raw labels to S at the reduced ones.
+    """
     ell = half_width(N)
-    acc = np.zeros((N, N), dtype=complex)
-    for eta in labels(N):
-        for xi in labels(N):
-            acc += phase(eta, xi) * s_op(eta_of(eta, xi), xi_of(eta, xi), N)
-    return acc / np.sqrt(N)
+    eta, xi = np.meshgrid(labels(N), labels(N), indexing="ij")
+    e, x = np.broadcast_arrays(eta_of(eta, xi), xi_of(eta, xi))
+    C = np.zeros((N, N), dtype=complex)
+    np.add.at(
+        C,
+        (center_mod(e, N) + ell, center_mod(x, N) + ell),
+        phase(eta, xi) * (-1.0) ** phase_phi(e, x, N),
+    )
+    return reconstruct_schwinger(C) / np.sqrt(N)
 
 
 def symplectic_c(params):
@@ -197,30 +207,26 @@ def symplectic_j(params):
     return symplectic_m(params) @ symplectic_n(params) @ symplectic_c(params)
 
 
+def _line_sums(F, za, zb, axis):
+    """sum of F over each line za*mu' + zb*nu' = label, / sqrt(N), by one bincount."""
+    N = F.dim
+    if center_mod(za, N) == 0 and center_mod(zb, N) == 0:
+        raise ValueError(f"degenerate line: ({za}, {zb}) = (0, 0) mod N")
+    ks = labels(N)
+    line = (center_mod(np.add.outer(za * ks, zb * ks), N) + half_width(N)).ravel()
+    grid = F.grid.ravel()
+    values = np.bincount(line, grid.real, N) + 1j * np.bincount(line, grid.imag, N)
+    return MarginalDistribution(F.s, axis, values / np.sqrt(N), (int(za), int(zb)))
+
+
 def radon_q(F, z1, z3):
     """Line-sum marginal Q^(s)(mu; z1, z3) over lines z1*mu' + z3*nu' = mu."""
-    N = F.dim
-    if center_mod(z1, N) == 0 and center_mod(z3, N) == 0:
-        raise ValueError("degenerate line: (z1, z3) = (0, 0) mod N")
-    ks = labels(N)
-    line_of = center_mod(np.add.outer(z1 * ks, z3 * ks), N)  # [mu', nu']
-    values = np.array(
-        [F.grid[line_of == mu].sum() for mu in ks]
-    ) / np.sqrt(N)
-    return MarginalDistribution(F.s, "Q", values, (int(z1), int(z3)))
+    return _line_sums(F, z1, z3, "Q")
 
 
 def radon_r(F, z2, z4):
     """Line-sum marginal R^(s)(nu; z2, z4) over lines z2*mu' + z4*nu' = nu."""
-    N = F.dim
-    if center_mod(z2, N) == 0 and center_mod(z4, N) == 0:
-        raise ValueError("degenerate line: (z2, z4) = (0, 0) mod N")
-    ks = labels(N)
-    line_of = center_mod(np.add.outer(z2 * ks, z4 * ks), N)
-    values = np.array(
-        [F.grid[line_of == nu].sum() for nu in ks]
-    ) / np.sqrt(N)
-    return MarginalDistribution(F.s, "R", values, (int(z2), int(z4)))
+    return _line_sums(F, z2, z4, "R")
 
 
 def _ray_invert(dist, za, zb, N):
@@ -263,11 +269,14 @@ def sample_marginal(dist, shots, rng):
     """Multinomial shot-noise estimate of an s = 0 marginal.
 
     The (real, nonnegative) values are scaled to probabilities, sampled,
-    and rescaled, preserving the sum sqrt(N).
+    and rescaled, preserving the sum sqrt(N).  Values within round-off of
+    zero, N * eps * max|value|, count as zero, so that the sign of
+    round-off cannot decide which bins are drawn.
     """
     if abs(complex(dist.s)) > 1e-12:
         raise ValueError("shot sampling is defined for s = 0 marginals only")
-    p = np.clip(dist.values.real, 0.0, None)
+    p = dist.values.real
+    p = np.where(p > dist.dim * np.finfo(float).eps * np.abs(p).max(), p, 0.0)
     p = p / p.sum()
     counts = rng.multinomial(int(shots), p)
     values = counts / shots * math.sqrt(dist.dim)
@@ -283,6 +292,13 @@ def reconstruct_wigner(rho, shots=None, rng=None):
     Fourier transformed back to phase space.  With `shots` set, the line
     sums are replaced by seeded multinomial estimates.
     """
+    return _ray_loop(rho, shots, rng)[0]
+
+
+def _ray_loop(rho, shots, rng):
+    """The Wigner grid rebuilt by `reconstruct_wigner`, and the list of
+    ((za, zb), values) pairs holding the characteristic values recovered
+    on each ray."""
     rho = np.asarray(rho)
     N = check_dim(rho.shape[0])
     if not _is_prime(N):
@@ -299,12 +315,16 @@ def reconstruct_wigner(rho, shots=None, rng=None):
         return sample_marginal(dist, shots, rng)
 
     Xi = np.zeros((N, N), dtype=complex)
+    rays = []
     for k in range(N):
-        dist = measured(radon_q(F, 1, k))
-        Xi[ks + ell, center_mod(k * ks, N) + ell] = char_from_radon_q(dist, 1, k, N)
-    Xi[ell, :] = char_from_radon_r(measured(radon_r(F, 0, 1)), 0, 1, N)
+        vals = char_from_radon_q(measured(radon_q(F, 1, k)), 1, k, N)
+        Xi[ks + ell, center_mod(k * ks, N) + ell] = vals
+        rays.append(((1, k), vals))
+    vals = char_from_radon_r(measured(radon_r(F, 0, 1)), 0, 1, N)
+    Xi[ell, :] = vals
+    rays.append(((0, 1), vals))
 
-    return PhaseSpaceFunction(0, _dft2(Xi))
+    return PhaseSpaceFunction(0, _dft2(Xi)), rays
 
 
 def scattering_circuit(rho, eta=None, xi=None, unitary=None):

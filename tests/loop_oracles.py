@@ -3,16 +3,22 @@
 These are the original per-entry routes: dense `s_op` builds with one
 trace each, a Python loop of fancy-index gathers for the smoothing
 convolution, N^2 `t_overlap` calls for the smoothing table, the
-theta-series double loop of the marginal smoothing, and the scalar DFT
-sum of the Radon ray inversion.  They are slow by
-design and exist only so the fast paths can be compared against them.
+theta-series double loop of the marginal smoothing, the scalar DFT
+sum of the Radon ray inversion, the einsum-built T^(s) family with the
+direct kernel traces against it, the symplectic generators accumulated
+one basis element at a time, and the depolarizer's conjugation loop.
+They are slow by design and exist only so the fast paths can be
+compared against them.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from qps.lattice import check_dim, half_width, labels, center_mod
+from qps.lattice import check_dim, half_width, labels, center_mod, dagger
 from qps.theta import kernel_table, kernel_value, smoothing_1d
 from qps.schwinger import check_order, s_op, t_overlap
+from qps.quasiprob import PhaseSpaceFunction
 
 
 def char_fn_grid(rho, s):
@@ -91,6 +97,14 @@ def ray_invert(dist, za, zb, N):
     return out
 
 
+def line_sums(F, za, zb):
+    """sum of F over each line za*mu' + zb*nu' = label, / sqrt(N), one boolean mask per label."""
+    N = F.dim
+    ks = labels(N)
+    line_of = center_mod(np.add.outer(za * ks, zb * ks), N)
+    return np.array([F.grid[line_of == k].sum() for k in ks]) / np.sqrt(N)
+
+
 def decompose_schwinger(O):
     """C[eta + ell, xi + ell] = Tr[S(-eta, -xi) O], one dense basis element per entry."""
     O = np.asarray(O)
@@ -113,3 +127,57 @@ def reconstruct_schwinger(C):
         for xi in labels(N):
             O += C[eta + ell, xi + ell] * s_op(eta, xi, N)
     return O
+
+
+@lru_cache(maxsize=None)
+def _t_family(s, N):
+    ell = half_width(N)
+    ks = labels(N)
+    Kpow = kernel_table(N) ** (-s)
+    stack = np.empty((N, N, N, N), dtype=complex)
+    for eta in ks:
+        for xi in ks:
+            stack[eta + ell, xi + ell] = s_op(eta, xi, N)
+    ph = np.exp(-2j * np.pi * np.outer(ks, ks) / N)  # ph[eta, mu]
+    T = np.einsum("em,fn,ef,efij->mnij", ph, ph, Kpow, stack) / np.sqrt(N)
+    T.setflags(write=False)
+    return T
+
+
+def t_family(s, N):
+    """T^(s)[mu + ell, nu + ell] as the unfactored einsum over N^2 dense basis elements.
+
+    Cached per (s, N); the returned array is read-only.
+    """
+    return _t_family(check_order(s), check_dim(N))
+
+
+def phase_fn_direct(rho, s):
+    """F^(s)(mu, nu) = Tr[T^(s)(mu, nu) rho] by direct kernel traces."""
+    rho = np.asarray(rho)
+    s = check_order(s)
+    N = check_dim(rho.shape[0])
+    grid = np.einsum("mnij,ji->mn", t_family(s, N), rho)
+    return PhaseSpaceFunction(s, grid)
+
+
+def generator_sum(N, phase, eta_of, xi_of):
+    """sum_{eta,xi} phase(eta, xi) S(eta_of, xi_of) / sqrt(N), one dense basis element per term."""
+    acc = np.zeros((N, N), dtype=complex)
+    for eta in labels(N):
+        for xi in labels(N):
+            acc += phase(eta, xi) * s_op(eta_of(eta, xi), xi_of(eta, xi), N)
+    return acc / np.sqrt(N)
+
+
+def conjugation_average(O, w):
+    """sum_{eta,xi} w(eta, xi) X O X^dag / N over X = sqrt(N) S(eta, xi), one conjugation per term."""
+    O = np.asarray(O)
+    N = check_dim(O.shape[0])
+    ell = half_width(N)
+    acc = np.zeros((N, N), dtype=complex)
+    for eta in labels(N):
+        for xi in labels(N):
+            X = np.sqrt(N) * s_op(eta, xi, N)
+            acc += w[eta + ell, xi + ell] * X @ O @ dagger(X)
+    return acc / N

@@ -18,12 +18,12 @@ from qps.quasiprob import (
     coherent_projector,
     random_density,
     phase_fn,
-    phase_fn_direct,
     smooth_p_to_w,
     smooth_w_to_h,
     smooth_p_to_h,
     t_matrix_element,
 )
+from loop_oracles import phase_fn_direct
 from qps.tomography import CoverageError, reconstruct_wigner, scattering_circuit
 from qps.quasiprob import char_fn
 from qps.teleport import (

@@ -16,7 +16,6 @@ from qps.quasiprob import (
     random_density,
     char_fn,
     phase_fn,
-    phase_fn_direct,
     smooth_p_to_w,
     smooth_w_to_h,
     smooth_p_to_h,
@@ -24,6 +23,7 @@ from qps.quasiprob import (
     t_matrix_element,
     reconstruct_rho,
 )
+from loop_oracles import phase_fn_direct
 
 DIMS = (3, 5, 7)
 

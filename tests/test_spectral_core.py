@@ -3,26 +3,38 @@
 Every fast route (gathered traces plus DFT for the characteristic and
 phase-space grids, FFT correlation for the smoothing steps, the inverse
 DFT of K for the smoothing table, gather/scatter for the Schwinger
-expansion) is compared with its loop oracle in `loop_oracles` over prime
-and composite N, pure and mixed states, the three standard orders and
-random complex orders |s| <= 1.
+expansion, the T^(s) family and expansions, the symplectic generators
+and the depolarizer average, bincount line sums) is compared with its
+loop oracle in `loop_oracles` over prime and composite N, pure and mixed
+states, the three standard orders and random complex orders |s| <= 1.
 
 The tolerance was fixed before the fast routes were written: the two
 sides sum the same terms in a different order, so they may differ by
 round-off amplified by the largest kernel power in play,
-TOL * max(1, max |K^(-Re s)|) with TOL = 1e-12.
+TOL * max(1, max |K^(-Re s)|) with TOL = 1e-12.  The ray inversion
+further multiplies by the kernel ratio it applies (see `ray_gain`).
 """
 
 import cmath
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import loop_oracles as oracle
-from qps.lattice import _correlate
-from qps.theta import kernel_table
-from qps.schwinger import decompose_schwinger, reconstruct_schwinger
+from qps import tomography
+from qps.lattice import _correlate, labels
+from qps.theta import kernel_table, kernel_value
+from qps.schwinger import (
+    decompose_schwinger,
+    reconstruct_schwinger,
+    t_family,
+    decompose_t,
+    reconstruct_t,
+    depolarize,
+    _conjugation_average,
+)
 from qps.quasiprob import (
     char_fn,
     phase_fn,
@@ -40,13 +52,20 @@ from qps.tomography import (
     radon_r,
     char_from_radon_q,
     char_from_radon_r,
+    symplectic_c,
+    symplectic_n,
+    symplectic_m,
 )
 
 TOL = 1e-12
 DIMS = (1, 3, 5, 9, 15, 31)
+# the einsum family oracle is O(N^6), 7 s to build at N = 31, and the
+# conjugation loop makes 3N^2 dense products per call
+FAMILY_DIMS = DIMS[:-1]
 SETTINGS = settings(max_examples=30, deadline=None)
 
 dims = st.sampled_from(DIMS)
+family_dims = st.sampled_from(FAMILY_DIMS)
 seeds = st.integers(0, 2**32 - 1)
 standard_orders = st.sampled_from((1 + 0j, 0j, -1 + 0j))
 disk_orders = st.builds(
@@ -60,6 +79,16 @@ orders = st.one_of(standard_orders, disk_orders)
 def bound(N, s):
     """TOL * max(1, max |K^(-Re s)|) at dimension N and order s."""
     return TOL * max(1.0, float(np.max(kernel_table(N) ** (-complex(s).real))))
+
+
+def ray_gain(N, za, zb, axis, s):
+    """max_t |(K_base(t) / K(za*t, zb*t))^s|, the factor by which the ray step
+    scales the round-off of the line sums; K_base(t) is K(t, 0) on Q rays and
+    K(0, t) on R rays."""
+    def base(t):
+        return kernel_value(t, 0, N) if axis == "Q" else kernel_value(0, t, N)
+
+    return max(abs((base(t) / kernel_value(za * t, zb * t, N)) ** complex(s)) for t in labels(N))
 
 
 def state(N, seed, pure):
@@ -152,9 +181,21 @@ def test_ray_inversion_matches_scalar_dft(N, seed, pure, s, z):
     assume(za % N or zb % N)  # (0, 0) mod N is not a line
     F = phase_fn(state(N, seed, pure), s)
     q = radon_q(F, za, zb)
-    assert np.abs(char_from_radon_q(q, za, zb, N) - oracle.ray_invert(q, za, zb, N)).max() <= bound(N, s)
+    assert np.abs(char_from_radon_q(q, za, zb, N) - oracle.ray_invert(q, za, zb, N)).max() <= bound(N, s) * ray_gain(N, za, zb, "Q", s)
     r = radon_r(F, za, zb)
-    assert np.abs(char_from_radon_r(r, za, zb, N) - oracle.ray_invert(r, za, zb, N)).max() <= bound(N, s)
+    assert np.abs(char_from_radon_r(r, za, zb, N) - oracle.ray_invert(r, za, zb, N)).max() <= bound(N, s) * ray_gain(N, za, zb, "R", s)
+
+
+@SETTINGS
+@given(N=st.sampled_from(DIMS[1:]), seed=seeds, pure=st.booleans(), s=orders, z=rays)
+def test_line_sums_match_mask_loop(N, seed, pure, s, z):
+    za, zb = z
+    assume(za % N or zb % N)
+    F = phase_fn(state(N, seed, pure), s)
+    for radon, axis in ((radon_q, "Q"), (radon_r, "R")):
+        dist = radon(F, za, zb)
+        assert (dist.axis, dist.line, dist.s) == (axis, (za, zb), F.s)
+        assert np.abs(dist.values - oracle.line_sums(F, za, zb)).max() <= bound(N, s)
 
 
 @SETTINGS
@@ -166,3 +207,51 @@ def test_schwinger_expansion_matches_basis_loops(N, seed):
     C2 = operator(N, seed + 1)
     assert np.abs(reconstruct_schwinger(C2) - oracle.reconstruct_schwinger(C2)).max() <= TOL
     assert np.abs(reconstruct_schwinger(C) - O).max() <= TOL
+
+
+@SETTINGS
+@given(N=family_dims, s=orders)
+def test_t_family_matches_einsum(N, s):
+    fam = t_family(s, N)
+    assert not fam.flags.writeable
+    assert np.abs(fam - oracle.t_family(s, N)).max() <= bound(N, s)
+
+
+@SETTINGS
+@given(N=family_dims, seed=seeds, s=orders)
+def test_t_expansions_match_einsum(N, seed, s):
+    O, grid = operator(N, seed), operator(N, seed + 1)
+    coeffs = np.einsum("mnij,ji->mn", oracle.t_family(-s, N), O)
+    assert np.abs(decompose_t(O, s) - coeffs).max() <= bound(N, -s)
+    rebuilt = np.einsum("mn,mnij->ij", grid, oracle.t_family(s, N)) / N
+    assert np.abs(reconstruct_t(grid, s) - rebuilt).max() <= bound(N, s)
+
+
+@pytest.mark.parametrize("N", FAMILY_DIMS)
+def test_symplectic_generators_match_basis_loop(N):
+    # every Omega in [-N, N]: the raw labels (1 - Omega) * xi of C leave
+    # [-ell, ell] and wrap, and N and M see both parities of Omega
+    generators = (symplectic_c, symplectic_n, symplectic_m)
+    for omega in range(-N, N + 1):
+        params = SimpleNamespace(N=N, omegas=(omega, omega, omega))
+        fast = [g(params) for g in generators]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tomography, "_generator_sum", oracle.generator_sum)
+            slow = [g(params) for g in generators]
+        for a, b in zip(fast, slow):
+            assert np.abs(a - b).max() <= TOL
+
+
+@SETTINGS
+@given(N=family_dims, seed=seeds, omega=st.floats(-1.0, 1.0))
+def test_conjugation_average_matches_loop(N, seed, omega):
+    O = operator(N, seed)
+    # |K^(-i omega)| = 1 gives depolarize equal weights, under which a wrong
+    # multiplier can still pass; K^2 and random weights pin it down
+    K = kernel_table(N)
+    weights = (K**2, np.random.default_rng(seed).normal(size=(N, N)))
+    for w in weights:
+        ref = oracle.conjugation_average(O, w)
+        assert np.abs(_conjugation_average(O, w) - ref).max() <= TOL * N * np.abs(w).max()
+    ref = oracle.conjugation_average(O, np.abs(K ** (-1j * omega)) ** 2)
+    assert np.abs(depolarize(O, omega) - ref).max() <= TOL * N

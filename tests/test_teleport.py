@@ -9,7 +9,8 @@ import pytest
 from qps.lattice import half_width, labels, center_mod, tensor
 from qps.theta import kernel_table
 from qps.schwinger import u_matrix, v_matrix, s_op, t_op, t_family
-from qps.quasiprob import random_density, maximally_mixed, phase_fn_direct
+from qps.quasiprob import random_density, maximally_mixed
+from loop_oracles import phase_fn_direct
 from qps.teleport import (
     BellLabel,
     bell_state,

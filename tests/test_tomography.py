@@ -18,6 +18,7 @@ from qps.quasiprob import (
 )
 from qps.tomography import (
     CoverageError,
+    MarginalDistribution,
     SymplecticParams,
     mod_inverse,
     marginal_q,
@@ -291,6 +292,22 @@ def test_sample_marginal_seeded_and_normalized():
     assert abs(a.values.sum() - math.sqrt(N)) < 1e-12
     with pytest.raises(ValueError):
         sample_marginal(marginal_q(phase_fn(fock_projector(1, N), -1)), 10, None)
+
+
+def test_sample_marginal_ignores_sign_of_round_off():
+    # the fock:1 line sum on ray (1, 2) at N = 5 holds an exact zero that
+    # comes out as +-1e-16 depending on summation order
+    N = 5
+    dist = radon_q(phase_fn(fock_projector(1, N), 0), 1, 2)
+    k = np.argmin(np.abs(dist.values))
+    assert abs(dist.values[k]) < 1e-12
+    draws = []
+    for sign in (1, -1):
+        values = dist.values.copy()
+        values[k] = sign * 1.24e-16
+        flipped = MarginalDistribution(dist.s, dist.axis, values, dist.line)
+        draws.append(sample_marginal(flipped, 1000, np.random.default_rng(3)).values)
+    assert np.array_equal(draws[0], draws[1])
 
 
 @pytest.mark.parametrize("N", (3, 5))
