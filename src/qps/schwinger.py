@@ -162,10 +162,13 @@ def _diagonals(N):
 
 
 def _traces(O):
-    """X[eta + ell, xi + ell] = Tr[S(eta, xi) O] for every label pair."""
-    N = O.shape[0]
+    """X[eta + ell, xi + ell] = Tr[S(eta, xi) O] for every label pair.
+
+    Leading axes of O are a batch.
+    """
+    N = O.shape[-1]
     rows, cols, front = _diagonals(N)
-    return (_dft_phases(N).conj() @ O[rows, cols].T) * front
+    return (_dft_phases(N).conj() @ O[..., rows, cols].swapaxes(-1, -2)) * front
 
 
 def decompose_schwinger(O):

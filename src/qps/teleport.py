@@ -1,6 +1,15 @@
 """Generalized Bell states, bipartite phase-space functions, the coefficient
 tables linking the Bell and phase-space operator bases, and the three-party
 teleportation protocol with its phase-space displacement law.
+
+A Bell state in matrix form Psi[kappa1, kappa2] is the seed Pi / sqrt(N)
+(Pi the parity) with its rows rolled and its columns phased, so every
+route here works on N x N matrices: the protocol is a product of three of
+them, the two-mode tables are the gather of `schwinger._traces` applied
+to one mode after the other, and the receiver coefficients are one
+multiplier in the dual plane.  Apart from two-mode operators given as
+input or built as a Bell dyad, only `theta_coeffs` works with N^2 x N^2
+matrices: it multiplies by the Bell-basis change.
 """
 
 from dataclasses import dataclass
@@ -8,17 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (
-    check_dim,
-    half_width,
-    labels,
-    center_mod,
-    dagger,
-    tensor,
-    partial_trace,
-    dft_matrix,
-)
-from .schwinger import check_order, u_matrix, v_matrix, t_op, t_family, reconstruct_t, _kernel_power
+from .lattice import check_dim, half_width, labels, center_mod, tensor, _dft_phases, _dft2
+from .schwinger import check_order, t_op, reconstruct_t, _kernel_power, _traces
 from .quasiprob import validate_density, phase_fn
 
 __all__ = [
@@ -34,11 +34,6 @@ __all__ = [
     "lambda_coeffs",
     "teleport_via_coeffs",
 ]
-
-# the coefficient tables hold N^4 complex entries per (omega, omega') pair
-COEFF_DIM_LIMIT = 5
-# the tripartite protocol works on an N^3-dimensional state space
-PROTOCOL_DIM_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -67,12 +62,13 @@ class BipartitePhaseFn:
 
 @lru_cache(maxsize=None)
 def _bell_seed(N):
-    """|Psi_{0,0}> = N^(-1/2) sum_eps |v_eps> x |v_eps> over the shift eigenbasis."""
-    F = dft_matrix(N)
-    psi = np.zeros(N * N, dtype=complex)
-    for eps in range(N):
-        psi += np.kron(F[:, eps], F[:, eps])
-    psi /= np.sqrt(N)
+    """|Psi_{0,0}> = N^(-1/2) sum_eps |v_eps> x |v_eps> over the shift eigenbasis.
+
+    The DFT matrix squares to the parity, so the sum is Pi / sqrt(N) in
+    matrix form: amplitude 1/sqrt(N) on each |kappa> x |-kappa>.
+    """
+    N = check_dim(N)
+    psi = np.eye(N, dtype=complex)[::-1].ravel() / np.sqrt(N)
     psi.setflags(write=False)
     return psi
 
@@ -81,13 +77,23 @@ def bell_state(omega, N):
     """Maximally entangled state |Psi_{omega1,omega2}> on the doubled space.
 
     Generated from the seed state by the one-sided displacement
-    V^omega1 (x) U^(-omega2).
+    V^omega1 (x) U^(-omega2); in matrix form V^omega1 Phi_0 U^(-omega2),
+    i.e. the seed's rows rolled by -omega1 and its columns phased.
     """
     N = check_dim(N)
     w = omega.reduced(N) if isinstance(omega, BellLabel) else BellLabel(*omega).reduced(N)
-    V = np.linalg.matrix_power(v_matrix(N), w.omega1 % N)
-    U = np.linalg.matrix_power(u_matrix(N), (-w.omega2) % N)
-    return tensor(V, U) @ _bell_seed(N)
+    # (V^omega1 M)[kappa] = M[kappa + omega1]; U^(-omega2) = diag exp(-2 pi i omega2 kappa / N)
+    psi = np.roll(_bell_seed(N).reshape(N, N), -w.omega1, axis=0)
+    return (psi * _dft_phases(N)[w.omega2 + half_width(N)]).ravel()
+
+
+@lru_cache(maxsize=None)
+def _bell_basis(N):
+    """Read-only Bell-basis change: column (w1 + ell) * N + (w2 + ell) is |Psi_{w1,w2}>."""
+    ks = labels(N)
+    B = np.stack([bell_state((a, b), N) for a in ks for b in ks], axis=1)
+    B.setflags(write=False)
+    return B
 
 
 def bell_projector(omega, N):
@@ -112,21 +118,13 @@ def bipartite_phase_fn(state, s1, s2):
         raise ValueError(f"operator dimension {D} is not a perfect square")
     s1 = check_order(s1)
     s2 = check_order(s2)
-    fam1 = t_family(s1, N)
-    fam2 = t_family(s2, N)
     R = rho.reshape(N, N, N, N)  # [i1, i2, j1, j2]
-    # Tr[(A x B) rho] = A_ij B_kl rho[(j,l),(i,k)]
-    grid = np.einsum("abij,cdkl,jlik->abcd", fam1, fam2, R)
+    # Tr[(A x B) rho] = A_ji B_lk R[i, k, j, l]: gather mode 1 over its
+    # operator axes (i, j), batched over mode 2, then mode 2
+    X = _traces(_traces(R.transpose(1, 3, 0, 2)).transpose(2, 3, 0, 1))
+    X = _kernel_power(s1, N)[:, :, None, None] * X * _kernel_power(s2, N)
+    grid = _dft2(_dft2(X).transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
     return BipartitePhaseFn(s1, s2, grid)
-
-
-def _check_coeff_dim(N):
-    N = check_dim(N)
-    if N > COEFF_DIM_LIMIT:
-        raise ValueError(
-            f"coefficient tables are limited to N <= {COEFF_DIM_LIMIT}, got {N}"
-        )
-    return N
 
 
 def upsilon_coeffs(omega, omega_p, s1, s2, N):
@@ -137,7 +135,7 @@ def upsilon_coeffs(omega, omega_p, s1, s2, N):
     itself carries the opposite orders (-s1, -s2) through its trace
     definition.
     """
-    N = _check_coeff_dim(N)
+    N = check_dim(N)
     op = np.outer(bell_state(omega, N), bell_state(omega_p, N).conj())
     return bipartite_phase_fn(op, -check_order(s1), -check_order(s2)).grid
 
@@ -149,23 +147,11 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     Returns the table C[w1, w2, w1', w2'] such that the kernel product equals
     sum C * |Psi_{w1,w2}><Psi_{w1',w2'}|.
     """
-    N = _check_coeff_dim(N)
-    ell = half_width(N)
-    s1 = check_order(s1)
-    s2 = check_order(s2)
-    TT = tensor(t_op(mu1, nu1, s1, N), t_op(mu2, nu2, s2, N))
-    C = np.empty((N, N, N, N), dtype=complex)
-    for w1 in labels(N):
-        for w2 in labels(N):
-            for w1p in labels(N):
-                for w2p in labels(N):
-                    bra = bell_state(BellLabel(w1, w2), N)
-                    ket = bell_state(BellLabel(w1p, w2p), N)
-                    # Tr[TT |ket><bra|] = <bra| TT |ket>
-                    C[w1 + ell, w2 + ell, w1p + ell, w2p + ell] = bra.conj() @ (
-                        TT @ ket
-                    )
-    return C
+    N = check_dim(N)
+    TT = tensor(t_op(mu1, nu1, check_order(s1), N), t_op(mu2, nu2, check_order(s2), N))
+    B = _bell_basis(N)
+    # C[w, w'] = Tr[TT |Psi_w'><Psi_w|] = <Psi_w| TT |Psi_w'>
+    return (B.conj().T @ TT @ B).reshape(N, N, N, N)
 
 
 def teleport(rho1, alpha, beta, N=None):
@@ -180,19 +166,13 @@ def teleport(rho1, alpha, beta, N=None):
     if N is None:
         N = rho1.shape[0]
     N = check_dim(N)
-    if N > PROTOCOL_DIM_LIMIT:
-        raise ValueError(
-            f"the tripartite protocol is limited to N <= {PROTOCOL_DIM_LIMIT}, got {N}"
-        )
     if rho1.shape[0] != N:
         raise ValueError("input state dimension does not match N")
-    resource = bell_projector(BellLabel(0, 0), N)
-    rho = tensor(rho1, resource)
-    psi12 = bell_state(BellLabel(alpha, beta), N)
-    P12 = tensor(np.outer(psi12, psi12.conj()), np.eye(N))
-    conditioned = P12 @ rho @ P12
-    p = float(np.trace(conditioned).real)
-    rho3 = partial_trace(conditioned, [N, N, N], keep=[2])
+    # <Psi_{alpha,beta}|_12 (|psi>_1 x |Psi_{0,0}>_23) = M^T |psi> in matrix form
+    Psi = bell_state(BellLabel(alpha, beta), N).reshape(N, N)
+    M = Psi.conj() @ _bell_seed(N).reshape(N, N)
+    rho3 = M.T @ rho1 @ M.conj()
+    p = float(np.trace(rho3).real)
     return rho3 / p, p
 
 
@@ -218,11 +198,17 @@ def lambda_coeffs(F1, alpha, beta, s3):
     """Receiver-side phase-space coefficients for Bell outcome (alpha, beta).
 
     Contracts the order-transfer kernel with the sender's phase-space
-    function; F1 must be tagged with order -s1.
+    function; F1 must be tagged with order -s1.  The kernel is a product of
+    1-D Fourier phases and K^ds in the dual plane, so the contraction is a
+    2-D DFT of F1, a multiplier, and the transform back: O(N^3).
     """
     s1 = -complex(F1.s)
-    R = r_kernel(alpha, beta, complex(s3) - s1, F1.dim)
-    return np.einsum("abcd,ab->cd", R, F1.grid)
+    N = F1.dim
+    ks = labels(N)
+    ph = _dft_phases(N)
+    shift = np.outer(np.exp(2j * np.pi * alpha * ks / N), np.exp(2j * np.pi * beta * ks / N))
+    G = _kernel_power(s1 - complex(s3), N) * shift * (ph.conj() @ F1.grid @ ph)
+    return ph @ G @ ph.conj() / N**2
 
 
 def teleport_via_coeffs(rho1, alpha, beta, s1, s3):

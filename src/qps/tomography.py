@@ -12,7 +12,7 @@ import numpy as np
 from .lattice import (
     check_dim, half_width, labels, center_mod, tensor, dagger, _dft_phases, _dft2, _correlate,
 )
-from .theta import kernel_value, smoothing_1d, phase_phi
+from .theta import smoothing_1d, phase_phi
 from .schwinger import check_order, s_op, reconstruct_schwinger
 from .quasiprob import (
     PhaseSpaceFunction,
@@ -232,17 +232,12 @@ def radon_r(F, z2, z4):
 def _ray_invert(dist, za, zb, N):
     """Common inverse: Xi^(s)(za*t, zb*t) for t in [-ell, ell].
 
-    Kernel ratios are evaluated at the raw (unreduced) composite labels;
-    at s = 0 they drop out entirely.
+    The line sums of F^(s) are a Fourier slice of its characteristic
+    function, K^(-s) included, so one inverse DFT recovers the ray at
+    every order s.
     """
-    s = complex(dist.s)
     # out[t] = sum_k exp(2*pi*i*k*t/N) values(k) / N
-    out = _dft_phases(N).conj() @ dist.values / N
-    if abs(s) >= 1e-14:
-        for i, t in enumerate(labels(N)):
-            base = kernel_value(t, 0, N) if dist.axis == "Q" else kernel_value(0, t, N)
-            out[i] *= (base / kernel_value(za * t, zb * t, N)) ** s
-    return out
+    return _dft_phases(N).conj() @ dist.values / N
 
 
 def char_from_radon_q(dist, z1, z3, N):

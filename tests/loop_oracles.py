@@ -6,8 +6,11 @@ convolution, N^2 `t_overlap` calls for the smoothing table, the
 theta-series double loop of the marginal smoothing, the scalar DFT
 sum of the Radon ray inversion, the einsum-built T^(s) family with the
 direct kernel traces against it, the symplectic generators accumulated
-one basis element at a time, and the depolarizer's conjugation loop.
-They are slow by design and exist only so the fast paths can be
+one basis element at a time, the depolarizer's conjugation loop, and
+the teleportation layer on dense operators: Kronecker-built Bell states,
+the N^3-dimensional protocol with a partial trace, the N^4 Bell-dyad
+loop, the einsum over two T^(s) families, and the receiver coefficients
+through the N^4 order-transfer kernel.  They are slow by design and exist only so the fast paths can be
 compared against them.
 """
 
@@ -15,10 +18,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from qps.lattice import check_dim, half_width, labels, center_mod, dagger
-from qps.theta import kernel_table, kernel_value, smoothing_1d
-from qps.schwinger import check_order, s_op, t_overlap
-from qps.quasiprob import PhaseSpaceFunction
+from qps.lattice import (
+    check_dim,
+    half_width,
+    labels,
+    center_mod,
+    dagger,
+    tensor,
+    partial_trace,
+    dft_matrix,
+)
+from qps.theta import kernel_table, smoothing_1d
+from qps.schwinger import check_order, s_op, t_overlap, u_matrix, v_matrix, t_op
+from qps import schwinger
+from qps.quasiprob import PhaseSpaceFunction, validate_density
+from qps.teleport import BellLabel, r_kernel
 
 
 def char_fn_grid(rho, s):
@@ -82,18 +96,12 @@ def smooth_marginal_values(values):
 
 def ray_invert(dist, za, zb, N):
     """Xi^(s)(za*t, zb*t) from a line-sum marginal, one scalar DFT sum per label."""
-    s = complex(dist.s)
     ell = half_width(N)
     ks = labels(N)
     out = np.empty(N, dtype=complex)
     for t in ks:
-        if abs(s) < 1e-14:
-            ratio = 1.0
-        else:
-            base = kernel_value(t, 0, N) if dist.axis == "Q" else kernel_value(0, t, N)
-            ratio = (base / kernel_value(za * t, zb * t, N)) ** s
         tot = sum(np.exp(2j * np.pi * k * t / N) * dist.values[k + ell] for k in ks)
-        out[t + ell] = ratio * tot / N
+        out[t + ell] = tot / N
     return out
 
 
@@ -181,3 +189,67 @@ def conjugation_average(O, w):
             X = np.sqrt(N) * s_op(eta, xi, N)
             acc += w[eta + ell, xi + ell] * X @ O @ dagger(X)
     return acc / N
+
+
+def bell_seed(N):
+    """|Psi_{0,0}> = N^(-1/2) sum_eps |v_eps> x |v_eps>, one Kronecker product per term."""
+    F = dft_matrix(N)
+    psi = np.zeros(N * N, dtype=complex)
+    for eps in range(N):
+        psi += np.kron(F[:, eps], F[:, eps])
+    return psi / np.sqrt(N)
+
+
+def bell_state(omega, N):
+    """|Psi_{omega1,omega2}> = (V^omega1 (x) U^(-omega2)) |Psi_{0,0}> with dense matrix powers."""
+    N = check_dim(N)
+    w = BellLabel(*omega).reduced(N)
+    V = np.linalg.matrix_power(v_matrix(N), w.omega1 % N)
+    U = np.linalg.matrix_power(u_matrix(N), (-w.omega2) % N)
+    return tensor(V, U) @ bell_seed(N)
+
+
+def teleport(rho1, alpha, beta):
+    """Receiver state and outcome probability from the dense N^3-dimensional protocol."""
+    rho1 = validate_density(rho1)
+    N = check_dim(rho1.shape[0])
+    resource = np.outer(bell_seed(N), bell_seed(N).conj())
+    rho = tensor(rho1, resource)
+    psi12 = bell_state((alpha, beta), N)
+    P12 = tensor(np.outer(psi12, psi12.conj()), np.eye(N))
+    conditioned = P12 @ rho @ P12
+    p = float(np.trace(conditioned).real)
+    rho3 = partial_trace(conditioned, [N, N, N], keep=[2])
+    return rho3 / p, p
+
+
+def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
+    """C[w1, w2, w1', w2'] = <Psi_w| T^(s1) (x) T^(s2) |Psi_w'>, one Bell pair per entry."""
+    ell = half_width(N)
+    TT = tensor(t_op(mu1, nu1, s1, N), t_op(mu2, nu2, s2, N))
+    # the N^2 states are built once; each entry is still its own product
+    psi = {(int(a), int(b)): bell_state((a, b), N) for a in labels(N) for b in labels(N)}
+    C = np.empty((N, N, N, N), dtype=complex)
+    for w1 in labels(N):
+        for w2 in labels(N):
+            for w1p in labels(N):
+                for w2p in labels(N):
+                    bra, ket = psi[w1, w2], psi[w1p, w2p]
+                    C[w1 + ell, w2 + ell, w1p + ell, w2p + ell] = bra.conj() @ (TT @ ket)
+    return C
+
+
+def bipartite_phase_fn_grid(rho, s1, s2):
+    """grid[m1, n1, m2, n2] = Tr[T^(s1)(mu1, nu1) (x) T^(s2)(mu2, nu2) rho] as one einsum."""
+    N = check_dim(round(np.sqrt(rho.shape[0])))
+    R = rho.reshape(N, N, N, N)
+    fam1 = schwinger.t_family(s1, N)
+    fam2 = schwinger.t_family(s2, N)
+    return np.einsum("abij,cdkl,jlik->abcd", fam1, fam2, R)
+
+
+def lambda_coeffs(F1, alpha, beta, s3):
+    """Receiver coefficients as the contraction of the N^4 order-transfer kernel with F1."""
+    s1 = -complex(F1.s)
+    R = r_kernel(alpha, beta, complex(s3) - s1, F1.dim)
+    return np.einsum("abcd,ab->cd", R, F1.grid)

@@ -4,15 +4,17 @@ Every fast route (gathered traces plus DFT for the characteristic and
 phase-space grids, FFT correlation for the smoothing steps, the inverse
 DFT of K for the smoothing table, gather/scatter for the Schwinger
 expansion, the T^(s) family and expansions, the symplectic generators
-and the depolarizer average, bincount line sums) is compared with its
-loop oracle in `loop_oracles` over prime and composite N, pure and mixed
-states, the three standard orders and random complex orders |s| <= 1.
+and the depolarizer average, bincount line sums, and the teleportation
+layer on N x N matrices) is compared with its loop oracle in
+`loop_oracles` over prime and composite N, pure and mixed states, the
+three standard orders and random complex orders |s| <= 1.
 
 The tolerance was fixed before the fast routes were written: the two
 sides sum the same terms in a different order, so they may differ by
 round-off amplified by the largest kernel power in play,
-TOL * max(1, max |K^(-Re s)|) with TOL = 1e-12.  The ray inversion
-further multiplies by the kernel ratio it applies (see `ray_gain`).
+TOL * max(1, max |K^(-Re s)|) with TOL = 1e-12, and by the product of
+two such factors where two kernel powers meet (two modes, or the order
+transfer of the receiver coefficients).
 """
 
 import cmath
@@ -24,8 +26,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import loop_oracles as oracle
 from qps import tomography
-from qps.lattice import _correlate, labels
-from qps.theta import kernel_table, kernel_value
+from qps.lattice import _correlate, labels, center_mod, half_width
+from qps.theta import kernel_table
 from qps.schwinger import (
     decompose_schwinger,
     reconstruct_schwinger,
@@ -56,12 +58,24 @@ from qps.tomography import (
     symplectic_n,
     symplectic_m,
 )
+from qps.teleport import (
+    BellLabel,
+    bell_state,
+    _bell_basis,
+    bipartite_phase_fn,
+    upsilon_coeffs,
+    theta_coeffs,
+    teleport,
+    lambda_coeffs,
+)
 
 TOL = 1e-12
 DIMS = (1, 3, 5, 9, 15, 31)
 # the einsum family oracle is O(N^6), 7 s to build at N = 31, and the
 # conjugation loop makes 3N^2 dense products per call
 FAMILY_DIMS = DIMS[:-1]
+# the dense protocol oracle works on N^3 x N^3 matrices
+TELEPORT_DIMS = (1, 3, 5, 7, 9)
 SETTINGS = settings(max_examples=30, deadline=None)
 
 dims = st.sampled_from(DIMS)
@@ -74,6 +88,10 @@ disk_orders = st.builds(
     st.floats(-np.pi, np.pi),
 )
 orders = st.one_of(standard_orders, disk_orders)
+teleport_dims = st.sampled_from(TELEPORT_DIMS)
+# unreduced labels: every route reduces them mod N itself
+raw_labels = st.integers(-20, 20)
+bell_labels = st.tuples(raw_labels, raw_labels)
 
 
 def bound(N, s):
@@ -81,14 +99,9 @@ def bound(N, s):
     return TOL * max(1.0, float(np.max(kernel_table(N) ** (-complex(s).real))))
 
 
-def ray_gain(N, za, zb, axis, s):
-    """max_t |(K_base(t) / K(za*t, zb*t))^s|, the factor by which the ray step
-    scales the round-off of the line sums; K_base(t) is K(t, 0) on Q rays and
-    K(0, t) on R rays."""
-    def base(t):
-        return kernel_value(t, 0, N) if axis == "Q" else kernel_value(0, t, N)
-
-    return max(abs((base(t) / kernel_value(za * t, zb * t, N)) ** complex(s)) for t in labels(N))
+def bound2(N, s1, s2):
+    """TOL * max(1, max |K^(-Re s1)|) * max(1, max |K^(-Re s2)|)."""
+    return bound(N, s1) * bound(N, s2) / TOL
 
 
 def state(N, seed, pure):
@@ -179,11 +192,20 @@ rays = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 def test_ray_inversion_matches_scalar_dft(N, seed, pure, s, z):
     za, zb = z
     assume(za % N or zb % N)  # (0, 0) mod N is not a line
-    F = phase_fn(state(N, seed, pure), s)
+    rho = state(N, seed, pure)
+    F = phase_fn(rho, s)
+    # the line sums are a Fourier slice of F's characteristic function, so
+    # the inversion lands on Xi^(s) at the reduced ray labels
+    ts, ell = labels(N), half_width(N)
+    Xi = char_fn(rho, s).grid[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
     q = radon_q(F, za, zb)
-    assert np.abs(char_from_radon_q(q, za, zb, N) - oracle.ray_invert(q, za, zb, N)).max() <= bound(N, s) * ray_gain(N, za, zb, "Q", s)
+    fast = char_from_radon_q(q, za, zb, N)
+    assert np.abs(fast - oracle.ray_invert(q, za, zb, N)).max() <= bound(N, s)
+    assert np.abs(fast - Xi).max() <= bound(N, s)
     r = radon_r(F, za, zb)
-    assert np.abs(char_from_radon_r(r, za, zb, N) - oracle.ray_invert(r, za, zb, N)).max() <= bound(N, s) * ray_gain(N, za, zb, "R", s)
+    fast = char_from_radon_r(r, za, zb, N)
+    assert np.abs(fast - oracle.ray_invert(r, za, zb, N)).max() <= bound(N, s)
+    assert np.abs(fast - Xi).max() <= bound(N, s)
 
 
 @SETTINGS
@@ -255,3 +277,57 @@ def test_conjugation_average_matches_loop(N, seed, omega):
         assert np.abs(_conjugation_average(O, w) - ref).max() <= TOL * N * np.abs(w).max()
     ref = oracle.conjugation_average(O, np.abs(K ** (-1j * omega)) ** 2)
     assert np.abs(depolarize(O, omega) - ref).max() <= TOL * N
+
+
+@SETTINGS
+@given(N=teleport_dims, w=bell_labels)
+def test_bell_state_matches_kron(N, w):
+    psi = bell_state(BellLabel(*w), N)
+    assert np.abs(psi - oracle.bell_state(w, N)).max() <= TOL
+    B = _bell_basis(N)
+    assert not B.flags.writeable
+    ell = half_width(N)
+    assert np.array_equal(B[:, (center_mod(w[0], N) + ell) * N + center_mod(w[1], N) + ell], psi)
+
+
+@SETTINGS
+@given(N=teleport_dims, seed=seeds, pure=st.booleans(), w=bell_labels)
+def test_teleport_matches_dense_protocol(N, seed, pure, w):
+    rho = state(N, seed, pure)
+    rho3, p = teleport(rho, *w)
+    ref3, ref_p = oracle.teleport(rho, *w)
+    assert abs(p - ref_p) <= TOL
+    assert np.abs(rho3 - ref3).max() <= TOL
+
+
+@SETTINGS
+@given(N=teleport_dims, mn=st.tuples(*[raw_labels] * 4), s1=orders, s2=orders)
+def test_theta_coeffs_match_bell_loop(N, mn, s1, s2):
+    C = theta_coeffs(*mn, s1, s2, N)
+    assert np.abs(C - oracle.theta_coeffs(*mn, s1, s2, N)).max() <= bound2(N, s1, s2)
+
+
+@SETTINGS
+@given(N=teleport_dims, seed=seeds, pure=st.booleans(), s1=orders, s2=orders)
+def test_bipartite_phase_fn_matches_einsum(N, seed, pure, s1, s2):
+    rho = state(N * N, seed, pure)
+    F = bipartite_phase_fn(rho, s1, s2)
+    assert (F.s1, F.s2) == (complex(s1), complex(s2))
+    assert np.abs(F.grid - oracle.bipartite_phase_fn_grid(rho, s1, s2)).max() <= bound2(N, s1, s2)
+
+
+@SETTINGS
+@given(N=teleport_dims, wa=bell_labels, wb=bell_labels, s1=orders, s2=orders)
+def test_upsilon_coeffs_match_einsum(N, wa, wb, s1, s2):
+    dyad = np.outer(oracle.bell_state(wa, N), oracle.bell_state(wb, N).conj())
+    ref = oracle.bipartite_phase_fn_grid(dyad, -s1, -s2)
+    assert np.abs(upsilon_coeffs(wa, wb, s1, s2, N) - ref).max() <= bound2(N, -s1, -s2)
+
+
+@SETTINGS
+@given(N=teleport_dims, seed=seeds, pure=st.booleans(), w=bell_labels, s1=orders, s3=orders)
+def test_lambda_coeffs_match_r_kernel(N, seed, pure, w, s1, s3):
+    # F1 carries K^(s1), and the transfer multiplies by K^(s3 - s1)
+    F1 = phase_fn(state(N, seed, pure), -s1)
+    ref = oracle.lambda_coeffs(F1, *w, s3)
+    assert np.abs(lambda_coeffs(F1, *w, s3) - ref).max() <= bound2(N, -s1, s1 - s3)

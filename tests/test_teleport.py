@@ -9,7 +9,7 @@ import pytest
 from qps.lattice import half_width, labels, center_mod, tensor
 from qps.theta import kernel_table
 from qps.schwinger import u_matrix, v_matrix, s_op, t_op, t_family
-from qps.quasiprob import random_density, maximally_mixed
+from qps.quasiprob import random_density, maximally_mixed, phase_fn
 from loop_oracles import phase_fn_direct
 from qps.teleport import (
     BellLabel,
@@ -123,11 +123,18 @@ def test_coefficient_conjugation_relation():
         assert abs(lhs - rhs) < 1e-10
 
 
-def test_coefficient_tables_reject_large_dimension():
-    with pytest.raises(ValueError):
-        upsilon_coeffs(BellLabel(0, 0), BellLabel(0, 0), 0, 0, 7)
-    with pytest.raises(ValueError):
-        theta_coeffs(0, 0, 0, 0, 0, 0, 7)
+def test_coefficient_tables_at_dimension_seven():
+    # N = 7 was past the old size cap on the tables
+    n = 7
+    Y = upsilon_coeffs(BellLabel(0, 0), BellLabel(0, 0), 0, 0, n)
+    fam = t_family(0, n)
+    rec = np.einsum("abcd,abij,cdkl->ikjl", Y, fam, fam).reshape(n * n, n * n) / n**2
+    psi = bell_state(BellLabel(0, 0), n)
+    assert np.abs(rec - np.outer(psi, psi.conj())).max() < 1e-9
+    C = theta_coeffs(0, 0, 0, 0, 0, 0, n)
+    B = np.stack([bell_state(w, n) for w in all_bell_labels(n)], axis=1)
+    rec = B @ C.reshape(n * n, n * n) @ B.conj().T
+    assert np.abs(rec - tensor(t_op(0, 0, 0, n), t_op(0, 0, 0, n))).max() < 1e-9
 
 
 def test_teleport_uniform_probability_and_recovery():
@@ -199,6 +206,26 @@ def test_coefficient_path_matches_projection_path(orders):
     assert np.abs(direct - via).max() < 1e-9
 
 
-def test_teleport_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        teleport(maximally_mixed(9), 0, 0)
+def test_teleport_at_dimension_nine():
+    # N = 9 was past the old size cap on the protocol
+    n = 9
+    mm3, p = teleport(maximally_mixed(n), 0, 0)
+    assert abs(p - 1 / n**2) < 1e-12
+    assert np.abs(mm3 - maximally_mixed(n)).max() < 1e-12
+    rho = random_density(n, np.random.default_rng(47), pure=True)
+    W1 = phase_fn_direct(rho, 0).grid
+    for a, b in [(0, 0), (2, -3), (-4, 4)]:
+        rho3, p = teleport(rho, a, b)
+        assert abs(p - 1 / n**2) < 1e-12
+        W3 = phase_fn_direct(rho3, 0).grid
+        assert np.abs(W3 - np.roll(W1, (a, -b), axis=(0, 1))).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", (17, 31, 61))
+def test_teleport_shift_law_at_large_dimension(n):
+    rho = random_density(n, np.random.default_rng(48), pure=True)
+    a, b = 3, -(n // 3)
+    rho3, p = teleport(rho, a, b)
+    assert abs(p - 1 / n**2) < 1e-12
+    W1, W3 = phase_fn(rho, 0).grid, phase_fn(rho3, 0).grid
+    assert np.abs(W3 - np.roll(W1, (a, -b), axis=(0, 1))).max() < 1e-9

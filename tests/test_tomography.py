@@ -264,6 +264,23 @@ def test_char_from_radon_roundtrip():
         assert abs(vals[t + ell] - ref) < 1e-10
 
 
+@pytest.mark.parametrize("s", (1, 0.5, -1, 0.5j))
+def test_char_from_radon_at_nonzero_order(s):
+    # the line sums of F^(s) already carry K^(-s) on the sheared rays too,
+    # so the inversion needs no kernel ratio
+    N = 7
+    ell = half_width(N)
+    ts = labels(N)
+    rho = random_density(N, np.random.default_rng(38))
+    F = phase_fn(rho, s)
+    Xi = char_fn(rho, s).grid
+    for z1, z3 in [(1, 1), (2, 3), (1, 0)]:
+        ref = Xi[center_mod(z1 * ts, N) + ell, center_mod(z3 * ts, N) + ell]
+        assert np.abs(char_from_radon_q(radon_q(F, z1, z3), z1, z3, N) - ref).max() < 1e-10
+        ref = Xi[center_mod(z3 * ts, N) + ell, center_mod(z1 * ts, N) + ell]
+        assert np.abs(char_from_radon_r(radon_r(F, z3, z1), z3, z1, N) - ref).max() < 1e-10
+
+
 @pytest.mark.parametrize("N", (3, 5, 7))
 def test_reconstruct_wigner_three_families(N):
     rng = np.random.default_rng(37)
