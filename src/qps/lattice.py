@@ -3,7 +3,9 @@
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
-The Fourier helpers at the end are shared by every DFT in the package.
+The Fourier helpers at the end are shared by every DFT in the package, and
+`_traces` is the one gather of Tr[S(eta, xi) O] over every label pair
+(S(eta, xi) the symmetrized displacement of `schwinger`).
 """
 
 from functools import lru_cache, reduce
@@ -120,6 +122,32 @@ def _dft2(X):
     """
     N = X.shape[-1]
     return _dft_phases(N) @ X @ _dft_phases(N) / np.sqrt(N)
+
+
+@lru_cache(maxsize=None)
+def _diagonals(N):
+    """Indices [xi + ell, kappa + ell] of O[kappa, kappa - xi], and the phases
+    front[eta + ell, xi + ell] = exp(-i*pi*eta*xi/N) / sqrt(N).
+
+    Column kappa of S(eta, xi) holds its one entry in row kappa - xi, so
+    Tr[S(eta, xi) O] = front * sum_kappa exp(2*pi*i*eta*kappa/N) O[kappa, kappa - xi].
+    """
+    ks, rows = labels(N), np.arange(N)
+    cols = (rows - ks[:, None]) % N
+    front = np.exp(-1j * np.pi * np.outer(ks, ks) / N) / np.sqrt(N)
+    for a in (rows, cols, front):
+        a.setflags(write=False)
+    return rows, cols, front
+
+
+def _traces(O):
+    """X[eta + ell, xi + ell] = Tr[S(eta, xi) O] for every label pair.
+
+    Leading axes of O are a batch.
+    """
+    N = O.shape[-1]
+    rows, cols, front = _diagonals(N)
+    return (_dft_phases(N).conj() @ O[..., rows, cols].swapaxes(-1, -2)) * front
 
 
 def _correlate(values, weights):

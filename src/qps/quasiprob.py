@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, labels, _dft_phases, _correlate
+from .lattice import check_dim, labels, _dft_phases, _correlate, _traces
 from .theta import kernel_table, gamma_table, fock_coefficients
-from .schwinger import check_order, t_op, decompose_t, reconstruct_t, _kernel_power, _traces
+from .schwinger import check_order, t_op, decompose_t, reconstruct_t, _kernel_power
 
 __all__ = [
     "FormalismViolation",

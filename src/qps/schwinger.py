@@ -10,17 +10,18 @@ S(eta, xi)^dag = S(-eta, -xi) holds with the symmetrization phase
 exp(+i*pi*eta*xi/N).
 
 Each S(eta, xi) is a monomial matrix, so all N^2 traces Tr[S(eta, xi) O]
-are one gather of the cyclic diagonals of O plus one DFT, O(N^3), and a sum
-over the basis is the inverse scatter.  Every other route between operators
-and label grids (the T^(s) expansions, the family itself and the depolarizer
-average) is that gather or scatter plus a 2-D DFT against K^(-s).
+are one gather of the cyclic diagonals of O plus one DFT, O(N^3)
+(`lattice._traces`), and a sum over the basis is the inverse scatter.
+Every other route between operators and label grids (the T^(s)
+expansions, the family itself and the depolarizer average) is that
+gather or scatter plus a 2-D DFT against K^(-s).
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _diagonals, _traces
 from .theta import kernel_table
 
 __all__ = [
@@ -143,32 +144,6 @@ def t_overlap(t, s, dmu, dnu, N):
         2j * np.pi * (np.add.outer(ks * dmu, ks * dnu)) / N
     )
     return complex(np.sum(ph * Kpow) / N)
-
-
-@lru_cache(maxsize=None)
-def _diagonals(N):
-    """Indices [xi + ell, kappa + ell] of O[kappa, kappa - xi], and the phases
-    front[eta + ell, xi + ell] = exp(-i*pi*eta*xi/N) / sqrt(N).
-
-    Column kappa of S(eta, xi) holds its one entry in row kappa - xi, so
-    Tr[S(eta, xi) O] = front * sum_kappa exp(2*pi*i*eta*kappa/N) O[kappa, kappa - xi].
-    """
-    ks, rows = labels(N), np.arange(N)
-    cols = (rows - ks[:, None]) % N
-    front = np.exp(-1j * np.pi * np.outer(ks, ks) / N) / np.sqrt(N)
-    for a in (rows, cols, front):
-        a.setflags(write=False)
-    return rows, cols, front
-
-
-def _traces(O):
-    """X[eta + ell, xi + ell] = Tr[S(eta, xi) O] for every label pair.
-
-    Leading axes of O are a batch.
-    """
-    N = O.shape[-1]
-    rows, cols, front = _diagonals(N)
-    return (_dft_phases(N).conj() @ O[..., rows, cols].swapaxes(-1, -2)) * front
 
 
 def decompose_schwinger(O):

@@ -5,11 +5,11 @@ teleportation protocol with its phase-space displacement law.
 A Bell state in matrix form Psi[kappa1, kappa2] is the seed Pi / sqrt(N)
 (Pi the parity) with its rows rolled and its columns phased, so every
 route here works on N x N matrices: the protocol is a product of three of
-them, the two-mode tables are the gather of `schwinger._traces` applied
-to one mode after the other, and the receiver coefficients are one
-multiplier in the dual plane.  Apart from two-mode operators given as
-input or built as a Bell dyad, only `theta_coeffs` works with N^2 x N^2
-matrices: it multiplies by the Bell-basis change.
+them, the two-mode tables are the gather of `lattice._traces` applied
+to one mode after the other, the Bell coefficients of T (x) T are one
+gather of the first kernel and a 1-D DFT per mode, and the receiver
+coefficients are one multiplier in the dual plane.  Only two-mode
+operators given as input or built as a Bell dyad are N^2 x N^2 matrices.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, tensor, _dft_phases, _dft2
-from .schwinger import check_order, t_op, reconstruct_t, _kernel_power, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _traces
+from .schwinger import check_order, t_op, reconstruct_t, _kernel_power
 from .quasiprob import validate_density, phase_fn
 
 __all__ = [
@@ -87,15 +87,6 @@ def bell_state(omega, N):
     return (psi * _dft_phases(N)[w.omega2 + half_width(N)]).ravel()
 
 
-@lru_cache(maxsize=None)
-def _bell_basis(N):
-    """Read-only Bell-basis change: column (w1 + ell) * N + (w2 + ell) is |Psi_{w1,w2}>."""
-    ks = labels(N)
-    B = np.stack([bell_state((a, b), N) for a in ks for b in ks], axis=1)
-    B.setflags(write=False)
-    return B
-
-
 def bell_projector(omega, N):
     psi = bell_state(omega, N)
     return np.outer(psi, psi.conj())
@@ -148,10 +139,16 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     sum C * |Psi_{w1,w2}><Psi_{w1',w2'}|.
     """
     N = check_dim(N)
-    TT = tensor(t_op(mu1, nu1, check_order(s1), N), t_op(mu2, nu2, check_order(s2), N))
-    B = _bell_basis(N)
-    # C[w, w'] = Tr[TT |Psi_w'><Psi_w|] = <Psi_w| TT |Psi_w'>
-    return (B.conj().T @ TT @ B).reshape(N, N, N, N)
+    A = t_op(mu1, nu1, check_order(s1), N)
+    B = t_op(mu2, nu2, check_order(s2), N)
+    ks = labels(N)
+    # Psi_w[kappa1, kappa2] = exp(-2 pi i w2 kappa2 / N) / sqrt(N) on kappa1 = -kappa2 - w1, so
+    # C = (1/N) sum_{k,l} A[-k - w1, -l - w1'] B[k, l] exp(2 pi i (w2 k - w2' l) / N)
+    idx = (half_width(N) - np.add.outer(ks, ks)) % N  # idx[w, k] indexes label -k - w
+    X = A[idx[:, :, None, None], idx] * B[:, None, :]  # [w1, k, w1', l]
+    ph = _dft_phases(N)
+    Y = (X.reshape(-1, N) @ ph).reshape(N, N, N * N)  # [w1, k, (w1', w2')]
+    return (ph.conj() @ Y / N).reshape(N, N, N, N)
 
 
 def teleport(rho1, alpha, beta, N=None):

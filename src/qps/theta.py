@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_hermite
 
-from .lattice import check_dim, half_width, labels, center_mod
+from .lattice import check_dim, half_width, labels, center_mod, _traces
 
 __all__ = [
     "theta",
@@ -35,34 +35,33 @@ def theta(kind, z, a, tol=TRUNCATION):
     theta2(z) = 2 sum_{n>=0} q^((n+1/2)^2) cos((2n+1)z)
 
     The series is truncated once the term amplitude drops below `tol`.
+    `z` may be an array, evaluated elementwise; a scalar gives a float.
     """
     if a <= 0:
         raise ValueError(f"lattice parameter a must be positive, got {a}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if kind not in (2, 3, 4):
+        raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     q = math.exp(-math.pi * a)
-    if kind in (3, 4):
-        total = 1.0
-        n = 1
-        while True:
-            amp = 2.0 * q ** (n * n)
-            term = amp * math.cos(2 * n * z)
-            if kind == 4 and n % 2 == 1:
-                term = -term
-            total += term
-            if amp < tol:
-                return total
-            n += 1
-    elif kind == 2:
-        total = 0.0
-        n = 0
-        while True:
-            amp = 2.0 * q ** ((n + 0.5) ** 2)
-            total += amp * math.cos((2 * n + 1) * z)
-            if amp < tol:
-                return total
-            n += 1
-    raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
+    z = np.asarray(z, dtype=float)
+    # theta2 sums over the half-integers k = n + 1/2, theta3/theta4 over k = n >= 1
+    freqs, amps = [], []
+    n = 0 if kind == 2 else 1
+    while True:
+        k = n + 0.5 if kind == 2 else n
+        amp = 2.0 * q ** (k * k)
+        freqs.append(2 * k)
+        amps.append(-amp if kind == 4 and n % 2 == 1 else amp)
+        if amp < tol:
+            break
+        n += 1
+    terms = np.array(amps) * np.cos(np.multiply.outer(z, freqs))
+    # added left to right, term by term: the corners of K cancel these values
+    # down to 1e-20 at N = 61, so another order of addition would move them
+    head = np.full(z.shape + (1,), 0.0 if kind == 2 else 1.0)
+    total = np.add.accumulate(np.concatenate([head, terms], axis=-1), axis=-1)[..., -1]
+    return total if total.ndim else float(total)
 
 
 def phase_phi(eta, xi, N):
@@ -90,28 +89,29 @@ def _kernel_norm(N):
 def kernel_value(eta, xi, N):
     """Kernel K(eta, xi) evaluated at raw (possibly out-of-range) integers.
 
-    Assembled as a four-term sum of theta-function products with
-    a = 1/(2N); the imaginary part must vanish and is dropped after a
-    consistency check.
+    With a = 1/(2N), t3 = theta3(pi*a*label), t4 = theta4(pi*a*label) and
+    p = (-1)**label for each label, and exp(i*pi*(eta + xi + N)) = -p_eta p_xi
+    for odd N, the four-term theta sum is the real rank-4 form
+
+        K = (t3e t3x + p_eta t3e t4x + p_xi t4e t3x - p_eta p_xi t4e t4x) / norm.
+
+    `eta` and `xi` may be broadcastable integer arrays; scalars give a float.
     """
     N = check_dim(N)
+    eta, xi = np.asarray(eta), np.asarray(xi)
+    for x in (eta, xi):
+        if not np.all(np.isfinite(x) & (x == np.round(x))):
+            raise ValueError("kernel labels must be integers")
     a = 1.0 / (2 * N)
     t3e = theta(3, math.pi * a * eta, a)
     t4e = theta(4, math.pi * a * eta, a)
     t3x = theta(3, math.pi * a * xi, a)
     t4x = theta(4, math.pi * a * xi, a)
-    num = (
-        t3e * t3x
-        + t3e * t4x * np.exp(1j * np.pi * eta)
-        + t4e * t3x * np.exp(1j * np.pi * xi)
-        + t4e * t4x * np.exp(1j * np.pi * (eta + xi + N))
-    )
+    pe = np.where(np.mod(eta, 2) == 0, 1.0, -1.0)
+    px = np.where(np.mod(xi, 2) == 0, 1.0, -1.0)
+    num = t3e * t3x + pe * t3e * t4x + px * t4e * t3x - pe * px * t4e * t4x
     val = num / _kernel_norm(N)
-    if abs(val.imag) > 1e-12:
-        raise ArithmeticError(
-            f"kernel K({eta},{xi}) has residual imaginary part {val.imag:.3e}"
-        )
-    return float(val.real)
+    return val if val.ndim else float(val)
 
 
 @lru_cache(maxsize=None)
@@ -119,10 +119,8 @@ def kernel_table(N):
     """Cached table K[eta + ell, xi + ell] over the centered label square."""
     N = check_dim(N)
     ell = half_width(N)
-    K = np.empty((N, N))
-    for eta in range(-ell, ell + 1):
-        for xi in range(-ell, ell + 1):
-            K[eta + ell, xi + ell] = kernel_value(eta, xi, N)
+    ks = labels(N)
+    K = kernel_value(ks[:, None], ks, N)
     if not np.all(K > 0) or abs(K[ell, ell] - 1.0) > 1e-12:
         raise ArithmeticError(f"kernel table failed positivity/normalization at N={N}")
     K.setflags(write=False)
@@ -130,7 +128,10 @@ def kernel_table(N):
 
 
 def smoothing_1d(chi, N):
-    """1-D smoothing weight driving the marginal-distribution hierarchy."""
+    """1-D smoothing weight driving the marginal-distribution hierarchy.
+
+    `chi` may be an array of offsets; a scalar gives a float.
+    """
     N = check_dim(N)
     a = 1.0 / (2 * N)
     num = theta(3, 0.0, a) * theta(3, 2 * math.pi * a * chi, a) + theta(
@@ -149,7 +150,6 @@ def fock_coefficients(N):
     are exactly N-periodic in kappa.
     """
     N = check_dim(N)
-    ell = half_width(N)
     kappas = labels(N)
     # exp(-pi*beta^2/N) < 1e-16 beyond this winding range
     bmax = int(math.ceil(math.sqrt(16 * math.log(10) * N / math.pi))) + 1
@@ -157,11 +157,11 @@ def fock_coefficients(N):
     gauss = np.exp(-math.pi * betas**2 / N)
     phases = np.exp(2j * math.pi * np.outer(betas, kappas) / N)
 
-    F = np.empty((N, N), dtype=complex)
-    for n in range(N):
-        herm = eval_hermite(n, math.sqrt(2 * math.pi / N) * betas)
-        col = ((-1j) ** n / math.sqrt(N)) * (gauss * herm) @ phases
-        F[:, n] = col / np.linalg.norm(col)
+    n = np.arange(N)
+    herm = eval_hermite(n[:, None], math.sqrt(2 * math.pi / N) * betas)
+    # cols[n] is column n; (-1j) ** (n % 4) keeps the phases exact at large n
+    cols = ((-1j) ** (n % 4) / math.sqrt(N))[:, None] * ((gauss * herm) @ phases)
+    F = (cols / np.linalg.norm(cols, axis=1, keepdims=True)).T
     F.setflags(write=False)
     return F
 
@@ -174,18 +174,8 @@ def gamma_table(N):
     satisfying G[m, n](0, 0) = delta_mn and G[0, 0] = K.
     """
     N = check_dim(N)
-    ell = half_width(N)
     F = fock_coefficients(N)
-    sigmas = labels(N)
-    G = np.empty((N, N, N, N), dtype=complex)
-    for xi in range(-ell, ell + 1):
-        shifted = F[center_mod(sigmas - xi, N) + ell, :]
-        for eta in range(-ell, ell + 1):
-            phase = np.exp(2j * np.pi * sigmas * eta / N)
-            front = np.exp(-1j * np.pi * eta * xi / N)
-            # G_mn = front * sum_sigma phase * F[sigma, n] * conj(F[sigma - xi, m])
-            G[:, :, eta + ell, xi + ell] = front * np.einsum(
-                "s,sn,sm->mn", phase, F, shifted.conj()
-            )
+    # G[m, n] = sqrt(N) Tr[S(eta, xi) |F_n><F_m|], one gather of all N^2 dyads
+    G = np.sqrt(N) * _traces(np.einsum("in,jm->mnij", F, F.conj()))
     G.setflags(write=False)
     return G

@@ -129,7 +129,7 @@ def smooth_marginal(dist):
     if abs(s - 1) > 1e-12 and abs(s) > 1e-12:
         raise ValueError(f"marginal smoothing is defined at s = 1 or 0, got {s}")
     # smoothing_1d is N-periodic, so one weight per centered offset suffices
-    weights = np.array([smoothing_1d(int(chi), N) for chi in labels(N)])
+    weights = smoothing_1d(labels(N), N)
     out = _correlate(dist.values, weights)
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
 

@@ -10,13 +10,18 @@ one basis element at a time, the depolarizer's conjugation loop, and
 the teleportation layer on dense operators: Kronecker-built Bell states,
 the N^3-dimensional protocol with a partial trace, the N^4 Bell-dyad
 loop, the einsum over two T^(s) families, and the receiver coefficients
-through the N^4 order-transfer kernel.  They are slow by design and exist only so the fast paths can be
-compared against them.
+through the N^4 order-transfer kernel.  The theta layer keeps the
+kernel as the complex four-term theta sum evaluated one entry at a time,
+the number states built one Hermite column at a time, and the Gamma
+table as one einsum per label pair.  They are slow by design and exist
+only so the fast paths can be compared against them.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import eval_hermite
 
 from qps.lattice import (
     check_dim,
@@ -28,11 +33,107 @@ from qps.lattice import (
     partial_trace,
     dft_matrix,
 )
-from qps.theta import kernel_table, smoothing_1d
+# the library's cached table; `kernel_table` below is its per-entry oracle
+from qps.theta import kernel_table as cached_kernel_table
 from qps.schwinger import check_order, s_op, t_overlap, u_matrix, v_matrix, t_op
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density
 from qps.teleport import BellLabel, r_kernel
+
+
+def theta(kind, z, a, tol=1e-16):
+    """Scalar theta2/theta3/theta4 series at nome exp(-pi*a), summed one term at a time."""
+    q = math.exp(-math.pi * a)
+    total, n = (0.0, 0) if kind == 2 else (1.0, 1)
+    while True:
+        k = n + 0.5 if kind == 2 else n
+        amp = 2.0 * q ** (k * k)
+        term = amp * math.cos(2 * k * z)
+        total += -term if kind == 4 and n % 2 == 1 else term
+        if amp < tol:
+            return total
+        n += 1
+
+
+def kernel_norm(N):
+    a = 1.0 / (2 * N)
+    return 2.0 * (theta(3, 0.0, a) * theta(3, 0.0, 4 * a) + theta(4, 0.0, a) * theta(2, 0.0, 4 * a))
+
+
+def kernel_value(eta, xi, N):
+    """K(eta, xi) at scalar labels as the complex four-term theta sum, imaginary part checked."""
+    N = check_dim(N)
+    a = 1.0 / (2 * N)
+    t3e = theta(3, math.pi * a * eta, a)
+    t4e = theta(4, math.pi * a * eta, a)
+    t3x = theta(3, math.pi * a * xi, a)
+    t4x = theta(4, math.pi * a * xi, a)
+    num = (
+        t3e * t3x
+        + t3e * t4x * np.exp(1j * np.pi * eta)
+        + t4e * t3x * np.exp(1j * np.pi * xi)
+        + t4e * t4x * np.exp(1j * np.pi * (eta + xi + N))
+    )
+    val = num / kernel_norm(N)
+    if abs(val.imag) > 1e-12:
+        raise ArithmeticError(
+            f"kernel K({eta},{xi}) has residual imaginary part {val.imag:.3e}"
+        )
+    return float(val.real)
+
+
+def smoothing_1d(chi, N):
+    """1-D smoothing weight at a scalar offset from the scalar theta series."""
+    a = 1.0 / (2 * N)
+    z = 2 * math.pi * a * chi
+    num = theta(3, 0.0, a) * theta(3, z, a) + theta(4, 0.0, a) * theta(4, z, a)
+    return num / (math.sqrt(2 * N) * 0.5 * kernel_norm(N))
+
+
+def kernel_table(N):
+    """K[eta + ell, xi + ell] over the centered label square, one theta sum per entry."""
+    N = check_dim(N)
+    ell = half_width(N)
+    K = np.empty((N, N))
+    for eta in range(-ell, ell + 1):
+        for xi in range(-ell, ell + 1):
+            K[eta + ell, xi + ell] = kernel_value(eta, xi, N)
+    return K
+
+
+def fock_coefficients(N):
+    """Number-state columns F[kappa + ell, n], one Hermite sum per column."""
+    N = check_dim(N)
+    kappas = labels(N)
+    bmax = int(math.ceil(math.sqrt(16 * math.log(10) * N / math.pi))) + 1
+    betas = np.arange(-bmax, bmax + 1)
+    gauss = np.exp(-math.pi * betas**2 / N)
+    phases = np.exp(2j * math.pi * np.outer(betas, kappas) / N)
+    F = np.empty((N, N), dtype=complex)
+    for n in range(N):
+        herm = eval_hermite(n, math.sqrt(2 * math.pi / N) * betas)
+        col = ((-1j) ** n / math.sqrt(N)) * (gauss * herm) @ phases
+        F[:, n] = col / np.linalg.norm(col)
+    return F
+
+
+def gamma_table(N):
+    """G[m, n, eta + ell, xi + ell], one einsum with its own phases per label pair."""
+    N = check_dim(N)
+    ell = half_width(N)
+    F = fock_coefficients(N)
+    sigmas = labels(N)
+    G = np.empty((N, N, N, N), dtype=complex)
+    for xi in range(-ell, ell + 1):
+        shifted = F[center_mod(sigmas - xi, N) + ell, :]
+        for eta in range(-ell, ell + 1):
+            phase = np.exp(2j * np.pi * sigmas * eta / N)
+            front = np.exp(-1j * np.pi * eta * xi / N)
+            # G_mn = front * sum_sigma phase * F[sigma, n] * conj(F[sigma - xi, m])
+            G[:, :, eta + ell, xi + ell] = front * np.einsum(
+                "s,sn,sm->mn", phase, F, shifted.conj()
+            )
+    return G
 
 
 def char_fn_grid(rho, s):
@@ -41,7 +142,7 @@ def char_fn_grid(rho, s):
     s = check_order(s)
     N = check_dim(rho.shape[0])
     ell = half_width(N)
-    Kpow = kernel_table(N) ** (-s)
+    Kpow = cached_kernel_table(N) ** (-s)
     grid = np.empty((N, N), dtype=complex)
     for eta in labels(N):
         for xi in labels(N):
@@ -141,7 +242,7 @@ def reconstruct_schwinger(C):
 def _t_family(s, N):
     ell = half_width(N)
     ks = labels(N)
-    Kpow = kernel_table(N) ** (-s)
+    Kpow = cached_kernel_table(N) ** (-s)
     stack = np.empty((N, N, N, N), dtype=complex)
     for eta in ks:
         for xi in ks:

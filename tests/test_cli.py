@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qps import cli
 from qps.cli import main, parse_state, parse_order, UsageError
 from qps.quasiprob import phase_fn, fock_projector, maximally_mixed
 
@@ -136,6 +137,26 @@ def test_teleport_reports(capsys):
         "--state", "coherent:0,0",
     )
     assert out == out2
+
+
+def test_teleport_exit_follows_shift_law_and_probability(capsys, monkeypatch):
+    # the maximally mixed grid matches all N^2 rolls equally; the check is on
+    # the expected one, not on the first best roll
+    code, out, _ = run(
+        capsys, "teleport", "--dim", "5", "--state", "maximally-mixed",
+        "--alpha", "1", "--beta", "2",
+    )
+    assert code == 0
+    assert "measured displacement: (-1,2)  expected (-1,2)" in out
+    # a wrong outcome probability fails the run even when the shift law holds
+    real = cli.teleport
+    monkeypatch.setattr(cli, "teleport", lambda rho, a, b: (real(rho, a, b)[0], 0.5))
+    code, out, _ = run(
+        capsys, "teleport", "--dim", "3", "--state", "fock:1", "--alpha", "1",
+        "--beta", "0",
+    )
+    assert code == 1
+    assert "measured displacement: (-1,0)  expected (-1,0)" in out
 
 
 def test_selftest_passes(capsys):

@@ -4,10 +4,11 @@ Every fast route (gathered traces plus DFT for the characteristic and
 phase-space grids, FFT correlation for the smoothing steps, the inverse
 DFT of K for the smoothing table, gather/scatter for the Schwinger
 expansion, the T^(s) family and expansions, the symplectic generators
-and the depolarizer average, bincount line sums, and the teleportation
-layer on N x N matrices) is compared with its loop oracle in
-`loop_oracles` over prime and composite N, pure and mixed states, the
-three standard orders and random complex orders |s| <= 1.
+and the depolarizer average, bincount line sums, the teleportation
+layer on N x N matrices, and the theta layer on 1-D theta vectors with
+the number-basis table as one batched gather) is compared with its loop
+oracle in `loop_oracles` over prime and composite N, pure and mixed
+states, the three standard orders and random complex orders |s| <= 1.
 
 The tolerance was fixed before the fast routes were written: the two
 sides sum the same terms in a different order, so they may differ by
@@ -27,7 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 import loop_oracles as oracle
 from qps import tomography
 from qps.lattice import _correlate, labels, center_mod, half_width
-from qps.theta import kernel_table
+from qps.theta import kernel_value, kernel_table, smoothing_1d, fock_coefficients, gamma_table
 from qps.schwinger import (
     decompose_schwinger,
     reconstruct_schwinger,
@@ -61,7 +62,6 @@ from qps.tomography import (
 from qps.teleport import (
     BellLabel,
     bell_state,
-    _bell_basis,
     bipartite_phase_fn,
     upsilon_coeffs,
     theta_coeffs,
@@ -94,6 +94,11 @@ raw_labels = st.integers(-20, 20)
 bell_labels = st.tuples(raw_labels, raw_labels)
 
 
+# odd N up to the largest whose kernel table builds
+KERNEL_DIMS = (1, 3, 5, 9, 15, 31, 61, 95)
+GAMMA_DIMS = (1, 3, 5, 9, 17)
+
+
 def bound(N, s):
     """TOL * max(1, max |K^(-Re s)|) at dimension N and order s."""
     return TOL * max(1.0, float(np.max(kernel_table(N) ** (-complex(s).real))))
@@ -111,6 +116,56 @@ def state(N, seed, pure):
 def operator(N, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+
+
+@pytest.mark.parametrize("N", KERNEL_DIMS)
+def test_kernel_table_matches_theta_loop(N):
+    # the rank-4 form adds the same four products as the complex sum, so the
+    # two agree to a few ulp of each entry, down to corners near 1e-32
+    K = kernel_table(N)
+    assert K.dtype == float and not K.flags.writeable
+    ref = oracle.kernel_table(N)
+    assert np.max(np.abs(K - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("N", (1, 3, 5, 9))
+def test_kernel_value_on_raw_label_arrays(N):
+    raw = np.arange(-3 * N, 3 * N + 1)
+    K = kernel_value(raw[:, None], raw, N)
+    assert K.shape == (raw.size, raw.size)
+    ref = np.array([[oracle.kernel_value(int(e), int(x), N) for x in raw] for e in raw])
+    assert np.max(np.abs(K - ref) / np.abs(ref)) <= 1e-14
+    assert type(kernel_value(raw[1], raw[2], N)) is float
+
+
+@pytest.mark.parametrize("N", (1, 3, 7, 61))
+def test_smoothing_1d_on_arrays_matches_scalars(N):
+    chi = np.arange(-2 * N, 2 * N + 1)
+    w = smoothing_1d(chi, N)
+    ref = np.array([smoothing_1d(int(c), N) for c in chi])
+    assert type(smoothing_1d(1, N)) is float
+    assert np.max(np.abs(w - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("N", GAMMA_DIMS)
+def test_number_basis_tables_match_loops(N):
+    F = fock_coefficients(N)
+    assert not F.flags.writeable
+    assert np.abs(F - oracle.fock_coefficients(N)).max() <= TOL
+    G = gamma_table(N)
+    assert G.shape == (N,) * 4 and not G.flags.writeable
+    assert np.abs(G - oracle.gamma_table(N)).max() <= TOL
+
+
+def test_kernel_rejects_what_it_cannot_evaluate():
+    # past N = 95 the theta sum cancels to round-off and the table fails its check
+    with pytest.raises(ArithmeticError):
+        kernel_table(97)
+    for bad in (0.5, np.nan, np.inf, np.array([0, 1, 2.5])):
+        with pytest.raises(ValueError):
+            kernel_value(bad, 0, 5)
+        with pytest.raises(ValueError):
+            kernel_value(0, bad, 5)
 
 
 @SETTINGS
@@ -284,10 +339,6 @@ def test_conjugation_average_matches_loop(N, seed, omega):
 def test_bell_state_matches_kron(N, w):
     psi = bell_state(BellLabel(*w), N)
     assert np.abs(psi - oracle.bell_state(w, N)).max() <= TOL
-    B = _bell_basis(N)
-    assert not B.flags.writeable
-    ell = half_width(N)
-    assert np.array_equal(B[:, (center_mod(w[0], N) + ell) * N + center_mod(w[1], N) + ell], psi)
 
 
 @SETTINGS
