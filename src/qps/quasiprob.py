@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, labels, _dft_phases, _correlate, _traces
-from .theta import kernel_table, gamma_table, fock_coefficients
+from .lattice import check_dim, half_width, center_mod, _dft_phases, _correlate, _traces
+from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, decompose_t, reconstruct_t, _kernel_power
 
 __all__ = [
@@ -209,16 +209,20 @@ def expectation(O, rho, s):
 
 
 def t_matrix_element(m, n, mu, nu, s, N):
-    """Number-basis matrix element <m|T^(s)(mu, nu)|n> via the Gamma table."""
+    """Number-basis matrix element <m|T^(s)(mu, nu)|n>.
+
+    It is Tr[T^(s)(mu, nu) |F_n><F_m|], the number-state dyad expanded
+    by `decompose_t` at -s and read at (mu, nu): O(N^3), with no N^4
+    table.
+    """
     N = check_dim(N)
     if not (0 <= m < N and 0 <= n < N):
         raise IndexError(f"number-basis indices must lie in 0..{N - 1}, got {m},{n}")
     s = check_order(s)
-    ks = labels(N)
-    Kpow = _kernel_power(s, N)
-    G = gamma_table(N)[m, n]
-    ph = np.exp(-2j * np.pi * np.add.outer(ks * mu, ks * nu) / N)
-    return complex(np.sum(ph * Kpow * G) / N)
+    ell = half_width(N)
+    F = fock_coefficients(N)
+    grid = decompose_t(np.outer(F[:, n], F[:, m].conj()), -s)
+    return complex(grid[center_mod(mu, N) + ell, center_mod(nu, N) + ell])
 
 
 def reconstruct_rho(F, tol=1e-8):

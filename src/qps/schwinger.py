@@ -74,16 +74,22 @@ def s_op(eta, xi, N):
     """Symmetrized displacement S(eta, xi) = exp(i*pi*eta*xi/N) U^eta V^xi / sqrt(N).
 
     Defined for arbitrary integer labels; out-of-range labels pick up the
-    quasi-periodic phases of the raw formula.
+    quasi-periodic phases of the raw formula.  `eta` and `xi` may be
+    broadcastable integer arrays; the matrices then stack on the leading
+    axes, and scalars give one N x N matrix.
     """
     N = check_dim(N)
     ell = half_width(N)
     ks = labels(N)
-    S = np.zeros((N, N), dtype=complex)
-    front = np.exp(1j * np.pi * eta * xi / N) / np.sqrt(N)
+    eta, xi = (np.asarray(x)[..., None] for x in np.broadcast_arrays(eta, xi))
+    S = np.zeros(eta.shape[:-1] + (N, N), dtype=complex)
+    # a real division: numpy's complex one multiplies by 1/N, a last-bit change
+    front = np.exp(1j * (np.pi * eta * xi / N)) / np.sqrt(N)
     rows = center_mod(ks - xi, N) + ell
-    # U^eta acts after the shift: phase exp(2*pi*i*eta*(kappa - xi)/N)
-    S[rows, ks + ell] = front * np.exp(2j * np.pi * eta * (ks - xi) / N)
+    # U^eta acts after the shift: phase exp(2*pi*i*eta*(kappa - xi)/N);
+    # column kappa holds its one entry in row kappa - xi
+    vals = front * np.exp(2j * np.pi * eta * (ks - xi) / N)
+    np.put_along_axis(S, rows[..., None, :], vals[..., None, :], axis=-2)
     return S
 
 
@@ -104,7 +110,7 @@ def s_op_ordered(eta, xi, s, N):
     return Kpow * s_op(eta, xi, N)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _t_family(s, N):
     # T^(s)(mu, nu) = N * reconstruct_t(unit grid at (mu, nu), s); one row of
     # mu at a time keeps the peak memory near the N^4 result
@@ -120,7 +126,8 @@ def _t_family(s, N):
 def t_family(s, N):
     """All N^2 kernels T^(s)(mu, nu) as an array [mu + ell, nu + ell, :, :].
 
-    Cached per (s, N); the returned array is read-only.
+    The eight most recent (s, N) pairs stay cached, so a sweep over
+    orders holds at most eight N^4 tables; the returned array is read-only.
     """
     return _t_family(check_order(s), check_dim(N))
 
@@ -134,16 +141,20 @@ def t_op(mu, nu, s, N):
 
 def t_overlap(t, s, dmu, dnu, N):
     """Trace of T^(t)(mu, nu) T^(s)(mu', nu') as a function of the offsets
-    (dmu, dnu) = (mu' - mu, nu' - nu)."""
+    (dmu, dnu) = (mu' - mu, nu' - nu).
+
+    The overlap is the inverse 2-D DFT of K^(-(t + s)), formed once over
+    the whole offset square and read at the reduced offsets.  `dmu` and
+    `dnu` may be broadcastable integer arrays; scalars give a complex.
+    """
     t = check_order(t)
     s = check_order(s)
     N = check_dim(N)
-    ks = labels(N)
-    Kpow = _kernel_power(t + s, N)
-    ph = np.exp(
-        2j * np.pi * (np.add.outer(ks * dmu, ks * dnu)) / N
-    )
-    return complex(np.sum(ph * Kpow) / N)
+    ell = half_width(N)
+    ph = _dft_phases(N).conj()
+    grid = ph @ _kernel_power(t + s, N) @ ph / N
+    out = grid[center_mod(dmu, N) + ell, center_mod(dnu, N) + ell]
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def decompose_schwinger(O):

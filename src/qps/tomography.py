@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    check_dim, half_width, labels, center_mod, tensor, dagger, _dft_phases, _dft2, _correlate,
+    check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _correlate,
 )
 from .theta import smoothing_1d, phase_phi
 from .schwinger import check_order, s_op, reconstruct_schwinger
@@ -329,6 +329,18 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     system, passes a second Hadamard; the returned pair is the ancilla
     (<sigma_z>, <sigma_y>).  With the default U = sqrt(N) S(eta, xi) this
     equals sqrt(N) (Re, Im) of Xi^(0)(eta, xi).
+
+    In the ancilla's 2 x 2 block form the circuit takes |0><0| (x) rho to
+    the blocks X_a rho X_b^dag / 4, with X_0 = I + U and X_1 = I - U.  The
+    block identities X_0^dag X_0 - X_1^dag X_1 = 2 (U + U^dag) and
+    X_0^dag X_1 - X_1^dag X_0 = 2 (U^dag - U) leave two traces:
+
+        <sigma_z> = Re (Tr rho U + Tr rho U^dag) / 2,
+        <sigma_y> = Re i (Tr rho U^dag - Tr rho U) / 2,
+
+    each an elementwise sum, O(N^2), for any square U and rho.  Leading
+    axes of `unitary` (or array labels `eta`, `xi`) are a batch, and the
+    pair is then two arrays.
     """
     rho = np.asarray(rho)
     d = rho.shape[0]
@@ -337,18 +349,11 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
             raise ValueError("either (eta, xi) or an explicit unitary is required")
         unitary = math.sqrt(d) * s_op(eta, xi, d)
     U = np.asarray(unitary)
-
-    anc0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
-    ctrl = tensor(np.diag([1.0, 0.0]), np.eye(d)) + tensor(
-        np.diag([0.0, 1.0]), U
-    )
-    circ = tensor(H, np.eye(d)) @ ctrl @ tensor(H, np.eye(d))
-    state = circ @ tensor(anc0, rho) @ dagger(circ)
-
-    sz = np.diag([1.0, -1.0])
+    tr_u = np.sum(U * rho.T, axis=(-2, -1))  # Tr rho U
+    tr_ud = np.sum(U.conj() * rho, axis=(-2, -1))  # Tr rho U^dag
+    out_z = ((tr_u + tr_ud) / 2).real
     # ancilla y-polarization, oriented so the pair reads (Re, +Im) of Tr(U rho)
-    sy = np.array([[0.0, 1j], [-1j, 0.0]])
-    out_z = np.trace(tensor(sz, np.eye(d)) @ state)
-    out_y = np.trace(tensor(sy, np.eye(d)) @ state)
-    return float(out_z.real), float(out_y.real)
+    out_y = (1j * (tr_ud - tr_u) / 2).real
+    if out_z.ndim == 0:
+        return float(out_z), float(out_y)
+    return out_z, out_y

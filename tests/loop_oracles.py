@@ -13,7 +13,10 @@ loop, the einsum over two T^(s) families, and the receiver coefficients
 through the N^4 order-transfer kernel.  The theta layer keeps the
 kernel as the complex four-term theta sum evaluated one entry at a time,
 the number states built one Hermite column at a time, and the Gamma
-table as one einsum per label pair.  They are slow by design and exist
+table as one einsum per label pair.  The tomography layer keeps the
+scattering circuit as the dense 2N-dimensional Kronecker circuit, and
+the self-test keeps its family checks on the cached T^(s) family with
+one overlap or trace per label pair.  They are slow by design and exist
 only so the fast paths can be compared against them.
 """
 
@@ -34,8 +37,8 @@ from qps.lattice import (
     dft_matrix,
 )
 # the library's cached table; `kernel_table` below is its per-entry oracle
-from qps.theta import kernel_table as cached_kernel_table
-from qps.schwinger import check_order, s_op, t_overlap, u_matrix, v_matrix, t_op
+from qps.theta import kernel_table as cached_kernel_table, gamma_table as cached_gamma_table
+from qps.schwinger import check_order, u_matrix, v_matrix, t_op
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density
 from qps.teleport import BellLabel, r_kernel
@@ -354,3 +357,60 @@ def lambda_coeffs(F1, alpha, beta, s3):
     s1 = -complex(F1.s)
     R = r_kernel(alpha, beta, complex(s3) - s1, F1.dim)
     return np.einsum("abcd,ab->cd", R, F1.grid)
+
+
+def s_op(eta, xi, N):
+    """S(eta, xi) at scalar labels, one matrix per call with the phase front in Python scalars."""
+    ell = half_width(N)
+    ks = labels(N)
+    S = np.zeros((N, N), dtype=complex)
+    front = np.exp(1j * np.pi * eta * xi / N) / np.sqrt(N)
+    S[center_mod(ks - xi, N) + ell, ks + ell] = front * np.exp(2j * np.pi * eta * (ks - xi) / N)
+    return S
+
+
+def scattering_circuit(rho, U):
+    """Ancilla (<sigma_z>, <sigma_y>) of the dense Hadamard-test circuit on |0><0| (x) rho."""
+    rho, U = np.asarray(rho), np.asarray(U)
+    d = rho.shape[0]
+    anc0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
+    ctrl = tensor(np.diag([1.0, 0.0]), np.eye(d)) + tensor(np.diag([0.0, 1.0]), U)
+    circ = tensor(H, np.eye(d)) @ ctrl @ tensor(H, np.eye(d))
+    state = circ @ tensor(anc0, rho) @ dagger(circ)
+    sz = np.diag([1.0, -1.0])
+    sy = np.array([[0.0, 1j], [-1j, 0.0]])
+    out_z = np.trace(tensor(sz, np.eye(d)) @ state)
+    out_y = np.trace(tensor(sy, np.eye(d)) @ state)
+    return float(out_z.real), float(out_y.real)
+
+
+def t_overlap(t, s, dmu, dnu, N):
+    """Tr[T^(t)(mu, nu) T^(s)(mu + dmu, nu + dnu)] at one offset pair, one phase sum."""
+    ks = labels(N)
+    Kpow = cached_kernel_table(N) ** (-(complex(t) + complex(s)))
+    ph = np.exp(2j * np.pi * np.add.outer(ks * dmu, ks * dnu) / N)
+    return complex(np.sum(ph * Kpow) / N)
+
+
+def t_matrix_element(m, n, mu, nu, s, N):
+    """<m|T^(s)(mu, nu)|n> as the phase sum of K^(-s) against the Gamma table."""
+    ks = labels(N)
+    Kpow = cached_kernel_table(N) ** (-complex(s))
+    ph = np.exp(-2j * np.pi * np.add.outer(ks * mu, ks * nu) / N)
+    return complex(np.sum(ph * Kpow * cached_gamma_table(N)[m, n]) / N)
+
+
+def selftest_family_residuals(N):
+    """The self-test's resolution, unit-trace and orthogonality residuals on the T^(0) family."""
+    fam0 = schwinger.t_family(0, N)
+    ks = labels(N)
+    return (
+        np.abs(fam0.sum(axis=(0, 1)) / N - np.eye(N)).max(),
+        max(abs(np.trace(fam0[i, j]) - 1) for i in range(N) for j in range(N)),
+        max(
+            abs(t_overlap(0, 0, d1, d2, N) - N * (d1 == 0) * (d2 == 0))
+            for d1 in ks
+            for d2 in ks
+        ),
+    )

@@ -108,6 +108,15 @@ def test_tomo_exact_and_composite(capsys):
     assert "coverage" in err
 
 
+def test_tomo_ray_residuals_are_round_off(capsys):
+    # each exact ray must land on the characteristic function it samples
+    code, out, _ = run(capsys, "tomo", "--dim", "7", "--state", "coherent:2,-1")
+    assert code == 0
+    residuals = [float(line.split("=")[-1]) for line in out.splitlines() if line.startswith("ray (")]
+    assert len(residuals) == 8
+    assert max(residuals) < 1e-12
+
+
 def test_tomo_shots_reproducible(capsys):
     args = ["tomo", "--dim", "3", "--state", "fock:1", "--shots", "100000",
             "--seed", "7"]

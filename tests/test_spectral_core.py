@@ -5,10 +5,12 @@ phase-space grids, FFT correlation for the smoothing steps, the inverse
 DFT of K for the smoothing table, gather/scatter for the Schwinger
 expansion, the T^(s) family and expansions, the symplectic generators
 and the depolarizer average, bincount line sums, the teleportation
-layer on N x N matrices, and the theta layer on 1-D theta vectors with
-the number-basis table as one batched gather) is compared with its loop
-oracle in `loop_oracles` over prime and composite N, pure and mixed
-states, the three standard orders and random complex orders |s| <= 1.
+layer on N x N matrices, the theta layer on 1-D theta vectors with
+the number-basis table as one batched gather, the scattering circuit as
+two traces, array labels in `s_op` and `t_overlap`, and the self-test
+on those routes) is compared with its loop oracle in `loop_oracles`
+over prime and composite N, pure and mixed states, the three standard
+orders and random complex orders |s| <= 1.
 
 The tolerance was fixed before the fast routes were written: the two
 sides sum the same terms in a different order, so they may differ by
@@ -19,6 +21,7 @@ transfer of the receiver coefficients).
 """
 
 import cmath
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,10 +29,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import loop_oracles as oracle
-from qps import tomography
+from qps import cli, schwinger, tomography
 from qps.lattice import _correlate, labels, center_mod, half_width
 from qps.theta import kernel_value, kernel_table, smoothing_1d, fock_coefficients, gamma_table
 from qps.schwinger import (
+    s_op,
+    t_overlap,
     decompose_schwinger,
     reconstruct_schwinger,
     t_family,
@@ -42,6 +47,7 @@ from qps.quasiprob import (
     char_fn,
     phase_fn,
     random_density,
+    t_matrix_element,
     smoothing_table,
     smooth_p_to_w,
     smooth_w_to_h,
@@ -58,6 +64,7 @@ from qps.tomography import (
     symplectic_c,
     symplectic_n,
     symplectic_m,
+    scattering_circuit,
 )
 from qps.teleport import (
     BellLabel,
@@ -382,3 +389,172 @@ def test_lambda_coeffs_match_r_kernel(N, seed, pure, w, s1, s3):
     F1 = phase_fn(state(N, seed, pure), -s1)
     ref = oracle.lambda_coeffs(F1, *w, s3)
     assert np.abs(lambda_coeffs(F1, *w, s3) - ref).max() <= bound2(N, -s1, s1 - s3)
+
+
+CIRCUIT_DIMS = (1, 3, 5, 9)
+batch_shapes = st.sampled_from(((), (1,), (4,), (2, 3)))
+
+
+def square(N, rng, unitary):
+    A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    return np.linalg.qr(A)[0] if unitary else A
+
+
+def circuit_tol(U, rho):
+    # the dense circuit sums products of I + U, rho and I + U^dag
+    N = rho.shape[0]
+    return TOL * N * (1 + np.abs(U).max()) ** 2 * max(1.0, np.abs(rho).max())
+
+
+@SETTINGS
+@given(
+    N=st.sampled_from(CIRCUIT_DIMS),
+    seed=seeds,
+    unitary=st.booleans(),
+    hermitian=st.booleans(),
+    shape=batch_shapes,
+)
+def test_scattering_circuit_matches_dense_kron(N, seed, unitary, hermitian, shape):
+    rng = np.random.default_rng(seed)
+    rho = state(N, seed, False) if hermitian else operator(N, seed)
+    Us = np.array([square(N, rng, unitary) for _ in range(math.prod(shape))])
+    Us = Us.reshape(shape + (N, N))
+    sz, sy = scattering_circuit(rho, unitary=Us)
+    if shape == ():
+        assert type(sz) is float and type(sy) is float
+    else:
+        assert sz.shape == sy.shape == shape
+    for idx in np.ndindex(shape):
+        ref = oracle.scattering_circuit(rho, Us[idx])
+        tol = circuit_tol(Us[idx], rho)
+        assert abs(np.asarray(sz)[idx] - ref[0]) <= tol
+        assert abs(np.asarray(sy)[idx] - ref[1]) <= tol
+
+
+@SETTINGS
+@given(N=st.sampled_from((1, 3)), seed=seeds, labels4=st.tuples(*[raw_labels] * 4))
+def test_scattering_circuit_bipartite_product_unitary(N, seed, labels4):
+    e1, x1, e2, x2 = labels4
+    rho = state(N * N, seed, False)
+    U = np.kron(math.sqrt(N) * s_op(e1, x1, N), math.sqrt(N) * s_op(e2, x2, N))
+    sz, sy = scattering_circuit(rho, unitary=U)
+    ref = oracle.scattering_circuit(rho, U)
+    assert abs(sz - ref[0]) <= TOL and abs(sy - ref[1]) <= TOL
+    assert abs(complex(sz, sy) - np.trace(U @ rho)) <= TOL
+
+
+@pytest.mark.parametrize("N", CIRCUIT_DIMS)
+def test_scattering_circuit_label_rows(N):
+    # array labels give one readout per label pair, equal to the scalar calls
+    rho = state(N, N, False)
+    ks = labels(N)
+    sz, sy = scattering_circuit(rho, ks[:, None], ks)
+    Xi = math.sqrt(N) * char_fn(rho, 0).grid
+    assert np.abs(sz + 1j * sy - Xi).max() <= TOL
+    for i, eta in enumerate(ks):
+        for j, xi in enumerate(ks):
+            ref = scattering_circuit(rho, int(eta), int(xi))
+            assert abs(complex(sz[i, j], sy[i, j]) - complex(*ref)) <= TOL
+
+
+@pytest.mark.parametrize("N", (1, 3, 5, 9))
+def test_s_op_on_raw_label_arrays(N):
+    raw = np.arange(-3 * N, 3 * N + 1)
+    S = s_op(raw[:, None], raw, N)
+    assert S.shape == (raw.size, raw.size, N, N)
+    # the array route and scalar calls repeat the per-call build bit for bit
+    for i, eta in enumerate(raw):
+        for j, xi in enumerate(raw):
+            ref = oracle.s_op(int(eta), int(xi), N)
+            assert np.array_equal(S[i, j], ref)
+            assert np.array_equal(s_op(int(eta), int(xi), N), ref)
+    assert s_op(1, 2, N).shape == (N, N)
+    assert s_op(raw, 0, N).shape == (raw.size, N, N)
+
+
+@SETTINGS
+@given(N=dims, t=orders, s=orders)
+def test_t_overlap_grid_matches_scalar_loop(N, t, s):
+    ks = labels(N)
+    grid = t_overlap(t, s, ks[:, None], ks, N)
+    assert grid.shape == (N, N)
+    ref = np.array([[oracle.t_overlap(t, s, a, b, N) for b in ks] for a in ks])
+    assert np.abs(grid - ref).max() <= bound(N, t + s)
+    # scalar offsets give a complex; raw offsets reduce mod N
+    assert type(t_overlap(t, s, 1, -1, N)) is complex
+    assert np.array_equal(t_overlap(t, s, ks + 2 * N, ks - N, N), np.diagonal(grid))
+
+
+@SETTINGS
+@given(
+    N=st.sampled_from(GAMMA_DIMS),
+    data=st.data(),
+    mn=st.tuples(raw_labels, raw_labels),
+    s=orders,
+)
+def test_t_matrix_element_matches_gamma_table(N, data, mn, s):
+    m, n = (data.draw(st.integers(0, N - 1)) for _ in range(2))
+    value = t_matrix_element(m, n, *mn, s, N)
+    assert type(value) is complex
+    assert abs(value - oracle.t_matrix_element(m, n, *mn, s, N)) <= bound(N, s)
+
+
+def test_t_family_cache_is_bounded():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        t_family(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), 3)
+    assert schwinger._t_family.cache_info().currsize <= 8
+
+
+def selftest(capsys, N):
+    code = cli.main(["selftest", "--dim", str(N)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("N", (1, 3, 9, 15, 25))
+def test_selftest_passes_through_large_dims(capsys, N):
+    code, out = selftest(capsys, N)
+    assert code == 0
+    assert "FAIL" not in out and f"OK: dim {N}" in out
+
+
+@pytest.mark.parametrize("N", (5, 9))
+def test_selftest_family_checks_match_family_oracles(N):
+    names = ("resolution of identity", "unit kernel traces", "kernel orthogonality")
+    residuals = {name: r for name, r, _ in cli._selftest_checks(N)}
+    for name, ref in zip(names, oracle.selftest_family_residuals(N)):
+        assert abs(residuals[name] - ref) <= TOL
+
+
+def bump_last(route):
+    # a fault of 1e-6 in the last entry of the route's result, far above round-off
+    def faulty(*args, **kwargs):
+        out = np.array(route(*args, **kwargs))
+        out[(-1,) * out.ndim] += 1e-6
+        return out
+
+    return faulty
+
+
+def flip_sy(*args, **kwargs):
+    # a circuit reading -Im instead of +Im
+    sz, sy = scattering_circuit(*args, **kwargs)
+    return sz, -sy
+
+
+@pytest.mark.parametrize(
+    "route, fault, line",
+    [
+        ("reconstruct_t", bump_last(reconstruct_t), "resolution of identity"),
+        ("decompose_t", bump_last(decompose_t), "unit kernel traces"),
+        ("t_overlap", bump_last(t_overlap), "kernel orthogonality"),
+        ("scattering_circuit", flip_sy, "scattering circuit"),
+    ],
+)
+def test_selftest_fails_on_faulty_route(capsys, monkeypatch, route, fault, line):
+    # every label pair is checked: a fault at the last one fails that check, and only it
+    monkeypatch.setattr(cli, route, fault)
+    code, out = selftest(capsys, 5)
+    assert code == 1
+    failed = [text for text in out.splitlines() if text.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {line}:")
