@@ -3,11 +3,12 @@
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
-The Fourier helpers at the end are shared by every DFT in the package, and
-`_traces` is the one gather of Tr[S(eta, xi) O] over every label pair
+The Fourier helpers at the end hold the package's one 2-D DFT convention,
+and `_traces` is the one gather of Tr[S(eta, xi) O] over every label pair
 (S(eta, xi) the symmetrized displacement of `schwinger`).
 """
 
+import math
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -121,7 +122,19 @@ def _dft2(X):
     Leading axes of X are a batch.
     """
     N = X.shape[-1]
-    return _dft_phases(N) @ X @ _dft_phases(N) / np.sqrt(N)
+    return _dft_phases(N) @ X @ _dft_phases(N) / math.sqrt(N)
+
+
+def _idft2(F):
+    """Phase space to dual plane, the inverse of `_dft2`: leading axes of F are a batch."""
+    N = F.shape[-1]
+    ph = _dft_phases(N).conj()
+    return ph @ F @ ph / N**1.5
+
+
+def _dual_multiply(M, grid):
+    """The grid's dual-plane image times M, back in phase space; M = K is a smoothing step."""
+    return _dft2(M * _idft2(grid))
 
 
 @lru_cache(maxsize=None)
@@ -149,12 +162,3 @@ def _traces(O):
     rows, cols, front = _diagonals(N)
     return (_dft_phases(N).conj() @ O[..., rows, cols].swapaxes(-1, -2)) * front
 
-
-def _correlate(values, weights):
-    """Circular correlation sum_{k'} weights(k' - k) values(k') over every axis, by FFT.
-
-    `weights` is indexed by centered offset; real inputs give a real result.
-    """
-    w0 = np.fft.ifftshift(weights)  # offset 0 moved to index 0
-    out = np.fft.ifftn(np.fft.fftn(values) * np.fft.ifftn(w0)) * w0.size
-    return out.real if np.isrealobj(values) and np.isrealobj(weights) else out

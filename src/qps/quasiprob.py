@@ -3,9 +3,9 @@ Glauber-Sudarshan / Wigner / Husimi family, coherent states, the smoothing
 hierarchy between them, and number-basis matrix elements of the mapping
 kernel.
 
-F^(s) is the 2-D DFT of K^(-s) Tr[S(eta, xi) rho], and the smoothing steps
-are FFT correlations: in the dual plane, products by K (Cahill and Glauber,
-Phys. Rev. 177, 1857 and 1882 (1969); Wootters, Ann. Phys. 176, 1 (1987)).
+F^(s) is the 2-D DFT of K^(-s) Tr[S(eta, xi) rho], and each smoothing step
+is a product by K in that dual plane (Cahill and Glauber, Phys. Rev. 177,
+1857 and 1882 (1969); Wootters, Ann. Phys. 176, 1 (1987)).
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, center_mod, _dft_phases, _correlate, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dual_multiply, _traces
 from .theta import kernel_table, fock_coefficients
-from .schwinger import check_order, t_op, decompose_t, reconstruct_t, _kernel_power
+from .schwinger import check_order, t_op, t_overlap, decompose_t, reconstruct_t, _kernel_power
 
 __all__ = [
     "FormalismViolation",
@@ -161,16 +161,10 @@ def smoothing_table(N):
     N-periodic in both offsets.  It is the inverse 2-D DFT of the kernel:
     E(dmu, dnu) = (1/N) sum_{eta,xi} exp(2*pi*i*(eta*dmu + xi*dnu)/N) K(eta, xi).
     """
-    N = check_dim(N)
-    ph = _dft_phases(N).conj()
-    E = (ph @ kernel_table(N) @ ph).real / N
+    ks = labels(check_dim(N))
+    E = t_overlap(0, -1, ks[:, None], ks, N).real
     E.setflags(write=False)
     return E
-
-
-def _convolve(grid, weights):
-    """(1/N) sum_{mu',nu'} weights(mu'-mu, nu'-nu) grid(mu', nu')."""
-    return _correlate(grid, weights) / grid.shape[0]
 
 
 def _require_order(F, s, what):
@@ -181,22 +175,23 @@ def _require_order(F, s, what):
 def smooth_p_to_w(P):
     """One smoothing step: Glauber-Sudarshan grid to Wigner grid."""
     _require_order(P, 1, "smooth_p_to_w")
-    return PhaseSpaceFunction(0, _convolve(P.grid, smoothing_table(P.dim)))
+    return PhaseSpaceFunction(0, _dual_multiply(kernel_table(P.dim), P.grid))
 
 
 def smooth_w_to_h(W):
     """One smoothing step: Wigner grid to Husimi grid."""
     _require_order(W, 0, "smooth_w_to_h")
-    return PhaseSpaceFunction(-1, _convolve(W.grid, smoothing_table(W.dim)))
+    return PhaseSpaceFunction(-1, _dual_multiply(kernel_table(W.dim), W.grid))
 
 
 def smooth_p_to_h(P):
     """Direct two-step shortcut: Glauber-Sudarshan grid to Husimi grid.
 
-    The weights are the coherent-state overlap probabilities |K|^2.
+    The multiplier is K^2; in phase space the step correlates the grid
+    with the coherent-state overlap probabilities |K|^2.
     """
     _require_order(P, 1, "smooth_p_to_h")
-    return PhaseSpaceFunction(-1, _convolve(P.grid, kernel_table(P.dim) ** 2))
+    return PhaseSpaceFunction(-1, _dual_multiply(kernel_table(P.dim) ** 2, P.grid))
 
 
 def expectation(O, rho, s):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _diagonals, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _idft2, _diagonals, _traces
 from .theta import kernel_table
 
 __all__ = [
@@ -151,8 +151,7 @@ def t_overlap(t, s, dmu, dnu, N):
     s = check_order(s)
     N = check_dim(N)
     ell = half_width(N)
-    ph = _dft_phases(N).conj()
-    grid = ph @ _kernel_power(t + s, N) @ ph / N
+    grid = np.sqrt(N) * _idft2(_kernel_power(t + s, N))
     out = grid[center_mod(dmu, N) + ell, center_mod(dnu, N) + ell]
     return complex(out) if np.ndim(out) == 0 else out
 

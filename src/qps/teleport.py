@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _idft2, _dual_multiply, _traces
 from .schwinger import check_order, t_op, reconstruct_t, _kernel_power
 from .quasiprob import validate_density, phase_fn
 
@@ -176,36 +176,32 @@ def teleport(rho1, alpha, beta, N=None):
 def r_kernel(alpha, beta, ds, N):
     """Order-transfer kernel R[m1, n1, m3, n3] at order difference ds = s3 - s1.
 
-    A double Fourier sum of K^ds over displaced label differences; at ds = 0
-    it collapses to the Kronecker comb selecting (mu3, nu3) =
-    (mu1 + alpha, nu1 - beta).
+    One inverse 2-D DFT of K^ds read at the reduced label differences
+    (mu1 - mu3 + alpha, nu1 - nu3 - beta); at ds = 0 it is the Kronecker
+    comb selecting (mu3, nu3) = (mu1 + alpha, nu1 - beta).
     """
     N = check_dim(N)
-    ds = complex(ds)
-    ks = labels(N)
-    Kpow = _kernel_power(-ds, N)
-    # exp{(2 pi i / N) [eta (mu1 - mu3 + alpha) - xi (nu1 - nu3 - beta)]}
-    pe = np.exp(2j * np.pi * np.multiply.outer(np.subtract.outer(ks, ks) + alpha, ks) / N)
-    px = np.exp(-2j * np.pi * np.multiply.outer(np.subtract.outer(ks, ks) - beta, ks) / N)
-    # pe[m1, m3, eta], px[n1, n3, xi]
-    return np.einsum("ace,bdf,ef->abcd", pe, px, Kpow) / N**2
+    ks, ell = labels(N), half_width(N)
+    # K is even in each label, so the sum is _idft2 of K^ds at (a, b)
+    grid = _idft2(_kernel_power(-complex(ds), N)) / np.sqrt(N)
+    a = center_mod(np.subtract.outer(ks, ks) + alpha, N) + ell  # [m1, m3]
+    b = center_mod(np.subtract.outer(ks, ks) - beta, N) + ell  # [n1, n3]
+    return grid[a[:, None, :, None], b[None, :, None, :]]
 
 
 def lambda_coeffs(F1, alpha, beta, s3):
     """Receiver-side phase-space coefficients for Bell outcome (alpha, beta).
 
     Contracts the order-transfer kernel with the sender's phase-space
-    function; F1 must be tagged with order -s1.  The kernel is a product of
-    1-D Fourier phases and K^ds in the dual plane, so the contraction is a
-    2-D DFT of F1, a multiplier, and the transform back: O(N^3).
+    function; F1 must be tagged with order -s1.  In the dual plane the
+    contraction is one multiplier, K^(s3 - s1) exp(2 pi i (alpha eta -
+    beta xi) / N): O(N^3).
     """
     s1 = -complex(F1.s)
     N = F1.dim
     ks = labels(N)
-    ph = _dft_phases(N)
-    shift = np.outer(np.exp(2j * np.pi * alpha * ks / N), np.exp(2j * np.pi * beta * ks / N))
-    G = _kernel_power(s1 - complex(s3), N) * shift * (ph.conj() @ F1.grid @ ph)
-    return ph @ G @ ph.conj() / N**2
+    shift = np.outer(np.exp(2j * np.pi / N * alpha * ks), np.exp(-2j * np.pi / N * beta * ks))
+    return _dual_multiply(_kernel_power(s1 - complex(s3), N) * shift, F1.grid)
 
 
 def teleport_via_coeffs(rho1, alpha, beta, s1, s3):

@@ -166,16 +166,19 @@ def fock_coefficients(N):
     return F
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def gamma_table(N):
     """Number-basis kernel table G[m, n, eta + ell, xi + ell].
 
     G[m, n] is the (eta, xi)-resolved overlap of number states m and n,
-    satisfying G[m, n](0, 0) = delta_mn and G[0, 0] = K.
+    satisfying G[m, n](0, 0) = delta_mn and G[0, 0] = K.  The eight most
+    recent N stay cached.
     """
     N = check_dim(N)
     F = fock_coefficients(N)
-    # G[m, n] = sqrt(N) Tr[S(eta, xi) |F_n><F_m|], one gather of all N^2 dyads
-    G = np.sqrt(N) * _traces(np.einsum("in,jm->mnij", F, F.conj()))
+    G = np.empty((N, N, N, N), dtype=complex)
+    # G[m, n] = sqrt(N) Tr[S(eta, xi) |F_n><F_m|]; one gather per row m keeps temporaries at N^3
+    for m in range(N):
+        G[m] = np.sqrt(N) * _traces(np.einsum("in,j->nij", F, F[:, m].conj()))
     G.setflags(write=False)
     return G

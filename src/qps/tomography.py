@@ -9,17 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _correlate,
-)
-from .theta import smoothing_1d, phase_phi
-from .schwinger import check_order, s_op, reconstruct_schwinger
-from .quasiprob import (
-    PhaseSpaceFunction,
-    CharacteristicFunction,
-    char_fn,
-    phase_fn,
-)
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
+from .theta import kernel_table, phase_phi
+from .schwinger import s_op, reconstruct_schwinger
+from .quasiprob import PhaseSpaceFunction, phase_fn
 
 __all__ = [
     "CoverageError",
@@ -123,14 +116,23 @@ def marginal_r(F):
 
 
 def smooth_marginal(dist):
-    """One step down the marginal hierarchy (s -> s - 1) via the 1-D weights."""
+    """One step down the marginal hierarchy (s -> s - 1) on any summation line.
+
+    Line sums are a Fourier slice of the characteristic function, so the
+    step is the ray inverse, a product by K on the ray (za*t, zb*t) and
+    the forward DFT.  The ray is `dist.line`, or (1, 0) for Q and (0, 1)
+    for R when the marginal is axis-aligned.
+    """
     N = dist.dim
     s = complex(dist.s)
     if abs(s - 1) > 1e-12 and abs(s) > 1e-12:
         raise ValueError(f"marginal smoothing is defined at s = 1 or 0, got {s}")
-    # smoothing_1d is N-periodic, so one weight per centered offset suffices
-    weights = smoothing_1d(labels(N), N)
-    out = _correlate(dist.values, weights)
+    za, zb = dist.line or ((1, 0) if dist.axis == "Q" else (0, 1))
+    ts, ell = labels(N), half_width(N)
+    K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
+    out = _dft_phases(N) @ (K * _ray_invert(dist, N))
+    # K is even along every ray, so real line sums stay real
+    out = out.real if np.isrealobj(dist.values) else out
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
 
 
@@ -229,8 +231,8 @@ def radon_r(F, z2, z4):
     return _line_sums(F, z2, z4, "R")
 
 
-def _ray_invert(dist, za, zb, N):
-    """Common inverse: Xi^(s)(za*t, zb*t) for t in [-ell, ell].
+def _ray_invert(dist, N):
+    """Common inverse: Xi^(s)(za*t, zb*t) for t in [-ell, ell] on the line's ray (za, zb).
 
     The line sums of F^(s) are a Fourier slice of its characteristic
     function, K^(-s) included, so one inverse DFT recovers the ray at
@@ -244,14 +246,14 @@ def char_from_radon_q(dist, z1, z3, N):
     """Ray values Xi^(s)(z1*eta, z3*eta) recovered from a Q-type line sum."""
     if dist.axis != "Q":
         raise ValueError("expected a Q-type marginal")
-    return _ray_invert(dist, z1, z3, N)
+    return _ray_invert(dist, N)
 
 
 def char_from_radon_r(dist, z2, z4, N):
     """Ray values Xi^(s)(z2*xi, z4*xi) recovered from an R-type line sum."""
     if dist.axis != "R":
         raise ValueError("expected an R-type marginal")
-    return _ray_invert(dist, z2, z4, N)
+    return _ray_invert(dist, N)
 
 
 def _is_prime(n):

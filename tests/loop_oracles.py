@@ -10,7 +10,7 @@ one basis element at a time, the depolarizer's conjugation loop, and
 the teleportation layer on dense operators: Kronecker-built Bell states,
 the N^3-dimensional protocol with a partial trace, the N^4 Bell-dyad
 loop, the einsum over two T^(s) families, and the receiver coefficients
-through the N^4 order-transfer kernel.  The theta layer keeps the
+through the N^4 order-transfer kernel, itself the O(N^6) einsum.  The theta layer keeps the
 kernel as the complex four-term theta sum evaluated one entry at a time,
 the number states built one Hermite column at a time, and the Gamma
 table as one einsum per label pair.  The tomography layer keeps the
@@ -41,7 +41,7 @@ from qps.theta import kernel_table as cached_kernel_table, gamma_table as cached
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density
-from qps.teleport import BellLabel, r_kernel
+from qps.teleport import BellLabel
 
 
 def theta(kind, z, a, tol=1e-16):
@@ -350,6 +350,18 @@ def bipartite_phase_fn_grid(rho, s1, s2):
     fam1 = schwinger.t_family(s1, N)
     fam2 = schwinger.t_family(s2, N)
     return np.einsum("abij,cdkl,jlik->abcd", fam1, fam2, R)
+
+
+def r_kernel(alpha, beta, ds, N):
+    """R[m1, n1, m3, n3] as the unoptimised three-operand einsum of 1-D phases and K^ds."""
+    N = check_dim(N)
+    ks = labels(N)
+    Kpow = cached_kernel_table(N) ** complex(ds)
+    # exp{(2 pi i / N) [eta (mu1 - mu3 + alpha) - xi (nu1 - nu3 - beta)]}
+    pe = np.exp(2j * np.pi * np.multiply.outer(np.subtract.outer(ks, ks) + alpha, ks) / N)
+    px = np.exp(-2j * np.pi * np.multiply.outer(np.subtract.outer(ks, ks) - beta, ks) / N)
+    # pe[m1, m3, eta], px[n1, n3, xi]
+    return np.einsum("ace,bdf,ef->abcd", pe, px, Kpow) / N**2
 
 
 def lambda_coeffs(F1, alpha, beta, s3):

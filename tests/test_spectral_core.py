@@ -1,16 +1,18 @@
 """The spectral core against the loop implementations it replaced.
 
 Every fast route (gathered traces plus DFT for the characteristic and
-phase-space grids, FFT correlation for the smoothing steps, the inverse
-DFT of K for the smoothing table, gather/scatter for the Schwinger
-expansion, the T^(s) family and expansions, the symplectic generators
-and the depolarizer average, bincount line sums, the teleportation
-layer on N x N matrices, the theta layer on 1-D theta vectors with
-the number-basis table as one batched gather, the scattering circuit as
-two traces, array labels in `s_op` and `t_overlap`, and the self-test
-on those routes) is compared with its loop oracle in `loop_oracles`
-over prime and composite N, pure and mixed states, the three standard
-orders and random complex orders |s| <= 1.
+phase-space grids, a product by K in the dual plane for the smoothing
+steps on grids and on every Radon line, the inverse DFT of K for the
+smoothing table and the order-transfer kernel, gather/scatter for the
+Schwinger expansion, the T^(s) family and expansions, the symplectic
+generators and the depolarizer average, bincount line sums, the
+teleportation layer on N x N matrices, the theta layer on 1-D theta
+vectors with the number-basis table as one gather per row, the
+scattering circuit as two traces, array labels in `s_op` and
+`t_overlap`, and the self-test on those routes) is compared with its
+loop oracle in `loop_oracles` over prime and composite N, pure and
+mixed states, the three standard orders and random complex orders
+|s| <= 1.
 
 The tolerance was fixed before the fast routes were written: the two
 sides sum the same terms in a different order, so they may differ by
@@ -22,6 +24,7 @@ transfer of the receiver coefficients).
 
 import cmath
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +33,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import loop_oracles as oracle
 from qps import cli, schwinger, tomography
-from qps.lattice import _correlate, labels, center_mod, half_width
+from qps.lattice import _dft2, _idft2, labels, center_mod, half_width
 from qps.theta import kernel_value, kernel_table, smoothing_1d, fock_coefficients, gamma_table
 from qps.schwinger import (
     s_op,
@@ -52,7 +55,6 @@ from qps.quasiprob import (
     smooth_p_to_w,
     smooth_w_to_h,
     smooth_p_to_h,
-    _convolve,
 )
 from qps.tomography import (
     MarginalDistribution,
@@ -73,6 +75,7 @@ from qps.teleport import (
     upsilon_coeffs,
     theta_coeffs,
     teleport,
+    r_kernel,
     lambda_coeffs,
 )
 
@@ -200,16 +203,26 @@ def test_smoothing_table_matches_overlap_loop(N):
 
 
 @SETTINGS
-@given(N=dims, seed=seeds, pure=st.booleans(), s=orders)
-def test_convolve_matches_gather_loop(N, seed, pure, s):
-    # any grid works; phase-space grids at order s carry the amplification
-    grid = phase_fn(state(N, seed, pure), s).grid
-    # the kernel weights are even in each offset; the random ones are not,
-    # so they pin the orientation of the correlation
-    lopsided = np.random.default_rng(seed).normal(size=(N, N))
-    for weights in (smoothing_table(N), kernel_table(N) ** 2, lopsided):
-        fast = _convolve(grid, weights)
-        assert np.abs(fast - oracle.convolve(grid, weights)).max() <= bound(N, s)
+@given(N=dims, seed=seeds, shape=st.sampled_from(((), (2,), (2, 3))))
+def test_idft2_inverts_dft2(N, seed, shape):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=shape + (N, N)) + 1j * rng.normal(size=shape + (N, N))
+    assert np.abs(_idft2(_dft2(X)) - X).max() <= TOL
+    assert np.abs(_dft2(_idft2(X)) - X).max() <= TOL
+
+
+@SETTINGS
+@given(N=dims, seed=seeds)
+def test_idft2_matches_phase_sum(N, seed):
+    # a lopsided grid pins the orientation, which an even K cannot do
+    F = operator(N, seed)
+    ks, ell = labels(N), half_width(N)
+    ref = np.empty((N, N), dtype=complex)
+    for eta in ks:
+        for xi in ks:
+            ph = np.exp(2j * np.pi * np.add.outer(eta * ks, xi * ks) / N)
+            ref[eta + ell, xi + ell] = np.sum(ph * F) / N**1.5
+    assert np.abs(_idft2(F) - ref).max() <= TOL
 
 
 @SETTINGS
@@ -236,14 +249,19 @@ def test_smooth_marginal_matches_theta_loop(N, seed, s):
     assert np.isrealobj(real)
 
 
-@SETTINGS
-@given(N=dims, seed=seeds)
-def test_correlate_1d_orientation(N, seed):
-    rng = np.random.default_rng(seed)
-    values, weights = rng.normal(size=N), rng.normal(size=N)
-    ell = (N - 1) // 2
-    ref = [sum(weights[(kp - k + ell) % N] * values[kp] for kp in range(N)) for k in range(N)]
-    assert np.abs(_correlate(values, weights) - ref).max() <= TOL
+@pytest.mark.parametrize("N", (3, 5, 7, 31))
+@pytest.mark.parametrize("s", (1, 0))
+@pytest.mark.parametrize("pure", (False, True))
+def test_smooth_marginal_on_every_line(N, s, pure):
+    # a line sum of F^(s), smoothed, is the same line sum of F^(s-1): on the
+    # sheared rays as on the axes
+    rho = state(N, 7 * N, pure)
+    F, G = phase_fn(rho, s), phase_fn(rho, s - 1)
+    for za, zb in [(1, k) for k in range(N)] + [(0, 1), (2, 1)]:
+        for radon in (radon_q, radon_r):
+            out = smooth_marginal(radon(F, za, zb))
+            assert (out.s, out.line) == (s - 1, (za, zb))
+            assert np.abs(out.values - radon(G, za, zb).values).max() <= bound(N, s)
 
 
 rays = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -391,6 +409,15 @@ def test_lambda_coeffs_match_r_kernel(N, seed, pure, w, s1, s3):
     assert np.abs(lambda_coeffs(F1, *w, s3) - ref).max() <= bound2(N, -s1, s1 - s3)
 
 
+@SETTINGS
+@given(N=teleport_dims, alpha=raw_labels, beta=raw_labels, ds=orders)
+def test_r_kernel_matches_einsum(N, alpha, beta, ds):
+    R = r_kernel(alpha, beta, ds, N)
+    assert R.shape == (N,) * 4
+    # R carries K^ds, amplified where Re ds < 0
+    assert np.abs(R - oracle.r_kernel(alpha, beta, ds, N)).max() <= bound(N, -ds)
+
+
 CIRCUIT_DIMS = (1, 3, 5, 9)
 batch_shapes = st.sampled_from(((), (1,), (4,), (2, 3)))
 
@@ -504,6 +531,25 @@ def test_t_family_cache_is_bounded():
     for _ in range(20):
         t_family(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), 3)
     assert schwinger._t_family.cache_info().currsize <= 8
+
+
+def test_gamma_table_builds_near_its_result():
+    # one row of dyads at a time: no N^4 temporary beside the result
+    N = 31
+    fock_coefficients(N)
+    tracemalloc.start()
+    try:
+        G = gamma_table.__wrapped__(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * G.nbytes
+
+
+def test_gamma_table_cache_is_bounded():
+    for N in range(1, 21, 2):
+        gamma_table(N)
+    assert gamma_table.cache_info().currsize <= 8
 
 
 def selftest(capsys, N):
