@@ -1,8 +1,9 @@
 """Command-line front end: grid exports, tomography and teleportation
 reports, and the self-test battery.
 
-Exit codes: 0 success, 1 failed check, 2 bad flags or state spec,
-3 file I/O failure, 4 tomography coverage error.
+Exit codes: 0 success, 1 failed check or a result out of floating-point
+range, 2 bad flags or state spec, 3 file I/O failure, 4 tomography
+coverage error.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod
 from .theta import kernel_table
-from .schwinger import t_overlap, decompose_t, reconstruct_t, depolarize
+from .schwinger import t_overlap, decompose_t, reconstruct_t, depolarize, _log_gain
 from .quasiprob import (
     validate_density,
     maximally_mixed,
@@ -233,13 +234,16 @@ def _selftest_checks(N):
         np.abs(t_overlap(0, 0, ks[:, None], ks, N) - delta).max(),
         1e-10,
     )
-    P = phase_fn(rho, 1)
+    wigner = phase_fn(rho, 0)
+    # the Glauber grid carries round-off amplified by up to max K^(-1) = exp(_log_gain(N))
     yield (
-        "hierarchy smoothing",
-        max(
-            np.abs(smooth_p_to_w(P).grid - phase_fn(rho, 0).grid).max(),
-            np.abs(smooth_w_to_h(phase_fn(rho, 0)).grid - phase_fn(rho, -1).grid).max(),
-        ),
+        "hierarchy smoothing P->W",
+        np.abs(smooth_p_to_w(phase_fn(rho, 1)).grid - wigner.grid).max(),
+        max(1e-10, N * np.finfo(float).eps * math.exp(_log_gain(N))),
+    )
+    yield (
+        "hierarchy smoothing W->H",
+        np.abs(smooth_w_to_h(wigner).grid - phase_fn(rho, -1).grid).max(),
         1e-10,
     )
     O = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
@@ -335,6 +339,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        # a result outside the range of a double (K^(-s) overflow) is a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

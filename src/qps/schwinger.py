@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _idft2, _diagonals, _traces
-from .theta import kernel_table
+from .theta import _log_kernel
 
 __all__ = [
     "check_order",
@@ -93,13 +93,29 @@ def s_op(eta, xi, N):
     return S
 
 
-def _kernel_power(s, N):
-    """K^(-s) over the centered label square, as exp(-s log K).
+# log of the largest double: exp of anything above it overflows
+LOG_MAX = float(np.log(np.finfo(float).max))
 
-    numpy's complex power K ** (-s) runs up to 15x slower after a complex
-    matrix product; the two agree to |s log K| * eps.
+
+@lru_cache(maxsize=None)
+def _log_gain(N):
+    """-min log K >= 0, the log of max K^(-1): the round-off amplification of the Glauber order."""
+    return float(-_log_kernel(N).min())
+
+
+def _kernel_power(s, N):
+    """K^(-s) over the centered label square, as exp(-s log K) on the cached log table.
+
+    Its largest modulus is exp(Re(s) * (-min log K)); an exponent above
+    log(max double) raises `OverflowError` rather than returning inf.
     """
-    return np.exp(-s * np.log(kernel_table(N)))
+    exponent = complex(s).real * _log_gain(N)
+    if exponent > LOG_MAX:
+        raise OverflowError(
+            f"K^(-s) overflows at N={N}, s={complex(s)}: Re(s) * (-min log K) = {exponent:.6g}"
+            f" exceeds log(max double) = {LOG_MAX:.6g}"
+        )
+    return np.exp(-s * _log_kernel(N))
 
 
 def s_op_ordered(eta, xi, s, N):

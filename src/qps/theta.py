@@ -1,8 +1,14 @@
 """Jacobi theta series and the objects built from them.
 
-Covers the bell-shaped kernel K(eta, xi), its 1-D smoothing analogue,
-the integer phase correction used for label wraparound, and the finite
-number-basis coefficient tables.
+The bell-shaped kernel K(eta, xi) is a rank-4 form in theta3 and theta4
+at nome exp(-pi/(2N)), whose series cancels near the minimum of K.  The
+Jacobi imaginary transformation (DLMF 20.7) turns each value into a sum
+of positive Gaussians g(x) = exp(-pi x^2/(2N)): theta3(pi x/(2N)) =
+sqrt(2N) sum over even k of g(x - kN), and theta4 the same over odd k.
+One cached table of log K is built from those sums, and K, every power
+K^(-s), the raw-label kernel and the 1-D smoothing weights read it or
+the same sums.  Also here: the integer phase correction for label
+wraparound and the finite number-basis tables.
 """
 
 import math
@@ -25,6 +31,10 @@ __all__ = [
 
 # relative truncation floor for the theta series; ~60 terms suffice at N <= 15
 TRUNCATION = 1e-16
+# Gaussian images k of the transformed sums; from N = 3 on the first omitted
+# one is below exp(-20 pi) of the kept ones
+IMAGES = np.arange(-3, 4)
+EVEN = IMAGES % 2 == 0
 
 
 def theta(kind, z, a, tol=TRUNCATION):
@@ -43,24 +53,10 @@ def theta(kind, z, a, tol=TRUNCATION):
         raise ValueError(f"tolerance must be positive, got {tol}")
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
-    q = math.exp(-math.pi * a)
-    z = np.asarray(z, dtype=float)
-    # theta2 sums over the half-integers k = n + 1/2, theta3/theta4 over k = n >= 1
-    freqs, amps = [], []
-    n = 0 if kind == 2 else 1
-    while True:
-        k = n + 0.5 if kind == 2 else n
-        amp = 2.0 * q ** (k * k)
-        freqs.append(2 * k)
-        amps.append(-amp if kind == 4 and n % 2 == 1 else amp)
-        if amp < tol:
-            break
-        n += 1
-    terms = np.array(amps) * np.cos(np.multiply.outer(z, freqs))
-    # added left to right, term by term: the corners of K cancel these values
-    # down to 1e-20 at N = 61, so another order of addition would move them
-    head = np.full(z.shape + (1,), 0.0 if kind == 2 else 1.0)
-    total = np.add.accumulate(np.concatenate([head, terms], axis=-1), axis=-1)[..., -1]
+    # k = n + 1/2 (theta2) or n >= 1, up to the first k whose amplitude 2 q^(k^2) is below tol
+    k = np.arange(0.5 if kind == 2 else 1.0, math.sqrt(max(0.0, math.log(2 / tol)) / (math.pi * a)) + 1.5)
+    amps = 2.0 * math.exp(-math.pi * a) ** (k * k) * (1 - 2 * (k % 2) if kind == 4 else 1)
+    total = (0.0 if kind == 2 else 1.0) + np.cos(np.multiply.outer(np.asarray(z, dtype=float), 2 * k)) @ amps
     return total if total.ndim else float(total)
 
 
@@ -78,66 +74,67 @@ def phase_phi(eta, xi, N):
     return N * i_eta * i_xi - eta * i_xi - xi * i_eta
 
 
-def _kernel_norm(N):
-    a = 1.0 / (2 * N)
-    return 2.0 * (
-        theta(3, 0.0, a) * theta(3, 0.0, 4 * a)
-        + theta(4, 0.0, a) * theta(2, 0.0, 4 * a)
-    )
+def _image_sums(x, N):
+    """r0(x), r1(x): the even-k and odd-k sums of g(x - kN) / g(x), each term positive."""
+    terms = np.exp(-np.pi * IMAGES * (IMAGES * N - 2 * np.asarray(x, dtype=float)[..., None]) / 2)
+    return terms[..., EVEN].sum(-1), terms[..., ~EVEN].sum(-1)
 
 
-def kernel_value(eta, xi, N):
-    """Kernel K(eta, xi) evaluated at raw (possibly out-of-range) integers.
+@lru_cache(maxsize=None)
+def _log_kernel(N):
+    """Cached read-only log K[eta + ell, xi + ell] = -pi (eta^2 + xi^2) / (2N) + log(B / B(0, 0)).
 
-    With a = 1/(2N), t3 = theta3(pi*a*label), t4 = theta4(pi*a*label) and
-    p = (-1)**label for each label, and exp(i*pi*(eta + xi + N)) = -p_eta p_xi
-    for odd N, the four-term theta sum is the real rank-4 form
-
-        K = (t3e t3x + p_eta t3e t4x + p_xi t4e t3x - p_eta p_xi t4e t4x) / norm.
-
-    `eta` and `xi` may be broadcastable integer arrays; scalars give a float.
+    B = r0e r0x + p_eta r0e r1x + p_xi r1e r0x - p_eta p_xi r1e r1x, with
+    p = (-1)**label, stays O(1) and positive, so no entry cancels.
     """
     N = check_dim(N)
-    eta, xi = np.asarray(eta), np.asarray(xi)
-    for x in (eta, xi):
-        if not np.all(np.isfinite(x) & (x == np.round(x))):
-            raise ValueError("kernel labels must be integers")
-    a = 1.0 / (2 * N)
-    t3e = theta(3, math.pi * a * eta, a)
-    t4e = theta(4, math.pi * a * eta, a)
-    t3x = theta(3, math.pi * a * xi, a)
-    t4x = theta(4, math.pi * a * xi, a)
-    pe = np.where(np.mod(eta, 2) == 0, 1.0, -1.0)
-    px = np.where(np.mod(xi, 2) == 0, 1.0, -1.0)
-    num = t3e * t3x + pe * t3e * t4x + px * t4e * t3x - pe * px * t4e * t4x
-    val = num / _kernel_norm(N)
-    return val if val.ndim else float(val)
+    ks = labels(N)
+    r0, r1 = _image_sums(ks, N)
+    p = 1 - 2 * (ks % 2)
+    B = np.stack([r0, p * r0, r1, -p * r1], axis=-1) @ np.stack([r0, r1, p * r0, p * r1])
+    if not np.all(np.isfinite(B) & (B > 0)):
+        raise ArithmeticError(f"kernel Gaussian sum is not finite and positive at N={N}")
+    ell = half_width(N)
+    L = np.log(B / B[ell, ell]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
+    L.setflags(write=False)
+    return L
 
 
 @lru_cache(maxsize=None)
 def kernel_table(N):
-    """Cached table K[eta + ell, xi + ell] over the centered label square."""
-    N = check_dim(N)
-    ell = half_width(N)
-    ks = labels(N)
-    K = kernel_value(ks[:, None], ks, N)
-    if not np.all(K > 0) or abs(K[ell, ell] - 1.0) > 1e-12:
-        raise ArithmeticError(f"kernel table failed positivity/normalization at N={N}")
+    """Cached read-only K[eta + ell, xi + ell] = exp(log K); corners below the
+    smallest double (from N ~ 950 on) are 0, and the log table keeps them."""
+    K = np.exp(_log_kernel(N))
     K.setflags(write=False)
     return K
 
 
-def smoothing_1d(chi, N):
-    """1-D smoothing weight driving the marginal-distribution hierarchy.
-
-    `chi` may be an array of offsets; a scalar gives a float.
-    """
+def kernel_value(eta, xi, N):
+    """Kernel K(eta, xi) at raw integer labels: the quasi-periodic sign (-1)**phase_phi(eta, xi, N)
+    times the table entry at the reduced labels.  `eta` and `xi` may be
+    broadcastable integer arrays; scalars give a float."""
     N = check_dim(N)
-    a = 1.0 / (2 * N)
-    num = theta(3, 0.0, a) * theta(3, 2 * math.pi * a * chi, a) + theta(
-        4, 0.0, a
-    ) * theta(4, 2 * math.pi * a * chi, a)
-    return num / (math.sqrt(2 * N) * 0.5 * _kernel_norm(N))
+    eta, xi = np.asarray(eta), np.asarray(xi)
+    if not all(np.all(np.isfinite(x) & (x == np.round(x))) for x in (eta, xi)):
+        raise ValueError("kernel labels must be integers")
+    eta, xi, ell = eta.astype(int), xi.astype(int), half_width(N)
+    sign = 1 - 2 * (phase_phi(eta, xi, N) % 2)
+    val = sign * kernel_table(N)[center_mod(eta, N) + ell, center_mod(xi, N) + ell]
+    return val if val.ndim else float(val)
+
+
+def smoothing_1d(chi, N):
+    """1-D smoothing weight of the marginal hierarchy, N-periodic in `chi` (an array or a scalar).
+
+    At the reduced offset it is the positive sum 2 sum_k c_k g(2 chi - kN) / (sqrt(2N) B(0, 0)),
+    with c_k = r0(0) for even k and r1(0) for odd k."""
+    N = check_dim(N)
+    r0, r1 = _image_sums(0.0, N)
+    ell = half_width(N)
+    x = 2 * ((np.asarray(chi, dtype=float)[..., None] + ell) % N - ell) - IMAGES * N
+    num = (np.where(EVEN, r0, r1) * np.exp(-np.pi * x**2 / (2 * N))).sum(-1)
+    w = 2 * num / (math.sqrt(2 * N) * (r0 * r0 + 2 * r0 * r1 - r1 * r1))
+    return w if w.ndim else float(w)
 
 
 @lru_cache(maxsize=None)

@@ -115,6 +115,11 @@ def marginal_r(F):
     return MarginalDistribution(F.s, "R", F.grid.sum(axis=0) / np.sqrt(F.dim))
 
 
+def _ray(dist):
+    """The marginal's ray: `dist.line`, or (1, 0) for Q and (0, 1) for R when axis-aligned."""
+    return dist.line or ((1, 0) if dist.axis == "Q" else (0, 1))
+
+
 def smooth_marginal(dist):
     """One step down the marginal hierarchy (s -> s - 1) on any summation line.
 
@@ -127,7 +132,7 @@ def smooth_marginal(dist):
     s = complex(dist.s)
     if abs(s - 1) > 1e-12 and abs(s) > 1e-12:
         raise ValueError(f"marginal smoothing is defined at s = 1 or 0, got {s}")
-    za, zb = dist.line or ((1, 0) if dist.axis == "Q" else (0, 1))
+    za, zb = _ray(dist)
     ts, ell = labels(N), half_width(N)
     K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
     out = _dft_phases(N) @ (K * _ray_invert(dist, N))
@@ -242,18 +247,23 @@ def _ray_invert(dist, N):
     return _dft_phases(N).conj() @ dist.values / N
 
 
-def char_from_radon_q(dist, z1, z3, N):
-    """Ray values Xi^(s)(z1*eta, z3*eta) recovered from a Q-type line sum."""
-    if dist.axis != "Q":
-        raise ValueError("expected a Q-type marginal")
+def _char_from_radon(dist, axis, za, zb, N):
+    if dist.axis != axis:
+        raise ValueError(f"expected a {axis}-type marginal")
+    line = _ray(dist)
+    if (za - line[0]) % N or (zb - line[1]) % N:
+        raise ValueError(f"ray ({za}, {zb}) is not the marginal's line {line} mod N = {N}")
     return _ray_invert(dist, N)
+
+
+def char_from_radon_q(dist, z1, z3, N):
+    """Ray values Xi^(s)(z1*eta, z3*eta) recovered from a Q-type line sum on that ray."""
+    return _char_from_radon(dist, "Q", z1, z3, N)
 
 
 def char_from_radon_r(dist, z2, z4, N):
-    """Ray values Xi^(s)(z2*xi, z4*xi) recovered from an R-type line sum."""
-    if dist.axis != "R":
-        raise ValueError("expected an R-type marginal")
-    return _ray_invert(dist, N)
+    """Ray values Xi^(s)(z2*xi, z4*xi) recovered from an R-type line sum on that ray."""
+    return _char_from_radon(dist, "R", z2, z4, N)
 
 
 def _is_prime(n):

@@ -10,10 +10,10 @@ one basis element at a time, the depolarizer's conjugation loop, and
 the teleportation layer on dense operators: Kronecker-built Bell states,
 the N^3-dimensional protocol with a partial trace, the N^4 Bell-dyad
 loop, the einsum over two T^(s) families, and the receiver coefficients
-through the N^4 order-transfer kernel, itself the O(N^6) einsum.  The theta layer keeps the
-kernel as the complex four-term theta sum evaluated one entry at a time,
-the number states built one Hermite column at a time, and the Gamma
-table as one einsum per label pair.  The tomography layer keeps the
+through the N^4 order-transfer kernel, itself the O(N^6) einsum.  The theta layer keeps
+the number states built one Hermite column at a time and the Gamma
+table as one einsum per label pair; the kernel itself is checked against
+mpmath, since its direct theta series cancels near the minimum of K.  The tomography layer keeps the
 scattering circuit as the dense 2N-dimensional Kronecker circuit, and
 the self-test keeps its family checks on the cached T^(s) family with
 one overlap or trace per label pair.  They are slow by design and exist
@@ -36,7 +36,6 @@ from qps.lattice import (
     partial_trace,
     dft_matrix,
 )
-# the library's cached table; `kernel_table` below is its per-entry oracle
 from qps.theta import kernel_table as cached_kernel_table, gamma_table as cached_gamma_table
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op
 from qps import schwinger
@@ -63,45 +62,12 @@ def kernel_norm(N):
     return 2.0 * (theta(3, 0.0, a) * theta(3, 0.0, 4 * a) + theta(4, 0.0, a) * theta(2, 0.0, 4 * a))
 
 
-def kernel_value(eta, xi, N):
-    """K(eta, xi) at scalar labels as the complex four-term theta sum, imaginary part checked."""
-    N = check_dim(N)
-    a = 1.0 / (2 * N)
-    t3e = theta(3, math.pi * a * eta, a)
-    t4e = theta(4, math.pi * a * eta, a)
-    t3x = theta(3, math.pi * a * xi, a)
-    t4x = theta(4, math.pi * a * xi, a)
-    num = (
-        t3e * t3x
-        + t3e * t4x * np.exp(1j * np.pi * eta)
-        + t4e * t3x * np.exp(1j * np.pi * xi)
-        + t4e * t4x * np.exp(1j * np.pi * (eta + xi + N))
-    )
-    val = num / kernel_norm(N)
-    if abs(val.imag) > 1e-12:
-        raise ArithmeticError(
-            f"kernel K({eta},{xi}) has residual imaginary part {val.imag:.3e}"
-        )
-    return float(val.real)
-
-
 def smoothing_1d(chi, N):
     """1-D smoothing weight at a scalar offset from the scalar theta series."""
     a = 1.0 / (2 * N)
     z = 2 * math.pi * a * chi
     num = theta(3, 0.0, a) * theta(3, z, a) + theta(4, 0.0, a) * theta(4, z, a)
     return num / (math.sqrt(2 * N) * 0.5 * kernel_norm(N))
-
-
-def kernel_table(N):
-    """K[eta + ell, xi + ell] over the centered label square, one theta sum per entry."""
-    N = check_dim(N)
-    ell = half_width(N)
-    K = np.empty((N, N))
-    for eta in range(-ell, ell + 1):
-        for xi in range(-ell, ell + 1):
-            K[eta + ell, xi + ell] = kernel_value(eta, xi, N)
-    return K
 
 
 def fock_coefficients(N):

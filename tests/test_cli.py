@@ -59,6 +59,13 @@ def test_grid_kernel_csv(capsys, tmp_path):
     assert center == ["0,0,1,0"]
 
 
+def test_grid_past_the_range_of_a_double_exits_1(capsys):
+    # the Glauber grid at N = 1001 needs K^(-1) up to exp(784)
+    code, out, err = run(capsys, "grid", "--dim", "1001", "--what", "glauber", "--state", "fock:0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: K^(-s) overflows at N=1001") and "Traceback" not in err
+
+
 def test_grid_wigner_maximally_mixed_is_flat(capsys):
     code, out, _ = run(
         capsys, "grid", "--dim", "5", "--what", "wigner", "--state", "maximally-mixed"

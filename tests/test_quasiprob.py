@@ -124,6 +124,20 @@ def test_husimi_nonnegative_and_glauber_sum():
     assert np.abs(H.imag).max() < 1e-10
 
 
+def test_grids_past_the_range_of_a_double():
+    # at N = 1001 max K^(-1) = exp(784) overflows: the Glauber grid raises, while
+    # the Wigner grid and the Husimi grid, with K's corners underflowing to 0, stay exact
+    N = 1001
+    rho = random_density(N, np.random.default_rng(1001))
+    with pytest.raises(OverflowError, match="N=1001"):
+        phase_fn(rho, 1)
+    W = phase_fn(rho, 0).grid
+    assert abs(W.sum() - N) <= 1e-12
+    H = phase_fn(rho, -1).grid
+    assert np.all(np.isfinite(H)) and H.real.min() >= 0
+    assert np.abs(H.imag).max() < 1e-15
+
+
 def test_coherent_overlaps_match_kernel():
     for N in DIMS:
         ell = half_width(N)

@@ -264,6 +264,22 @@ def test_char_from_radon_roundtrip():
         assert abs(vals[t + ell] - ref) < 1e-10
 
 
+def test_char_from_radon_rejects_a_mismatched_ray():
+    N = 5
+    F = phase_fn(random_density(N, np.random.default_rng(40)), 0)
+    q = radon_q(F, 1, 1)
+    with pytest.raises(ValueError, match="not the marginal's line"):
+        char_from_radon_q(q, 1, 2, N)
+    with pytest.raises(ValueError, match="not the marginal's line"):
+        char_from_radon_r(radon_r(F, 0, 1), 1, 1, N)
+    # an axis-aligned marginal has the ray (1, 0) for Q and (0, 1) for R
+    with pytest.raises(ValueError, match="not the marginal's line"):
+        char_from_radon_q(marginal_q(F), 0, 1, N)
+    assert np.array_equal(char_from_radon_r(marginal_r(F), 0, 1, N), char_from_radon_r(radon_r(F, 0, 1), 0, 1, N))
+    # the ray is compared mod N
+    assert np.array_equal(char_from_radon_q(q, 6, -4, N), char_from_radon_q(q, 1, 1, N))
+
+
 @pytest.mark.parametrize("s", (1, 0.5, -1, 0.5j))
 def test_char_from_radon_at_nonzero_order(s):
     # the line sums of F^(s) already carry K^(-s) on the sheared rays too,
