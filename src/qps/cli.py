@@ -27,7 +27,7 @@ from .quasiprob import (
     smooth_w_to_h,
     random_density,
 )
-from .tomography import CoverageError, reconstruct_wigner, scattering_circuit, _ray_loop
+from .tomography import CoverageError, reconstruct_wigner, scattering_circuit, _ray_cells, _ray_loop
 from .teleport import BellLabel, bell_projector, teleport
 
 EXIT_OK = 0
@@ -163,18 +163,16 @@ def cmd_tomo(args):
     rho = parse_state(args.state, N)
     if rho.shape[0] != N:
         raise UsageError(f"state dimension {rho.shape[0]} does not match --dim {N}")
-    rng = np.random.default_rng(args.seed) if args.shots else None
-    R, rays = _ray_loop(rho, args.shots or None, rng)
-    ell = half_width(N)
-    ts = labels(N)
-    Xi = char_fn(rho, 0).grid
-    for (za, zb), vals in rays:
-        ray = Xi[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
-        ray_err = np.abs(vals - ray).max()
+    # a shot count below 1 raises ValueError in the sampler: exit 2
+    rng = None if args.shots is None else np.random.default_rng(args.seed)
+    R, F, vals = _ray_loop(rho, args.shots, rng)
+    rays, rows, cols = _ray_cells(N)
+    ray_errs = np.abs(vals - char_fn(rho, 0).grid[rows, cols]).max(axis=1)
+    for (za, zb), ray_err in zip(rays, ray_errs):
         print(f"ray ({za},{zb}): max |dXi| = {_fmt(float(ray_err))}")
 
-    err = float(np.abs(R.grid - phase_fn(rho, 0).grid).max())
-    if args.shots:
+    err = float(np.abs(R.grid - F.grid).max())
+    if args.shots is not None:
         print(f"shots: {args.shots}  seed: {args.seed}")
         print(f"statistical max |dW|: {_fmt(err)}")
         return EXIT_OK

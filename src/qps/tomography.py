@@ -1,15 +1,21 @@
 """Marginal distributions, symplectic (Bogoliubov-type) transformations,
-discrete Radon transforms and their ray-by-ray inverses, Wigner
-reconstruction from simulated line sums, and the scattering-circuit
-simulator.
+discrete Radon transforms and their ray inverses, Wigner reconstruction
+from simulated line sums, and the scattering-circuit simulator.
+
+`radon_q`/`radon_r`, `char_from_radon_q`/`_r` and `sample_marginal` are
+the per-line objects.  `reconstruct_wigner` handles all N + 1 rays of a
+prime-N plane at once, as (N + 1, N) stacks: one Fourier-slice gather
+for the line sums, one multinomial draw and one inverse DFT.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _idft2
 from .theta import kernel_table, phase_phi
 from .schwinger import s_op, reconstruct_schwinger
 from .quasiprob import PhaseSpaceFunction, phase_fn
@@ -135,7 +141,7 @@ def smooth_marginal(dist):
     za, zb = _ray(dist)
     ts, ell = labels(N), half_width(N)
     K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
-    out = _dft_phases(N) @ (K * _ray_invert(dist, N))
+    out = _dft_phases(N) @ (K * _ray_invert(dist.values))
     # K is even along every ray, so real line sums stay real
     out = out.real if np.isrealobj(dist.values) else out
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
@@ -236,15 +242,17 @@ def radon_r(F, z2, z4):
     return _line_sums(F, z2, z4, "R")
 
 
-def _ray_invert(dist, N):
-    """Common inverse: Xi^(s)(za*t, zb*t) for t in [-ell, ell] on the line's ray (za, zb).
+def _ray_invert(values):
+    """Common inverse: Xi^(s)(za*t, zb*t) for t in [-ell, ell] from the line sums
+    on the ray (za, zb), along the last axis of `values`.
 
     The line sums of F^(s) are a Fourier slice of its characteristic
     function, K^(-s) included, so one inverse DFT recovers the ray at
     every order s.
     """
     # out[t] = sum_k exp(2*pi*i*k*t/N) values(k) / N
-    return _dft_phases(N).conj() @ dist.values / N
+    N = values.shape[-1]
+    return values @ _dft_phases(N).conj() / N
 
 
 def _char_from_radon(dist, axis, za, zb, N):
@@ -253,7 +261,7 @@ def _char_from_radon(dist, axis, za, zb, N):
     line = _ray(dist)
     if (za - line[0]) % N or (zb - line[1]) % N:
         raise ValueError(f"ray ({za}, {zb}) is not the marginal's line {line} mod N = {N}")
-    return _ray_invert(dist, N)
+    return _ray_invert(dist.values)
 
 
 def char_from_radon_q(dist, z1, z3, N):
@@ -272,66 +280,99 @@ def _is_prime(n):
     return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
 
 
+def _draw(p, shots, rng):
+    """Multinomial shot-noise estimates of the line sums p, one per row of the last axis.
+
+    Each row is scaled to probabilities, sampled with `shots` draws and
+    rescaled, preserving its sum sqrt(N).  Values within round-off of
+    zero, N * eps * max|value| of their row, count as zero, so that the
+    sign of round-off cannot decide which bins are drawn.  numpy draws the
+    rows in order, as one call per row would.
+    """
+    if not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    N = p.shape[-1]
+    p = np.where(p > N * np.finfo(float).eps * np.abs(p).max(axis=-1, keepdims=True), p, 0.0)
+    counts = rng.multinomial(shots, p / p.sum(axis=-1, keepdims=True))
+    return counts / shots * math.sqrt(N)
+
+
 def sample_marginal(dist, shots, rng):
     """Multinomial shot-noise estimate of an s = 0 marginal.
 
-    The (real, nonnegative) values are scaled to probabilities, sampled,
-    and rescaled, preserving the sum sqrt(N).  Values within round-off of
-    zero, N * eps * max|value|, count as zero, so that the sign of
-    round-off cannot decide which bins are drawn.
+    The values are scaled to probabilities, sampled with `shots` draws
+    (an integer >= 1) and rescaled, preserving the sum sqrt(N).  Values
+    within round-off of zero count as zero; `_draw` holds the rule.
     """
     if abs(complex(dist.s)) > 1e-12:
         raise ValueError("shot sampling is defined for s = 0 marginals only")
-    p = dist.values.real
-    p = np.where(p > dist.dim * np.finfo(float).eps * np.abs(p).max(), p, 0.0)
-    p = p / p.sum()
-    counts = rng.multinomial(int(shots), p)
-    values = counts / shots * math.sqrt(dist.dim)
-    return MarginalDistribution(dist.s, dist.axis, values, dist.line)
+    return MarginalDistribution(dist.s, dist.axis, _draw(dist.values.real, shots, rng), dist.line)
 
 
 def reconstruct_wigner(rho, shots=None, rng=None):
     """Reconstruct the Wigner grid of `rho` from simulated line sums.
 
     For prime N the rays (1, k), k = 0..N-1, plus (0, 1) cover every
-    point of the dual plane exactly once (up to the shared origin); each
-    ray is inverted to characteristic-function values which are then
-    Fourier transformed back to phase space.  With `shots` set, the line
-    sums are replaced by seeded multinomial estimates.
+    point of the dual plane exactly once (up to the shared origin).  All
+    N + 1 rays are handled at once: the line sums are one Fourier-slice
+    gather of the characteristic function, the rays are inverted by one
+    inverse DFT, and one 2-D DFT takes the dual plane back to phase
+    space, O(N^3) in all.  With `shots` set (an integer >= 1, with a
+    generator `rng`), the line sums are replaced by seeded multinomial
+    estimates, drawn ray by ray in order.
     """
     return _ray_loop(rho, shots, rng)[0]
 
 
+@lru_cache(maxsize=None)
+def _ray_cells(N):
+    """The rays (1, 0), ..., (1, N-1), (0, 1) as an (N + 1, 2) array, and the
+    dual-plane cells they pass through: ray j meets (za*t, zb*t) at
+    [rows[j, t + ell], cols[j, t + ell]].  O(N^2) per N."""
+    ts, ell = labels(N), half_width(N)
+    rays = np.array([(1, k) for k in range(N)] + [(0, 1)])
+    rows = center_mod(np.outer(rays[:, 0], ts), N) + ell
+    cols = center_mod(np.outer(rays[:, 1], ts), N) + ell
+    for a in (rays, rows, cols):
+        a.setflags(write=False)
+    return rays, rows, cols
+
+
+def _ray_sums(F):
+    """Line sums of F on every ray of `_ray_cells`, one row per ray.
+
+    By the projection-slice theorem they are the 1-D DFT of F's
+    characteristic function along each ray: one gather and one product.
+    """
+    _, rows, cols = _ray_cells(F.dim)
+    return _idft2(F.grid)[rows, cols] @ _dft_phases(F.dim)
+
+
 def _ray_loop(rho, shots, rng):
-    """The Wigner grid rebuilt by `reconstruct_wigner`, and the list of
-    ((za, zb), values) pairs holding the characteristic values recovered
-    on each ray."""
+    """Every ray of `reconstruct_wigner` in one pass over (N + 1, N) stacks.
+
+    Returns the rebuilt Wigner grid, the Wigner function F it was measured
+    from, and the characteristic values recovered on each ray of
+    `_ray_cells`, one row per ray.
+    """
     rho = np.asarray(rho)
     N = check_dim(rho.shape[0])
     if not _is_prime(N):
         raise CoverageError(
             f"ray coverage requires prime N; N = {N} has degenerate rays"
         )
-    ell = half_width(N)
-    ks = labels(N)
+    if shots is not None and rng is None:
+        raise ValueError("shot sampling needs a generator: pass rng with shots")
     F = phase_fn(rho, 0)
-
-    def measured(dist):
-        if shots is None:
-            return dist
-        return sample_marginal(dist, shots, rng)
-
+    sums = _ray_sums(F)
+    if shots is not None:
+        sums = _draw(sums.real, shots, rng)
+    vals = _ray_invert(sums)
+    _, rows, cols = _ray_cells(N)
     Xi = np.zeros((N, N), dtype=complex)
-    rays = []
-    for k in range(N):
-        vals = char_from_radon_q(measured(radon_q(F, 1, k)), 1, k, N)
-        Xi[ks + ell, center_mod(k * ks, N) + ell] = vals
-        rays.append(((1, k), vals))
-    vals = char_from_radon_r(measured(radon_r(F, 0, 1)), 0, 1, N)
-    Xi[ell, :] = vals
-    rays.append(((0, 1), vals))
-
-    return PhaseSpaceFunction(0, _dft2(Xi)), rays
+    # every ray passes the origin, each with the value sum(line sums) / N
+    Xi[rows, cols] = vals
+    return PhaseSpaceFunction(0, _dft2(Xi)), F, vals
 
 
 def scattering_circuit(rho, eta=None, xi=None, unitary=None):

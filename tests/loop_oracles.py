@@ -14,7 +14,9 @@ through the N^4 order-transfer kernel, itself the O(N^6) einsum.  The theta laye
 the number states built one Hermite column at a time and the Gamma
 table as one einsum per label pair; the kernel itself is checked against
 mpmath, since its direct theta series cancels near the minimum of K.  The tomography layer keeps the
-scattering circuit as the dense 2N-dimensional Kronecker circuit, and
+scattering circuit as the dense 2N-dimensional Kronecker circuit and
+the Wigner reconstruction one ray at a time (a line sum, a draw and an
+inversion per Python iteration over the N + 1 rays), and
 the self-test keeps its family checks on the cached T^(s) family with
 one overlap or trace per label pair.  They are slow by design and exist
 only so the fast paths can be compared against them.
@@ -35,11 +37,13 @@ from qps.lattice import (
     tensor,
     partial_trace,
     dft_matrix,
+    _dft2,
 )
 from qps.theta import kernel_table as cached_kernel_table, gamma_table as cached_gamma_table
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op
 from qps import schwinger
-from qps.quasiprob import PhaseSpaceFunction, validate_density
+from qps.quasiprob import PhaseSpaceFunction, validate_density, phase_fn
+from qps.tomography import radon_q, radon_r, char_from_radon_q, char_from_radon_r, sample_marginal
 from qps.teleport import BellLabel
 
 
@@ -361,6 +365,35 @@ def scattering_circuit(rho, U):
     out_z = np.trace(tensor(sz, np.eye(d)) @ state)
     out_y = np.trace(tensor(sy, np.eye(d)) @ state)
     return float(out_z.real), float(out_y.real)
+
+
+def ray_loop(rho, shots=None, rng=None):
+    """The Wigner grid rebuilt ray by ray, and the ((za, zb), values) pairs
+    holding the characteristic values recovered on each ray.
+
+    One Python iteration per ray of the prime-N plane, (1, k) for
+    k = 0..N-1 and then (0, 1): a line sum, optionally a draw, and the
+    ray inverse, each through the public per-line functions.
+    """
+    rho = np.asarray(rho)
+    N = rho.shape[0]
+    ell = half_width(N)
+    ks = labels(N)
+    F = phase_fn(rho, 0)
+
+    def measured(dist):
+        return dist if shots is None else sample_marginal(dist, shots, rng)
+
+    Xi = np.zeros((N, N), dtype=complex)
+    rays = []
+    for k in range(N):
+        vals = char_from_radon_q(measured(radon_q(F, 1, k)), 1, k, N)
+        Xi[ks + ell, center_mod(k * ks, N) + ell] = vals
+        rays.append(((1, k), vals))
+    vals = char_from_radon_r(measured(radon_r(F, 0, 1)), 0, 1, N)
+    Xi[ell, :] = vals
+    rays.append(((0, 1), vals))
+    return PhaseSpaceFunction(0, _dft2(Xi)), rays
 
 
 def t_overlap(t, s, dmu, dnu, N):

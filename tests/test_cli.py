@@ -134,6 +134,14 @@ def test_tomo_shots_reproducible(capsys):
     assert "statistical" in out1
 
 
+@pytest.mark.parametrize("shots", ("0", "-5"))
+def test_tomo_shots_below_one_exit_2(capsys, shots):
+    # --shots 0 used to run the exact path silently
+    code, out, err = run(capsys, "tomo", "--dim", "5", "--shots", shots)
+    assert code == 2
+    assert out == "" and "shots must be an integer >= 1" in err
+
+
 def test_teleport_reports(capsys):
     code, out, _ = run(
         capsys, "teleport", "--dim", "3", "--alpha", "0", "--beta", "0",

@@ -66,6 +66,7 @@ from qps.tomography import (
     radon_r,
     char_from_radon_q,
     char_from_radon_r,
+    sample_marginal,
     symplectic_c,
     symplectic_n,
     symplectic_m,
@@ -348,6 +349,60 @@ def test_line_sums_match_mask_loop(N, seed, pure, s, z):
         dist = radon(F, za, zb)
         assert (dist.axis, dist.line, dist.s) == (axis, (za, zb), F.s)
         assert np.abs(dist.values - oracle.line_sums(F, za, zb)).max() <= bound(N, s)
+
+
+primes = st.sampled_from((3, 5, 7, 11, 13, 31))
+
+
+@SETTINGS
+@given(N=primes, seed=seeds, pure=st.booleans())
+def test_ray_sums_match_radon_on_every_ray(N, seed, pure):
+    # the N + 1 line sums of the reconstruction, as one Fourier-slice gather
+    F = phase_fn(state(N, seed, pure), 0)
+    rays = tomography._ray_cells(N)[0]
+    assert [tuple(z) for z in rays] == [(1, k) for k in range(N)] + [(0, 1)]
+    sums = tomography._ray_sums(F)
+    for (za, zb), row in zip(rays[:-1], sums[:-1]):
+        assert np.abs(row - radon_q(F, za, zb).values).max() <= 1e-13
+    assert np.abs(sums[-1] - radon_r(F, 0, 1).values).max() <= 1e-13
+
+
+@SETTINGS
+@given(N=primes, seed=seeds, pure=st.booleans())
+def test_reconstruct_wigner_matches_ray_loop(N, seed, pure):
+    rho = state(N, seed, pure)
+    W, F, vals = tomography._ray_loop(rho, None, None)
+    W_loop, rays = oracle.ray_loop(rho)
+    assert np.array_equal(tomography._ray_cells(N)[0], [z for z, _ in rays])
+    assert np.abs(vals - np.array([v for _, v in rays])).max() <= TOL
+    assert np.abs(W.grid - W_loop.grid).max() <= TOL
+    assert np.array_equal(F.grid, phase_fn(rho, 0).grid)
+
+
+@pytest.mark.parametrize("N", (3, 5, 7, 11, 13, 31))
+@pytest.mark.parametrize("pure", (False, True))
+def test_reconstruct_wigner_with_shots_matches_ray_loop(N, pure):
+    # fixed inputs: the two routes' line sums differ in the last bits, which
+    # can flip a multinomial draw where a probability sits on a tie
+    rho = state(N, 11 * N, pure)
+    W = tomography.reconstruct_wigner(rho, 10_000, np.random.default_rng(N))
+    W_loop, _ = oracle.ray_loop(rho, 10_000, np.random.default_rng(N))
+    assert np.abs(W.grid - W_loop.grid).max() <= TOL
+
+
+@SETTINGS
+@given(N=primes, seed=seeds, pure=st.booleans(), shots=st.integers(1, 10**6))
+def test_batched_draw_matches_sequential_sample_marginal(N, seed, pure, shots):
+    # one multinomial call on the (N + 1, N) stack draws the rows in order
+    sums = tomography._ray_sums(phase_fn(state(N, seed, pure), 0))
+    batched = tomography._draw(sums.real, shots, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    one_by_one = [sample_marginal(MarginalDistribution(0j, "Q", row), shots, rng).values for row in sums]
+    assert np.array_equal(batched, one_by_one)
+    assert np.abs(batched.sum(axis=1) - math.sqrt(N)).max() <= 1e-12
+    # through the whole route: each sampled ray's origin value is its sum / N
+    _, _, vals = tomography._ray_loop(state(N, seed, pure), shots, np.random.default_rng(seed))
+    assert np.abs(N * vals[:, half_width(N)] - math.sqrt(N)).max() <= 1e-12
 
 
 @SETTINGS

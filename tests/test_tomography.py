@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qps import tomography
 from qps.lattice import half_width, labels, center_mod, dagger, tensor
 from qps.theta import kernel_table
 from qps.schwinger import s_op, t_op
@@ -327,6 +328,26 @@ def test_sample_marginal_seeded_and_normalized():
         sample_marginal(marginal_q(phase_fn(fock_projector(1, N), -1)), 10, None)
 
 
+@pytest.mark.parametrize("shots", (2.5, 100.0, 0, -3, "100", None))
+def test_sample_marginal_rejects_bad_shot_counts(shots):
+    # 2.5 used to draw 2 shots and divide by 2.5, so the ray summed to 0.8 sqrt(N)
+    N = 5
+    Q = marginal_q(phase_fn(fock_projector(1, N), 0))
+    with pytest.raises(ValueError, match="shots"):
+        sample_marginal(Q, shots, np.random.default_rng(0))
+    drawn = sample_marginal(Q, np.int64(3), np.random.default_rng(0))
+    assert abs(drawn.values.sum() - math.sqrt(N)) < 1e-12
+
+
+def test_reconstruct_wigner_shots_need_a_count_and_a_generator():
+    rho = maximally_mixed(5)
+    with pytest.raises(ValueError, match="rng"):
+        reconstruct_wigner(rho, shots=100)
+    for shots in (0, 2.5):
+        with pytest.raises(ValueError, match="shots"):
+            reconstruct_wigner(rho, shots=shots, rng=np.random.default_rng(0))
+
+
 def test_sample_marginal_ignores_sign_of_round_off():
     # the fock:1 line sum on ray (1, 2) at N = 5 holds an exact zero that
     # comes out as +-1e-16 depending on summation order
@@ -341,6 +362,17 @@ def test_sample_marginal_ignores_sign_of_round_off():
         flipped = MarginalDistribution(dist.s, dist.axis, values, dist.line)
         draws.append(sample_marginal(flipped, 1000, np.random.default_rng(3)).values)
     assert np.array_equal(draws[0], draws[1])
+
+
+def test_draw_clips_each_row_against_its_own_scale():
+    # the round-off clip is relative to each row's largest value, so a row
+    # of the batched draw does not depend on its scale (here an exact power
+    # of two) or on the other rows of the stack
+    N = 5
+    v = radon_q(phase_fn(fock_projector(1, N), 0), 1, 2).values.real
+    a = tomography._draw(np.stack([v, 2.0**-70 * v]), 1000, np.random.default_rng(3))
+    b = tomography._draw(np.stack([v, v]), 1000, np.random.default_rng(3))
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("N", (3, 5))
