@@ -9,11 +9,13 @@ coverage error.
 import argparse
 import json
 import math
+import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod
+from .lattice import check_dim, labels, center_mod
 from .theta import kernel_table
 from .schwinger import t_overlap, decompose_t, reconstruct_t, depolarize, _log_gain
 from .quasiprob import (
@@ -98,28 +100,48 @@ def _order_str(s):
     return f"{s.real:.15g},{s.imag:.15g}"
 
 
-def _grid_rows(grid, N):
-    ell = half_width(N)
-    for mu in labels(N):
-        for nu in labels(N):
-            val = grid[mu + ell, nu + ell]
-            yield int(mu), int(nu), complex(val)
+# The JSON encoder writes a value as repr(float("%.15g" % x)): the digits of
+# "%.15g" % x, in another notation where one of these patterns matches a line.
+_INTEGRAL = re.compile(r"\n-?\d+(?=\n)")
+_EXP15 = re.compile(r"\n(-?\d)(?:\.(\d+))?e\+15(?=\n)")
+# a subnormal has fewer than 15 significant digits, so its repr is shorter
+_SUBNORMAL = 2 * np.finfo(float).tiny
+
+
+def _json_numbers(x):
+    """The JSON number text of each value of the float array x, as a list."""
+    text = ("\n%.15g" * len(x)) % tuple(x.tolist()) + "\n"
+    text = _INTEGRAL.sub(lambda m: m[0] + ".0", text)
+    if "e+15" in text:
+        text = _EXP15.sub(lambda m: "\n" + m[1] + (m[2] or "").ljust(15, "0") + ".0", text)
+    out = text.replace("nan", "NaN").replace("inf", "Infinity")[1:-1].split("\n")
+    for i in np.flatnonzero((x != 0) & (np.abs(x) < _SUBNORMAL)):
+        out[i] = repr(float(_fmt(x[i])))
+    return out
 
 
 def write_grid(grid, N, s, kind, out, fmt):
-    rows = [(a, b, v.real, v.imag) for a, b, v in _grid_rows(np.asarray(grid, dtype=complex), N)]
+    """Write one row per label pair (label1 outer) as CSV or indent-1 JSON.
+
+    The rows are one %-format over the row template repeated N^2 times.
+    CSV values are written "%.15g"; JSON holds the same values as JSON
+    numbers, the bytes `json.dumps(payload, indent=1)` writes for them.
+    """
+    grid = np.asarray(grid, dtype=complex).ravel()
+    ks = labels(N)
+    rows = [None] * (4 * N * N)
+    rows[0::4] = np.repeat(ks, N).tolist()
+    rows[1::4] = np.tile(ks, N).tolist()
     if fmt == "csv":
-        lines = ["label1,label2,re,im"]
-        lines += [f"{a},{b},{_fmt(re)},{_fmt(im)}" for a, b, re, im in rows]
-        text = "\n".join(lines) + "\n"
+        rows[2::4] = grid.real.tolist()
+        rows[3::4] = grid.imag.tolist()
+        text = "label1,label2,re,im\n" + ("%d,%d,%.15g,%.15g\n" * (N * N)) % tuple(rows)
     else:
-        payload = {
-            "dim": N,
-            "s": _order_str(s),
-            "kind": kind,
-            "data": [[a, b, float(_fmt(re)), float(_fmt(im))] for a, b, re, im in rows],
-        }
-        text = json.dumps(payload, indent=1) + "\n"
+        rows[2::4] = _json_numbers(grid.real)
+        rows[3::4] = _json_numbers(grid.imag)
+        head = json.dumps({"dim": N, "s": _order_str(s), "kind": kind}, indent=1)[:-2]
+        body = ",\n".join(["  [\n   %d,\n   %d,\n   %s,\n   %s\n  ]"] * (N * N)) % tuple(rows)
+        text = head + ',\n "data": [\n' + body + "\n ]\n}\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -165,9 +187,9 @@ def cmd_tomo(args):
         raise UsageError(f"state dimension {rho.shape[0]} does not match --dim {N}")
     # a shot count below 1 raises ValueError in the sampler: exit 2
     rng = None if args.shots is None else np.random.default_rng(args.seed)
-    R, F, vals = _ray_loop(rho, args.shots, rng)
+    R, F, Xi, vals = _ray_loop(rho, args.shots, rng)
     rays, rows, cols = _ray_cells(N)
-    ray_errs = np.abs(vals - char_fn(rho, 0).grid[rows, cols]).max(axis=1)
+    ray_errs = np.abs(vals - Xi[rows, cols]).max(axis=1)
     for (za, zb), ray_err in zip(rays, ray_errs):
         print(f"ray ({za},{zb}): max |dXi| = {_fmt(float(ray_err))}")
 
@@ -284,7 +306,9 @@ def cmd_selftest(args):
     return EXIT_OK if not failed else EXIT_FAIL
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The `qps` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qps", description="Discrete phase-space toolkit command line."
     )
@@ -301,33 +325,29 @@ def build_parser():
     g.add_argument("--s", default="0", help='ordering parameter, "re" or "re,im"')
     g.add_argument("--out", default=None)
     g.add_argument("--format", default="csv", choices=["csv", "json"])
-    g.set_defaults(func=cmd_grid)
 
     t = sub.add_parser("tomo", help="Radon-transform Wigner reconstruction report")
     t.add_argument("--dim", type=int, required=True)
     t.add_argument("--state", default="maximally-mixed")
     t.add_argument("--shots", type=int, default=None)
     t.add_argument("--seed", type=int, default=0)
-    t.set_defaults(func=cmd_tomo)
 
     tp = sub.add_parser("teleport", help="three-party teleportation report")
     tp.add_argument("--dim", type=int, required=True)
     tp.add_argument("--state", default="fock:0")
     tp.add_argument("--alpha", type=int, default=0)
     tp.add_argument("--beta", type=int, default=0)
-    tp.set_defaults(func=cmd_teleport)
 
     st = sub.add_parser("selftest", help="run the invariant battery")
     st.add_argument("--dim", type=int, required=True)
-    st.set_defaults(func=cmd_selftest)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so that a cmd_* attribute replaced at run time is the one called
+        return globals()["cmd_" + args.command](args)
     except (UsageError, ValueError) as exc:
         if isinstance(exc, CoverageError):
             print(f"coverage error: {exc}", file=sys.stderr)

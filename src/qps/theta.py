@@ -15,7 +15,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .lattice import check_dim, half_width, labels, center_mod, _traces
 
@@ -142,7 +141,7 @@ def fock_coefficients(N):
     """Coefficients F[kappa + ell, n] of the finite number states.
 
     Each column n holds the coordinate-basis amplitudes of the n-th
-    number state, built from a Gaussian-weighted Hermite sum over the
+    number state, built from a sum of the Hermite function psi_n over the
     integer winding index and normalized to unit column norm.  Columns
     are exactly N-periodic in kappa.
     """
@@ -151,13 +150,20 @@ def fock_coefficients(N):
     # exp(-pi*beta^2/N) < 1e-16 beyond this winding range
     bmax = int(math.ceil(math.sqrt(16 * math.log(10) * N / math.pi))) + 1
     betas = np.arange(-bmax, bmax + 1)
-    gauss = np.exp(-math.pi * betas**2 / N)
     phases = np.exp(2j * math.pi * np.outer(betas, kappas) / N)
 
+    # psi_n(x) = H_n(x) exp(-x^2/2) up to a constant per n, which the column
+    # norm removes; the normalised recurrence keeps every row in range
+    x = math.sqrt(2 * math.pi / N) * betas
+    psi = np.empty((N, len(betas)))
+    psi[0] = np.exp(-x * x / 2)
+    if N > 1:
+        psi[1] = math.sqrt(2) * x * psi[0]
+    for n in range(1, N - 1):
+        psi[n + 1] = math.sqrt(2 / (n + 1)) * x * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
     n = np.arange(N)
-    herm = eval_hermite(n[:, None], math.sqrt(2 * math.pi / N) * betas)
     # cols[n] is column n; (-1j) ** (n % 4) keeps the phases exact at large n
-    cols = ((-1j) ** (n % 4) / math.sqrt(N))[:, None] * ((gauss * herm) @ phases)
+    cols = ((-1j) ** (n % 4) / math.sqrt(N))[:, None] * (psi @ phases)
     F = (cols / np.linalg.norm(cols, axis=1, keepdims=True)).T
     F.setflags(write=False)
     return F

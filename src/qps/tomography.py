@@ -15,10 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _idft2
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
 from .theta import kernel_table, phase_phi
 from .schwinger import s_op, reconstruct_schwinger
-from .quasiprob import PhaseSpaceFunction, phase_fn
+from .quasiprob import PhaseSpaceFunction, char_fn
 
 __all__ = [
     "CoverageError",
@@ -338,22 +338,26 @@ def _ray_cells(N):
     return rays, rows, cols
 
 
-def _ray_sums(F):
-    """Line sums of F on every ray of `_ray_cells`, one row per ray.
+def _ray_sums(Xi):
+    """Line sums on every ray of `_ray_cells`, one row per ray, of the
+    phase-space grid whose characteristic grid is Xi.
 
-    By the projection-slice theorem they are the 1-D DFT of F's
-    characteristic function along each ray: one gather and one product.
+    By the projection-slice theorem they are the 1-D DFT of Xi along each
+    ray: one gather and one product.
     """
-    _, rows, cols = _ray_cells(F.dim)
-    return _idft2(F.grid)[rows, cols] @ _dft_phases(F.dim)
+    N = Xi.shape[-1]
+    _, rows, cols = _ray_cells(N)
+    return Xi[rows, cols] @ _dft_phases(N)
 
 
 def _ray_loop(rho, shots, rng):
     """Every ray of `reconstruct_wigner` in one pass over (N + 1, N) stacks.
 
     Returns the rebuilt Wigner grid, the Wigner function F it was measured
-    from, and the characteristic values recovered on each ray of
-    `_ray_cells`, one row per ray.
+    from, F's characteristic grid, and the characteristic values recovered
+    on each ray of `_ray_cells`, one row per ray.  The traces are gathered
+    once: F is the 2-D DFT of the characteristic grid, and the line sums
+    are read from it directly.
     """
     rho = np.asarray(rho)
     N = check_dim(rho.shape[0])
@@ -363,8 +367,9 @@ def _ray_loop(rho, shots, rng):
         )
     if shots is not None and rng is None:
         raise ValueError("shot sampling needs a generator: pass rng with shots")
-    F = phase_fn(rho, 0)
-    sums = _ray_sums(F)
+    Xi0 = char_fn(rho, 0).grid
+    F = PhaseSpaceFunction(0, _dft2(Xi0))
+    sums = _ray_sums(Xi0)
     if shots is not None:
         sums = _draw(sums.real, shots, rng)
     vals = _ray_invert(sums)
@@ -372,7 +377,7 @@ def _ray_loop(rho, shots, rng):
     Xi = np.zeros((N, N), dtype=complex)
     # every ray passes the origin, each with the value sum(line sums) / N
     Xi[rows, cols] = vals
-    return PhaseSpaceFunction(0, _dft2(Xi)), F, vals
+    return PhaseSpaceFunction(0, _dft2(Xi)), F, Xi0, vals
 
 
 def scattering_circuit(rho, eta=None, xi=None, unitary=None):

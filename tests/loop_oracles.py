@@ -18,10 +18,13 @@ scattering circuit as the dense 2N-dimensional Kronecker circuit and
 the Wigner reconstruction one ray at a time (a line sum, a draw and an
 inversion per Python iteration over the N + 1 rays), and
 the self-test keeps its family checks on the cached T^(s) family with
-one overlap or trace per label pair.  They are slow by design and exist
-only so the fast paths can be compared against them.
+one overlap or trace per label pair.  The `qps grid` writer is kept as
+one Python tuple per row and `json.dumps` over the whole payload.  They
+are slow by design and exist only so the fast paths can be compared
+against them.
 """
 
+import json
 import math
 from functools import lru_cache
 
@@ -425,3 +428,28 @@ def selftest_family_residuals(N):
             for d2 in ks
         ),
     )
+
+
+def grid_rows(grid, N):
+    """(label1, label2, value) per label pair, label1 outer, one Python tuple each."""
+    ell = half_width(N)
+    for mu in labels(N):
+        for nu in labels(N):
+            val = grid[mu + ell, nu + ell]
+            yield int(mu), int(nu), complex(val)
+
+
+def grid_text(grid, N, s, kind, fmt):
+    """The `qps grid` CSV or JSON text built row by row, the JSON through `json.dumps`."""
+    rows = [(a, b, v.real, v.imag) for a, b, v in grid_rows(np.asarray(grid, dtype=complex), N)]
+    if fmt == "csv":
+        lines = ["label1,label2,re,im"]
+        lines += [f"{a},{b},{re:.15g},{im:.15g}" for a, b, re, im in rows]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "dim": N,
+        "s": f"{s.real:.15g},{s.imag:.15g}",
+        "kind": kind,
+        "data": [[a, b, float(f"{re:.15g}"), float(f"{im:.15g}")] for a, b, re, im in rows],
+    }
+    return json.dumps(payload, indent=1) + "\n"

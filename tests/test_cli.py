@@ -1,10 +1,17 @@
-"""Command-line front end: formats, determinism, and exit codes."""
+"""Command-line front end: formats, determinism, exit codes, the grid
+writer against its row-by-row oracle, and the parser shared by every
+call in one process."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import loop_oracles as oracle
 
 from qps import cli
 from qps.cli import main, parse_state, parse_order, UsageError
@@ -187,3 +194,121 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--dim", "3")
     assert code == 0
     assert "FAIL" not in out
+
+
+# value classes of the writer test: plain values, and the values where the JSON
+# encoder's notation differs from "%.15g" or where a repr has fewer digits
+TINY = np.finfo(float).tiny
+
+
+def _plain(rng, n):
+    return rng.normal(size=n)
+
+
+def _integral(rng, n):
+    return np.round(rng.normal(size=n) * 10.0 ** rng.integers(0, 15, n))
+
+
+def _zeros(rng, n):
+    return np.where(rng.random(n) < 0.5, 0.0, -0.0)
+
+
+def _notation_switch(rng, n):
+    # "%.15g" writes [1e15, 1e16) in exponent form, repr in positional form
+    edges = np.array([1e15, -1e15, 999999999999999.9, 9.999999999999999e15, 1e16, 1e16 - 2, 123456789012345.6])
+    wide = rng.uniform(0.99e15, 1.01e16, n) * rng.choice([-1.0, 1.0], n)
+    picks = np.where(rng.random(n) < 0.5, np.round(wide), wide)
+    return np.where(rng.random(n) < 0.3, rng.choice(edges, n), picks)
+
+
+def _wide_exponents(rng, n):
+    return rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, n)
+
+
+def _non_finite(rng, n):
+    return rng.choice([np.nan, np.inf, -np.inf], n)
+
+
+def _subnormal(rng, n):
+    return rng.uniform(-2.5, 2.5, n) * TINY
+
+
+VALUE_CLASSES = (_plain, _integral, _zeros, _notation_switch, _wide_exponents, _non_finite, _subnormal)
+
+
+def writer_grid(N, seed, values):
+    """An N x N grid whose entries are drawn from `values`, each with
+    probability 3/4, and otherwise from any of the value classes."""
+    rng = np.random.default_rng(seed)
+    n = 2 * N * N
+    parts = np.stack([cls(rng, n) for cls in VALUE_CLASSES])
+    vals = np.where(rng.random(n) < 0.75, values(rng, n), parts[rng.integers(len(VALUE_CLASSES), size=n), np.arange(n)])
+    # set the parts one by one: 1j * inf has a NaN real part
+    grid = np.empty(N * N, dtype=complex)
+    grid.real, grid.imag = vals[: N * N], vals[N * N :]
+    return grid.reshape(N, N)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("values", VALUE_CLASSES, ids=lambda cls: cls.__name__.strip("_"))
+@settings(max_examples=12, deadline=None)
+@given(
+    N=st.sampled_from((1, 3, 5, 7, 31, 61)),
+    seed=st.integers(0, 2**32 - 1),
+    s=st.complex_numbers(max_magnitude=1),
+    kind=st.sampled_from(("kernel", "phase_fn", "char_fn")),
+)
+def test_grid_writer_is_byte_identical_to_row_oracle(values, fmt, N, seed, s, kind):
+    grid = writer_grid(N, seed, values)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_grid(grid, N, s, kind, None, fmt)
+    assert out.getvalue() == oracle.grid_text(grid, N, s, kind, fmt)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize(
+    "what, extra",
+    [("kernel", []), ("glauber", ["--state", "fock:2"]), ("wigner", ["--state", "coherent:1,-1"]),
+     ("husimi", ["--state", "fock:1"]), ("phase", ["--state", "fock:2", "--s=0.5,-0.25"]),
+     ("char", ["--state", "maximally-mixed", "--s", "-0.3"])],
+)
+def test_grid_out_writes_the_stdout_bytes(capsys, tmp_path, what, extra, fmt):
+    argv = ["grid", "--dim", "7", "--what", what, *extra, "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / f"grid.{fmt}"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_parser_is_built_once_and_calls_share_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # flags of one call do not leak into the next
+    code, out, _ = run(capsys, "tomo", "--dim", "5", "--state", "fock:1", "--shots", "5", "--seed", "3")
+    assert code == 0 and "statistical" in out
+    code, out, _ = run(capsys, "tomo", "--dim", "5", "--state", "fock:1")
+    assert code == 0 and "statistical" not in out and "\nmax |dW|" in out
+    code, out, _ = run(capsys, "grid", "--dim", "5", "--what", "phase", "--state", "fock:1", "--s", "0.5", "--format", "json")
+    assert code == 0 and json.loads(out)["s"] == "0.5,0"
+    code, out, _ = run(capsys, "grid", "--dim", "5", "--what", "phase", "--state", "fock:1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["s"] == "0,0"
+    grid = phase_fn(fock_projector(1, 5), 0).grid
+    assert max(abs(complex(re, im) - grid[a + 2, b + 2]) for a, b, re, im in payload["data"]) < 1e-12
+    # a usage error, from argparse or from the command, leaves the parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--dim", "5"])
+    assert exc.value.code == 2
+    assert run(capsys, "grid", "--dim", "4", "--what", "kernel")[0] == 2
+    code, out, _ = run(capsys, "grid", "--dim", "3", "--what", "kernel")
+    assert code == 0 and out.startswith("label1,label2,re,im\n")
+
+
+def test_dispatch_honours_a_command_replaced_after_the_first_call(capsys, monkeypatch):
+    # a tracer swaps the cmd_* attributes of qps.cli between calls in one process
+    assert run(capsys, "grid", "--dim", "3", "--what", "kernel")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_grid", lambda args: seen.append(args.dim) or 7)
+    assert run(capsys, "grid", "--dim", "5", "--what", "kernel")[0] == 7
+    assert seen == [5]

@@ -26,6 +26,7 @@ transfer of the receiver coefficients).
 import cmath
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -221,6 +222,21 @@ def test_number_basis_tables_match_loops(N):
     assert np.abs(G - oracle.gamma_table(N)).max() <= TOL
 
 
+@pytest.mark.parametrize("N", (7, 31, 61, 101))
+def test_fock_coefficients_match_hermite_columns(N):
+    assert np.abs(fock_coefficients(N) - oracle.fock_coefficients(N)).max() <= TOL
+
+
+@pytest.mark.parametrize("N", (301, 1001))
+def test_fock_coefficients_stay_finite_at_large_n(N):
+    # H_n(x) overflows a double from n = 257 on; the Hermite functions stay in range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = fock_coefficients.__wrapped__(N)
+    assert np.isfinite(F).all()
+    assert np.abs(np.linalg.norm(F, axis=0) - 1).max() <= 1e-12
+
+
 def test_kernel_rejects_what_it_cannot_evaluate():
     for bad in (0.5, np.nan, np.inf, np.array([0, 1, 2.5])):
         with pytest.raises(ValueError):
@@ -358,10 +374,11 @@ primes = st.sampled_from((3, 5, 7, 11, 13, 31))
 @given(N=primes, seed=seeds, pure=st.booleans())
 def test_ray_sums_match_radon_on_every_ray(N, seed, pure):
     # the N + 1 line sums of the reconstruction, as one Fourier-slice gather
-    F = phase_fn(state(N, seed, pure), 0)
+    rho = state(N, seed, pure)
+    F = phase_fn(rho, 0)
     rays = tomography._ray_cells(N)[0]
     assert [tuple(z) for z in rays] == [(1, k) for k in range(N)] + [(0, 1)]
-    sums = tomography._ray_sums(F)
+    sums = tomography._ray_sums(char_fn(rho, 0).grid)
     for (za, zb), row in zip(rays[:-1], sums[:-1]):
         assert np.abs(row - radon_q(F, za, zb).values).max() <= 1e-13
     assert np.abs(sums[-1] - radon_r(F, 0, 1).values).max() <= 1e-13
@@ -371,11 +388,13 @@ def test_ray_sums_match_radon_on_every_ray(N, seed, pure):
 @given(N=primes, seed=seeds, pure=st.booleans())
 def test_reconstruct_wigner_matches_ray_loop(N, seed, pure):
     rho = state(N, seed, pure)
-    W, F, vals = tomography._ray_loop(rho, None, None)
+    W, F, Xi, vals = tomography._ray_loop(rho, None, None)
     W_loop, rays = oracle.ray_loop(rho)
     assert np.array_equal(tomography._ray_cells(N)[0], [z for z, _ in rays])
     assert np.abs(vals - np.array([v for _, v in rays])).max() <= TOL
     assert np.abs(W.grid - W_loop.grid).max() <= TOL
+    # one gather of the traces: F is the DFT of the characteristic grid handed back
+    assert np.array_equal(Xi, char_fn(rho, 0).grid)
     assert np.array_equal(F.grid, phase_fn(rho, 0).grid)
 
 
@@ -394,14 +413,14 @@ def test_reconstruct_wigner_with_shots_matches_ray_loop(N, pure):
 @given(N=primes, seed=seeds, pure=st.booleans(), shots=st.integers(1, 10**6))
 def test_batched_draw_matches_sequential_sample_marginal(N, seed, pure, shots):
     # one multinomial call on the (N + 1, N) stack draws the rows in order
-    sums = tomography._ray_sums(phase_fn(state(N, seed, pure), 0))
+    sums = tomography._ray_sums(char_fn(state(N, seed, pure), 0).grid)
     batched = tomography._draw(sums.real, shots, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     one_by_one = [sample_marginal(MarginalDistribution(0j, "Q", row), shots, rng).values for row in sums]
     assert np.array_equal(batched, one_by_one)
     assert np.abs(batched.sum(axis=1) - math.sqrt(N)).max() <= 1e-12
     # through the whole route: each sampled ray's origin value is its sum / N
-    _, _, vals = tomography._ray_loop(state(N, seed, pure), shots, np.random.default_rng(seed))
+    vals = tomography._ray_loop(state(N, seed, pure), shots, np.random.default_rng(seed))[-1]
     assert np.abs(N * vals[:, half_width(N)] - math.sqrt(N)).max() <= 1e-12
 
 
