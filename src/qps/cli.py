@@ -254,6 +254,8 @@ def _selftest_checks(N):
         np.abs(t_overlap(0, 0, ks[:, None], ks, N) - delta).max(),
         1e-10,
     )
+    # delta / N is the unit grid at (0, 0), so this reads T^(-1)(0, 0), the vacuum every coherent state displaces
+    yield ("coherent vacuum", np.abs(reconstruct_t(delta, -1) - fock_projector(0, N)).max(), 1e-10)
     wigner = phase_fn(rho, 0)
     # the Glauber grid carries round-off amplified by up to max K^(-1) = exp(_log_gain(N))
     yield (

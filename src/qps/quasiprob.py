@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dual_multiply, _traces
+from .lattice import check_dim, labels, center_mod, _dual_multiply, _traces
 from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, decompose_t, reconstruct_t, _kernel_power
 
@@ -100,29 +100,19 @@ def fock_projector(n, N):
     return np.outer(psi, psi.conj())
 
 
-def coherent_projector(mu, nu, N, tol=1e-8):
-    """Projector onto the discrete coherent state at (mu, nu).
-
-    Returns T^(-1)(mu, nu) after verifying it is Hermitian with spectrum
-    {1, 0, ..., 0}; a violation indicates a broken kernel table.
-    """
-    P = np.array(t_op(mu, nu, -1, N))
-    if np.abs(P - P.conj().T).max() > 1e-10:
-        raise FormalismViolation("coherent projector is not Hermitian")
-    w = np.linalg.eigvalsh(P)
-    if abs(w[-1] - 1.0) > tol or np.abs(w[:-1]).max() > tol:
-        raise FormalismViolation(
-            f"T^(-1)({mu},{nu}) is not a rank-1 projector; spectrum {w}"
-        )
-    return P
+def coherent_projector(mu, nu, N):
+    """Projector onto `coherent_state(mu, nu, N)`: T^(-1)(mu, nu), a displaced vacuum projector, O(N^2)."""
+    psi = coherent_state(mu, nu, N)
+    return np.outer(psi, psi.conj())
 
 
 def coherent_state(mu, nu, N):
-    """Dominant eigenvector of the coherent projector at (mu, nu)."""
-    P = coherent_projector(mu, nu, N)
-    w, v = np.linalg.eigh(P)
-    psi = v[:, -1]
-    # fix the free global phase: largest-magnitude amplitude real positive
+    """Discrete coherent state at (mu, nu), the displaced vacuum exp(2*pi*i*nu*kappa/N) F_0(kappa - mu).
+
+    The free global phase makes the largest-magnitude amplitude real positive.
+    """
+    N = check_dim(N)
+    psi = np.exp(2j * np.pi * center_mod(nu, N) * labels(N) / N) * np.roll(fock_state(0, N), mu)
     k = np.argmax(np.abs(psi))
     return psi * (abs(psi[k]) / psi[k])
 
@@ -204,20 +194,12 @@ def expectation(O, rho, s):
 
 
 def t_matrix_element(m, n, mu, nu, s, N):
-    """Number-basis matrix element <m|T^(s)(mu, nu)|n>.
-
-    It is Tr[T^(s)(mu, nu) |F_n><F_m|], the number-state dyad expanded
-    by `decompose_t` at -s and read at (mu, nu): O(N^3), with no N^4
-    table.
-    """
+    """Number-basis matrix element <m|T^(s)(mu, nu)|n> on the displaced kernel of `t_op`: O(N^2)."""
     N = check_dim(N)
     if not (0 <= m < N and 0 <= n < N):
         raise IndexError(f"number-basis indices must lie in 0..{N - 1}, got {m},{n}")
-    s = check_order(s)
-    ell = half_width(N)
     F = fock_coefficients(N)
-    grid = decompose_t(np.outer(F[:, n], F[:, m].conj()), -s)
-    return complex(grid[center_mod(mu, N) + ell, center_mod(nu, N) + ell])
+    return complex(F[:, m].conj() @ t_op(mu, nu, s, N) @ F[:, n])
 
 
 def reconstruct_rho(F, tol=1e-8):

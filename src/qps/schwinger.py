@@ -13,8 +13,9 @@ Each S(eta, xi) is a monomial matrix, so all N^2 traces Tr[S(eta, xi) O]
 are one gather of the cyclic diagonals of O plus one DFT, O(N^3)
 (`lattice._traces`), and a sum over the basis is the inverse scatter.
 Every other route between operators and label grids (the T^(s)
-expansions, the family itself and the depolarizer average) is that
-gather or scatter plus a 2-D DFT against K^(-s).
+expansions, the origin kernel T^(s)(0, 0) and the depolarizer average)
+is that gather or scatter plus a 2-D DFT against K^(-s).  Every other
+kernel T^(s)(mu, nu) is a displaced copy of the origin one (`t_op`).
 """
 
 from functools import lru_cache
@@ -127,14 +128,19 @@ def s_op_ordered(eta, xi, s, N):
 
 
 @lru_cache(maxsize=8)
+def _origin_kernel(s, N):
+    """Cached read-only T^(s)(0, 0) = sum K^(-s) S / sqrt(N); at s = -1 the vacuum projector |F_0><F_0|."""
+    T0 = reconstruct_schwinger(_kernel_power(s, N)) / np.sqrt(N)
+    T0.setflags(write=False)
+    return T0
+
+
+@lru_cache(maxsize=8)
 def _t_family(s, N):
-    # T^(s)(mu, nu) = N * reconstruct_t(unit grid at (mu, nu), s); one row of
-    # mu at a time keeps the peak memory near the N^4 result
-    units = np.eye(N * N).reshape(N, N, N, N)
-    Kpow = _kernel_power(s, N)
+    ks = labels(N)
     T = np.empty((N, N, N, N), dtype=complex)
-    for m in range(N):
-        T[m] = reconstruct_schwinger(Kpow * _dft2(units[m]))
+    for m, mu in enumerate(ks):  # one row of mu at a time
+        T[m] = t_op(mu, ks, s, N)
     T.setflags(write=False)
     return T
 
@@ -142,17 +148,27 @@ def _t_family(s, N):
 def t_family(s, N):
     """All N^2 kernels T^(s)(mu, nu) as an array [mu + ell, nu + ell, :, :].
 
-    The eight most recent (s, N) pairs stay cached, so a sweep over
-    orders holds at most eight N^4 tables; the returned array is read-only.
+    Each is a displaced copy of T^(s)(0, 0) (see `t_op`).  No library route
+    reads this N^4 table; the eight most recent (s, N) pairs stay cached,
+    and the returned array is read-only.
     """
     return _t_family(check_order(s), check_dim(N))
 
 
 def t_op(mu, nu, s, N):
-    """Single mod(N)-invariant kernel T^(s)(mu, nu); any integer labels."""
-    ell = half_width(N)
-    fam = t_family(s, N)
-    return fam[center_mod(mu, N) + ell, center_mod(nu, N) + ell]
+    """Mod(N)-invariant kernel T^(s)(mu, nu) at any integer labels, by the displacement law.
+
+    T^(s)(mu, nu)[a, b] = p[a] T0[a - mu, b - mu] conj(p[b]) with
+    p = exp(2*pi*i*nu*kappa/N) and T0 = T^(s)(0, 0) cached per (s, N):
+    one O(N^2) gather and phase product.  An integer array `nu` stacks its
+    kernels on the leading axes.
+    """
+    N = check_dim(N)
+    ell = (N - 1) // 2
+    idx = _diagonals(N)[1][(mu + ell) % N]  # row kappa + ell holds index (kappa - mu) + ell
+    ph = _dft_phases(N)  # row -nu is p, row nu is conj(p)
+    T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
+    return ph[(ell - nu) % N, :, None] * T0 * ph[(nu + ell) % N, None, :]
 
 
 def t_overlap(t, s, dmu, dnu, N):

@@ -136,7 +136,8 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     the Bell dyads.
 
     Returns the table C[w1, w2, w1', w2'] such that the kernel product equals
-    sum C * |Psi_{w1,w2}><Psi_{w1',w2'}|.
+    sum C * |Psi_{w1,w2}><Psi_{w1',w2'}|.  The two kernels come from `t_op`,
+    each a displaced copy of its cached origin kernel, so no N^4 table is read.
     """
     N = check_dim(N)
     A = t_op(mu1, nu1, check_order(s1), N)

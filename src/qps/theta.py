@@ -169,13 +169,12 @@ def fock_coefficients(N):
     return F
 
 
-@lru_cache(maxsize=8)
 def gamma_table(N):
-    """Number-basis kernel table G[m, n, eta + ell, xi + ell].
+    """Number-basis kernel table G[m, n, eta + ell, xi + ell], read-only.
 
     G[m, n] is the (eta, xi)-resolved overlap of number states m and n,
-    satisfying G[m, n](0, 0) = delta_mn and G[0, 0] = K.  The eight most
-    recent N stay cached.
+    satisfying G[m, n](0, 0) = delta_mn and G[0, 0] = K.  No library route
+    reads it, so each call builds the N^4 table afresh and none is cached.
     """
     N = check_dim(N)
     F = fock_coefficients(N)

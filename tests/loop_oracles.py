@@ -5,7 +5,9 @@ trace each, a Python loop of fancy-index gathers for the smoothing
 convolution, N^2 `t_overlap` calls for the smoothing table, the
 theta-series double loop of the marginal smoothing, the scalar DFT
 sum of the Radon ray inversion, the einsum-built T^(s) family with the
-direct kernel traces against it, the symplectic generators accumulated
+direct kernel traces against it, the family read off an N^2 x N^2
+identity of unit grids (the library's route before the displacement
+law), the symplectic generators accumulated
 one basis element at a time, the depolarizer's conjugation loop, and
 the teleportation layer on dense operators: Kronecker-built Bell states,
 the N^3-dimensional protocol with a partial trace, the N^4 Bell-dyad
@@ -42,7 +44,7 @@ from qps.lattice import (
     dft_matrix,
     _dft2,
 )
-from qps.theta import kernel_table as cached_kernel_table, gamma_table as cached_gamma_table
+from qps.theta import kernel_table as cached_kernel_table, gamma_table as _gamma_table
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density, phase_fn
@@ -237,6 +239,22 @@ def t_family(s, N):
     return _t_family(check_order(s), check_dim(N))
 
 
+def t_family_units(s, N):
+    """T^(s)(mu, nu) = N * reconstruct_t(unit grid at (mu, nu), s) over every label pair.
+
+    The library's family before the displacement law: each row of mu
+    scatters K^(-s) times the 2-D DFT of N unit grids, read off an
+    N^2 x N^2 identity.
+    """
+    s, N = check_order(s), check_dim(N)
+    units = np.eye(N * N).reshape(N, N, N, N)
+    Kpow = schwinger._kernel_power(s, N)
+    T = np.empty((N, N, N, N), dtype=complex)
+    for m in range(N):
+        T[m] = schwinger.reconstruct_schwinger(Kpow * _dft2(units[m]))
+    return T
+
+
 def phase_fn_direct(rho, s):
     """F^(s)(mu, nu) = Tr[T^(s)(mu, nu) rho] by direct kernel traces."""
     rho = np.asarray(rho)
@@ -397,6 +415,10 @@ def ray_loop(rho, shots=None, rng=None):
     Xi[ell, :] = vals
     rays.append(((0, 1), vals))
     return PhaseSpaceFunction(0, _dft2(Xi)), rays
+
+
+# the library builds the Gamma table afresh on every call
+cached_gamma_table = lru_cache(maxsize=None)(_gamma_table)
 
 
 def t_overlap(t, s, dmu, dnu, N):

@@ -82,6 +82,13 @@ def test_grid_wigner_maximally_mixed_is_flat(capsys):
     assert values == {"0.2"}  # constant 1/N, the unit-trace normalization
 
 
+def test_grid_coherent_state_at_dimension_one(capsys):
+    # the one-point space: the coherent state is the vacuum [1], and its Wigner grid is [1]
+    code, out, _ = run(capsys, "grid", "--dim", "1", "--what", "wigner", "--state", "coherent:0,0")
+    assert code == 0
+    assert out == "label1,label2,re,im\n0,0,1,0\n"
+
+
 def test_grid_json_deterministic(capsys):
     args = [
         "grid", "--dim", "3", "--what", "husimi", "--state", "fock:0",

@@ -69,6 +69,13 @@ def test_vacuum_coincides_with_central_coherent_state():
         assert abs(overlap - 1.0) < 1e-10
 
 
+def test_coherent_state_at_dimension_one():
+    # every label pair reduces to (0, 0), and the displaced vacuum is [1]
+    for mu, nu in [(0, 0), (3, -4)]:
+        assert np.array_equal(coherent_state(mu, nu, 1), [1])
+        assert np.array_equal(coherent_projector(mu, nu, 1), [[1]])
+
+
 @pytest.mark.parametrize("N", DIMS)
 @pytest.mark.parametrize("s", (-1, 0, 1, 0.5j))
 def test_phase_fn_dual_paths_agree(N, s):

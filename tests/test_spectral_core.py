@@ -24,9 +24,11 @@ transfer of the receiver coefficients).
 """
 
 import cmath
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import mpmath
@@ -43,6 +45,7 @@ from qps.schwinger import (
     t_overlap,
     decompose_schwinger,
     reconstruct_schwinger,
+    t_op,
     t_family,
     decompose_t,
     reconstruct_t,
@@ -51,6 +54,7 @@ from qps.schwinger import (
 )
 from qps.quasiprob import (
     PhaseSpaceFunction,
+    coherent_projector,
     char_fn,
     phase_fn,
     random_density,
@@ -112,6 +116,8 @@ bell_labels = st.tuples(raw_labels, raw_labels)
 # odd N up to the largest the direct theta series could build, and two past it
 KERNEL_DIMS = (1, 3, 5, 9, 15, 31, 61, 95, 201, 1001)
 GAMMA_DIMS = (1, 3, 5, 9, 17)
+# the unit-grid family oracle holds an N^2 x N^2 identity: 15 MB at N = 31
+DISPLACEMENT_DIMS = (1, 3, 5, 7, 9, 15, 17, 31)
 
 
 def bound(N, s):
@@ -444,6 +450,30 @@ def test_t_family_matches_einsum(N, s):
 
 
 @SETTINGS
+@given(N=st.sampled_from(DISPLACEMENT_DIMS), s=orders, raw=st.tuples(raw_labels, raw_labels))
+def test_displaced_kernels_match_unit_grid_family(N, s, raw):
+    # every label pair and one raw pair against the family the library read
+    # before the displacement law; then the rank-1 spectrum check that its
+    # coherent projector ran on every call, moved here
+    ell, ks = half_width(N), labels(N)
+    pairs = [(mu, nu) for mu in ks for nu in ks] + [raw]
+    for order in (s, -1):
+        ref = oracle.t_family_units(order, N)
+        tol = 1e-13 * np.abs(ref).max()
+        assert np.abs(t_family(order, N) - ref).max() <= tol
+        for mu, nu in pairs:
+            T = ref[center_mod(mu, N) + ell, center_mod(nu, N) + ell]
+            assert np.abs(t_op(mu, nu, order, N) - T).max() <= tol
+    # ref and tol now belong to s = -1, whose kernels are the coherent projectors
+    for mu, nu in pairs:
+        P = coherent_projector(mu, nu, N)
+        assert np.abs(P - ref[center_mod(mu, N) + ell, center_mod(nu, N) + ell]).max() <= tol
+        assert np.abs(P - P.conj().T).max() <= 1e-10
+        w = np.linalg.eigvalsh(P)
+        assert abs(w[-1] - 1) <= 1e-10 and np.abs(w[:-1]).max(initial=0.0) <= 1e-10
+
+
+@SETTINGS
 @given(N=family_dims, seed=seeds, s=orders)
 def test_t_expansions_match_einsum(N, seed, s):
     O, grid = operator(N, seed), operator(N, seed + 1)
@@ -663,7 +693,7 @@ def test_gamma_table_builds_near_its_result():
     fock_coefficients(N)
     tracemalloc.start()
     try:
-        G = gamma_table.__wrapped__(N)
+        G = gamma_table(N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -671,9 +701,10 @@ def test_gamma_table_builds_near_its_result():
 
 
 def test_gamma_table_cache_is_bounded():
-    for N in range(1, 21, 2):
-        gamma_table(N)
-    assert gamma_table.cache_info().currsize <= 8
+    # no library route reads the table, so no call keeps one alive
+    refs = [weakref.ref(gamma_table(N)) for N in range(1, 21, 2)]
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def selftest(capsys, N):
@@ -707,6 +738,16 @@ def bump_last(route):
     return faulty
 
 
+def bump_at_order(route, order):
+    # the fault of `bump_last` only on calls at the given order (the last argument)
+    faulty_route = bump_last(route)
+
+    def faulty(*args):
+        return (faulty_route if args[-1] == order else route)(*args)
+
+    return faulty
+
+
 def flip_sy(*args, **kwargs):
     # a circuit reading -Im instead of +Im
     sz, sy = scattering_circuit(*args, **kwargs)
@@ -718,10 +759,15 @@ def smooth_by_k_squared(P):
     return PhaseSpaceFunction(0, smooth_p_to_h(P).grid)
 
 
+# a second self-test line that reads the route under the parametrized fault
+ALSO_READS = {("reconstruct_t", "resolution of identity"): "coherent vacuum"}
+
+
 @pytest.mark.parametrize(
     "route, fault, line",
     [
         ("reconstruct_t", bump_last(reconstruct_t), "resolution of identity"),
+        ("reconstruct_t", bump_at_order(reconstruct_t, -1), "coherent vacuum"),
         ("decompose_t", bump_last(decompose_t), "unit kernel traces"),
         ("t_overlap", bump_last(t_overlap), "kernel orthogonality"),
         ("scattering_circuit", flip_sy, "scattering circuit"),
@@ -730,9 +776,11 @@ def smooth_by_k_squared(P):
 )
 def test_selftest_fails_on_faulty_route(capsys, monkeypatch, route, fault, line):
     # every label pair is checked: a fault at the last one fails that check, and only it;
-    # at N = 31 the P->W tolerance has grown to 1e-4, and a wrong step still exceeds it
+    # at N = 31 the P->W tolerance has grown to 1e-4, and a wrong step still exceeds it.
+    # The coherent vacuum line reads reconstruct_t too, at order -1, so a fault there at
+    # every order fails both lines
     monkeypatch.setattr(cli, route, fault)
     code, out = selftest(capsys, 31)
     assert code == 1
-    failed = [text for text in out.splitlines() if text.startswith("[FAIL]")]
-    assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {line}:")
+    failed = [text[len("[FAIL] "):].split(":")[0] for text in out.splitlines() if text.startswith("[FAIL]")]
+    assert sorted(failed) == sorted({line, ALSO_READS.get((route, line), line)})
