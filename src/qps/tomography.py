@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
-from .theta import kernel_table, phase_phi
-from .schwinger import s_op, reconstruct_schwinger
+from .theta import kernel_table
+from .schwinger import s_op
 from .quasiprob import PhaseSpaceFunction, char_fn
 
 __all__ = [
@@ -147,77 +147,66 @@ def smooth_marginal(dist):
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
 
 
-def _generator_sum(N, phase, eta_of, xi_of):
-    """sum_{eta,xi} phase(eta, xi) S(eta_of, xi_of) / sqrt(N) as one scatter.
+def _chirp(o, kappa, N):
+    """exp(i pi o kappa^2 / N), the exponent reduced mod 2N first (o an integer)."""
+    return np.exp(1j * np.pi * ((o * kappa**2) % (2 * N)) / N)
 
-    The phases are added into one coefficient grid at the reduced labels;
-    a raw label outside [-ell, ell] contributes with the sign
-    (-1)**phase_phi relating S at the raw labels to S at the reduced ones.
+
+def _even_shear(omega, N):
+    """-omega as the even representative of its class mod 2N.
+
+    The quadratic phase exp(i pi o kappa^2 / N) is N-periodic in kappa
+    only for even o; an odd representative breaks the conjugation law at
+    wraparound.  The sign matches the downward-shift V convention, so
+    that J reproduces (eta, xi) -> (z1 eta + z2 xi, z3 eta + z4 xi).
     """
-    ell = half_width(N)
-    eta, xi = np.meshgrid(labels(N), labels(N), indexing="ij")
-    e, x = np.broadcast_arrays(eta_of(eta, xi), xi_of(eta, xi))
-    C = np.zeros((N, N), dtype=complex)
-    np.add.at(
-        C,
-        (center_mod(e, N) + ell, center_mod(x, N) + ell),
-        phase(eta, xi) * (-1.0) ** phase_phi(e, x, N),
-    )
-    return reconstruct_schwinger(C) / np.sqrt(N)
+    o = -omega
+    return o + N if o % 2 else o
+
+
+def _circulant(omega3, cols, N):
+    """M(Omega3)[j, k] at column labels `cols`: c(cols[k] - j), where
+    c = DFT of the momentum chirp exp(-i pi o3 eta^2 / N), divided by N."""
+    ks, ell = labels(N), half_width(N)
+    c = _dft_phases(N) @ _chirp(-_even_shear(omega3, N), ks, N) / N
+    return c[center_mod(cols[None, :] - ks[:, None], N) + ell]
 
 
 def symplectic_c(params):
-    """Scaling-type generator C(Omega1)."""
+    """Scaling-type generator C(Omega1): the dilation |kappa> -> |Omega1 kappa mod N>."""
     N = params.N
-    o1 = params.omegas[0]
-    return _generator_sum(
-        N,
-        lambda eta, xi: np.exp(-1j * np.pi * (1 + o1) * eta * xi / N),
-        lambda eta, xi: eta,
-        lambda eta, xi: (1 - o1) * xi,
-    )
+    ks, ell = labels(N), half_width(N)
+    C = np.zeros((N, N), dtype=complex)
+    C[center_mod(params.omegas[0] * ks, N) + ell, ks + ell] = 1
+    return C
 
 
 def symplectic_n(params):
-    """Coordinate quadratic-phase generator N(Omega2).
-
-    The shear parameter enters with a sign matching the downward-shift V
-    convention, so that the full J reproduces the conjugation law
-    (eta, xi) -> (z1 eta + z2 xi, z3 eta + z4 xi).  The parameter is taken
-    as the even representative of its class mod 2N: the quadratic phase
-    exp(i*pi*Omega*kappa^2/N) is N-periodic in kappa only for even Omega,
-    and an odd representative breaks the conjugation law at wraparound.
-    """
+    """Coordinate quadratic-phase generator N(Omega2): the diagonal chirp
+    exp(i pi o2 kappa^2 / N), o2 = -Omega2 as its even representative mod 2N."""
     N = params.N
-    o2 = -params.omegas[1]
-    if o2 % 2:
-        o2 += N
-    return _generator_sum(
-        N,
-        lambda eta, xi: np.exp(1j * np.pi * (o2 * xi - 2 * eta) * xi / N),
-        lambda eta, xi: eta,
-        lambda eta, xi: 0,
-    )
+    return np.diag(_chirp(_even_shear(params.omegas[1], N), labels(N), N))
 
 
 def symplectic_m(params):
-    """Momentum quadratic-phase generator M(Omega3); sign and even-mod-2N
-    representative chosen as in symplectic_n."""
+    """Momentum quadratic-phase generator M(Omega3): the circulant
+    M[j, k] = c(k - j), the chirp exp(-i pi o3 eta^2 / N) conjugated by the
+    DFT, with o3 = -Omega3 as its even representative mod 2N."""
     N = params.N
-    o3 = -params.omegas[2]
-    if o3 % 2:
-        o3 += N
-    return _generator_sum(
-        N,
-        lambda eta, xi: np.exp(-1j * np.pi * (o3 * eta + 2 * xi) * eta / N),
-        lambda eta, xi: 0,
-        lambda eta, xi: xi,
-    )
+    return _circulant(params.omegas[2], labels(N), N)
 
 
 def symplectic_j(params):
-    """Full Bogoliubov-type transformation J = M(O3) N(O2) C(O1)."""
-    return symplectic_m(params) @ symplectic_n(params) @ symplectic_c(params)
+    """Full Bogoliubov-type transformation J = M(O3) N(O2) C(O1), as one gather.
+
+    C sends |k> to |Omega1 k>, where N multiplies by its chirp, so
+    J[j, k] = c(Omega1 k - j) exp(i pi o2 (Omega1 k)^2 / N): O(N^2), with
+    no matrix product.
+    """
+    N = params.N
+    o1, o2, o3 = params.omegas
+    cols = center_mod(o1 * labels(N), N)
+    return _circulant(o3, cols, N) * _chirp(_even_shear(o2, N), cols, N)
 
 
 def _line_sums(F, za, zb, axis):
@@ -284,25 +273,32 @@ def _draw(p, shots, rng):
     """Multinomial shot-noise estimates of the line sums p, one per row of the last axis.
 
     Each row is scaled to probabilities, sampled with `shots` draws and
-    rescaled, preserving its sum sqrt(N).  Values within round-off of
-    zero, N * eps * max|value| of their row, count as zero, so that the
-    sign of round-off cannot decide which bins are drawn.  numpy draws the
-    rows in order, as one call per row would.
+    rescaled, preserving its sum sqrt(N).  Negative values count as zero.
+    The probabilities are rounded to multiples of 2^-32, the rounding
+    error of the row going to its largest bin, so numpy's running
+    remainder subtracts them exactly: a conditional probability of 1/2,
+    where numpy's binomial changes algorithm, stays exactly 1/2, and a
+    last-bit change of p (its sign at zero included) moves no draw unless
+    it crosses a rounding boundary, a chance below 2^-18 per row.  numpy
+    draws the rows in order, as one call per row would.
     """
     if not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     N = p.shape[-1]
-    p = np.where(p > N * np.finfo(float).eps * np.abs(p).max(axis=-1, keepdims=True), p, 0.0)
-    counts = rng.multinomial(shots, p / p.sum(axis=-1, keepdims=True))
-    return counts / shots * math.sqrt(N)
+    p = np.maximum(p, 0.0)
+    q = np.rint(p / p.sum(axis=-1, keepdims=True) * 2**32) / 2**32
+    top = q.argmax(axis=-1)[..., None]
+    rest = 1 - q.sum(axis=-1, keepdims=True)
+    np.put_along_axis(q, top, np.take_along_axis(q, top, -1) + rest, -1)
+    return rng.multinomial(shots, q) / shots * math.sqrt(N)
 
 
 def sample_marginal(dist, shots, rng):
     """Multinomial shot-noise estimate of an s = 0 marginal.
 
     The values are scaled to probabilities, sampled with `shots` draws
-    (an integer >= 1) and rescaled, preserving the sum sqrt(N).  Values
-    within round-off of zero count as zero; `_draw` holds the rule.
+    (an integer >= 1) and rescaled, preserving the sum sqrt(N).  `_draw`
+    holds the rule that rounds the probabilities before the draw.
     """
     if abs(complex(dist.s)) > 1e-12:
         raise ValueError("shot sampling is defined for s = 0 marginals only")

@@ -7,8 +7,9 @@ theta-series double loop of the marginal smoothing, the scalar DFT
 sum of the Radon ray inversion, the einsum-built T^(s) family with the
 direct kernel traces against it, the family read off an N^2 x N^2
 identity of unit grids (the library's route before the displacement
-law), the symplectic generators accumulated
-one basis element at a time, the depolarizer's conjugation loop, and
+law), the symplectic generators C, N and M accumulated one basis
+element at a time and J as their dense product, the depolarizer's
+conjugation loop, and
 the teleportation layer on dense operators: Kronecker-built Bell states,
 the N^3-dimensional protocol with a partial trace, the N^4 Bell-dyad
 loop, the einsum over two T^(s) families, and the receiver coefficients
@@ -271,6 +272,51 @@ def generator_sum(N, phase, eta_of, xi_of):
         for xi in labels(N):
             acc += phase(eta, xi) * s_op(eta_of(eta, xi), xi_of(eta, xi), N)
     return acc / np.sqrt(N)
+
+
+def _even_shear(omega, N):
+    o = -omega
+    return o + N if o % 2 else o
+
+
+def symplectic_c(params):
+    """C(Omega1) as the basis sum of exp(-i pi (1 + o1) eta xi / N) S(eta, (1 - o1) xi)."""
+    N, o1 = params.N, params.omegas[0]
+    return generator_sum(
+        N,
+        lambda eta, xi: np.exp(-1j * np.pi * (1 + o1) * eta * xi / N),
+        lambda eta, xi: eta,
+        lambda eta, xi: (1 - o1) * xi,
+    )
+
+
+def symplectic_n(params):
+    """N(Omega2) as the basis sum of exp(i pi (o2 xi - 2 eta) xi / N) S(eta, 0), o2 = -Omega2 even mod 2N."""
+    N = params.N
+    o2 = _even_shear(params.omegas[1], N)
+    return generator_sum(
+        N,
+        lambda eta, xi: np.exp(1j * np.pi * (o2 * xi - 2 * eta) * xi / N),
+        lambda eta, xi: eta,
+        lambda eta, xi: 0,
+    )
+
+
+def symplectic_m(params):
+    """M(Omega3) as the basis sum of exp(-i pi (o3 eta + 2 xi) eta / N) S(0, xi), o3 = -Omega3 even mod 2N."""
+    N = params.N
+    o3 = _even_shear(params.omegas[2], N)
+    return generator_sum(
+        N,
+        lambda eta, xi: np.exp(-1j * np.pi * (o3 * eta + 2 * xi) * eta / N),
+        lambda eta, xi: 0,
+        lambda eta, xi: xi,
+    )
+
+
+def symplectic_j(params):
+    """J = M(Omega3) N(Omega2) C(Omega1) as two dense products of the basis sums."""
+    return symplectic_m(params) @ symplectic_n(params) @ symplectic_c(params)
 
 
 def conjugation_average(O, w):

@@ -72,9 +72,11 @@ from qps.tomography import (
     char_from_radon_q,
     char_from_radon_r,
     sample_marginal,
+    SymplecticParams,
     symplectic_c,
     symplectic_n,
     symplectic_m,
+    symplectic_j,
     scattering_circuit,
 )
 from qps.teleport import (
@@ -485,17 +487,48 @@ def test_t_expansions_match_einsum(N, seed, s):
 
 @pytest.mark.parametrize("N", FAMILY_DIMS)
 def test_symplectic_generators_match_basis_loop(N):
-    # every Omega in [-N, N]: the raw labels (1 - Omega) * xi of C leave
-    # [-ell, ell] and wrap, and N and M see both parities of Omega
-    generators = (symplectic_c, symplectic_n, symplectic_m)
+    # every Omega in [-N, N], composite N included: C's raw labels
+    # (1 - Omega) * xi leave [-ell, ell] and wrap, N and M see both parities
+    # of Omega, and a non-invertible Omega makes C a singular dilation
+    pairs = (
+        (symplectic_c, oracle.symplectic_c),
+        (symplectic_n, oracle.symplectic_n),
+        (symplectic_m, oracle.symplectic_m),
+    )
     for omega in range(-N, N + 1):
         params = SimpleNamespace(N=N, omegas=(omega, omega, omega))
-        fast = [g(params) for g in generators]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tomography, "_generator_sum", oracle.generator_sum)
-            slow = [g(params) for g in generators]
-        for a, b in zip(fast, slow):
-            assert np.abs(a - b).max() <= TOL
+        for closed, loop in pairs:
+            assert np.abs(closed(params) - loop(params)).max() <= TOL
+
+
+@st.composite
+def symplectic_params(draw):
+    """A random SymplecticParams at prime N from unreduced z2, z3, z4."""
+    N = draw(primes)
+    z2, z3 = draw(raw_labels), draw(raw_labels)
+    z4 = draw(raw_labels.filter(lambda z: z % N))
+    q = (1 + z2 * z3) % N
+    assume(q)
+    return SymplecticParams(q * pow(z4, -1, N), z2, z3, z4, N)
+
+
+@SETTINGS
+@given(params=symplectic_params())
+def test_symplectic_j_gather_is_the_clifford_map(params):
+    # J from one gather: unitary, the dense product of the basis sums, and
+    # for every label pair x, J S(x) J^dag = +-S(Mx), Mx reduced mod N.  The
+    # sign is (-1)^(eta xi + eta' xi') for x = (eta, xi), Mx = (eta', xi'):
+    # S(x) = (-1)^(eta xi) D(x) / sqrt(N) with D(x) = w^(eta xi / 2) U^eta V^xi,
+    # 1/2 taken mod N, and J D(x) J^dag = D(Mx) carries no sign
+    N, z = params.N, params.matrix()
+    J = symplectic_j(params)
+    assert np.abs(J @ J.conj().T - np.eye(N)).max() <= TOL
+    assert np.abs(J - oracle.symplectic_j(params)).max() <= TOL
+    eta, xi = (a.ravel() for a in np.meshgrid(labels(N), labels(N), indexing="ij"))
+    e2, x2 = center_mod(z[0, 0] * eta + z[0, 1] * xi, N), center_mod(z[1, 0] * eta + z[1, 1] * xi, N)
+    lhs = J @ s_op(eta, xi, N) @ J.conj().T
+    sign = (-1.0) ** (eta * xi + e2 * x2)
+    assert np.abs(lhs - sign[:, None, None] * s_op(e2, x2, N)).max() <= TOL
 
 
 @SETTINGS

@@ -375,6 +375,22 @@ def test_draw_clips_each_row_against_its_own_scale():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("N", (3, 5, 7, 31))
+def test_draw_is_stable_under_one_ulp_of_the_line_sums(N):
+    # numpy's binomial changes algorithm at p = 1/2, which the multinomial's
+    # running remainder reaches on every row whose last two probabilities are
+    # equal (every row of the maximally mixed state); on the fixed grid of
+    # probabilities a last-bit change of the sums leaves seeded counts alone
+    rng = np.random.default_rng(N)
+    for rho in (maximally_mixed(N), fock_projector(0, N), fock_projector(1, N)):
+        sums = tomography._ray_sums(char_fn(rho, 0).grid).real
+        mixed = np.nextafter(sums, np.where(rng.random(sums.shape) < 0.5, -np.inf, np.inf))
+        for seed in range(4):
+            ref = tomography._draw(sums, 10_000, np.random.default_rng(seed))
+            for v in (np.nextafter(sums, np.inf), np.nextafter(sums, -np.inf), mixed):
+                assert np.array_equal(tomography._draw(v, 10_000, np.random.default_rng(seed)), ref)
+
+
 @pytest.mark.parametrize("N", (3, 5))
 def test_scattering_circuit_reads_characteristic_function(N):
     ell = half_width(N)
