@@ -274,26 +274,17 @@ def _selftest_checks(N):
         np.abs(depolarize(O) - np.trace(O) * np.eye(N)).max(),
         1e-10,
     )
-    # one batched readout per eta row of the dual plane
+    # every label pair of the dual plane in one readout call: O(N^3) time, O(N^2) memory
     Xi = math.sqrt(N) * char_fn(rho, 0).grid
-    err = 0.0
-    for i, eta in enumerate(ks):
-        sz, sy = scattering_circuit(rho, eta, ks)
-        err = max(err, np.abs(sz - Xi[i].real).max(), np.abs(sy - Xi[i].imag).max())
-    yield ("scattering circuit", err, 1e-10)
+    sz, sy = scattering_circuit(rho, ks[:, None], ks)
+    yield ("scattering circuit", max(np.abs(sz - Xi.real).max(), np.abs(sy - Xi.imag).max()), 1e-10)
     try:
         W = reconstruct_wigner(rho)
-        yield (
-            "tomography round trip",
-            np.abs(W.grid - phase_fn(rho, 0).grid).max(),
-            1e-9,
-        )
+        yield ("tomography round trip", np.abs(W.grid - wigner.grid).max(), 1e-9)
     except CoverageError:
         yield ("tomography round trip (composite N skipped)", 0.0, 1.0)
     r3, p = teleport(rho, 1, -1)
-    W3 = phase_fn(r3, 0).grid
-    W1 = phase_fn(rho, 0).grid
-    err = np.abs(W3 - np.roll(W1, (1, 1), axis=(0, 1))).max()
+    err = np.abs(phase_fn(r3, 0).grid - np.roll(wigner.grid, (1, 1), axis=(0, 1))).max()
     yield ("teleport shift law", max(err, abs(p - 1 / N**2)), 1e-9)
 
 

@@ -46,26 +46,32 @@ class FormalismViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class PhaseSpaceFunction:
-    """Grid of F^(s)(mu, nu) over centered labels, tagged with its order s."""
+    """Grid of F^(s)(mu, nu) over centered labels, tagged with its order s.
+
+    Leading axes of the grid are a batch.
+    """
 
     s: complex
     grid: np.ndarray
 
     @property
     def dim(self):
-        return self.grid.shape[0]
+        return self.grid.shape[-1]
 
 
 @dataclass(frozen=True)
 class CharacteristicFunction:
-    """Grid of Xi^(s)(eta, xi) over centered labels, tagged with its order s."""
+    """Grid of Xi^(s)(eta, xi) over centered labels, tagged with its order s.
+
+    Leading axes of the grid are a batch.
+    """
 
     s: complex
     grid: np.ndarray
 
     @property
     def dim(self):
-        return self.grid.shape[0]
+        return self.grid.shape[-1]
 
 
 def validate_density(rho, tol=1e-10):
@@ -130,15 +136,21 @@ def random_density(N, rng, pure=False):
 
 
 def char_fn(rho, s):
-    """Characteristic function Xi^(s)(eta, xi) = Tr[S^(s)(eta, xi) rho]."""
+    """Characteristic function Xi^(s)(eta, xi) = Tr[S^(s)(eta, xi) rho].
+
+    Leading axes of rho are a batch.
+    """
     rho = np.asarray(rho)
     s = check_order(s)
-    N = check_dim(rho.shape[0])
+    N = check_dim(rho.shape[-1])
     return CharacteristicFunction(s, _kernel_power(s, N) * _traces(rho))
 
 
 def phase_fn(rho, s):
-    """Phase-space function F^(s)(mu, nu) = Tr[T^(s)(mu, nu) rho], the 2-D DFT of Xi^(s)."""
+    """Phase-space function F^(s)(mu, nu) = Tr[T^(s)(mu, nu) rho], the 2-D DFT of Xi^(s).
+
+    Leading axes of rho are a batch.
+    """
     s = check_order(s)
     return PhaseSpaceFunction(s, decompose_t(rho, -s))
 
@@ -185,12 +197,16 @@ def smooth_p_to_h(P):
 
 
 def expectation(O, rho, s):
-    """Mean value Tr(O rho) evaluated through the phase-space overlap rule."""
+    """Mean value Tr(O rho) evaluated through the phase-space overlap rule.
+
+    Leading axes of O and rho are a batch, and the result is then an array.
+    """
     O = np.asarray(O)
     s = check_order(s)
     coeffs = decompose_t(O, s)  # O^(-s)(mu, nu)
     F = phase_fn(rho, s)
-    return complex(np.sum(coeffs * F.grid) / F.dim)
+    out = np.sum(coeffs * F.grid, axis=(-2, -1)) / F.dim
+    return complex(out) if out.ndim == 0 else out
 
 
 def t_matrix_element(m, n, mu, nu, s, N):
@@ -206,10 +222,12 @@ def reconstruct_rho(F, tol=1e-8):
     """Invert a phase-space function back to its density matrix.
 
     rho = (1/N) sum F^(s)(mu, nu) T^(-s)(mu, nu); flags a non-unit trace.
+    Leading axes of the grid are a batch, and every slice is checked.
     """
     rho = reconstruct_t(F.grid, -complex(F.s))
-    if abs(np.trace(rho) - 1.0) > tol:
+    trace = rho.trace(axis1=-2, axis2=-1)
+    if abs(trace - 1.0).max() > tol:
         raise FormalismViolation(
-            f"reconstructed operator has trace {np.trace(rho)}, expected 1"
+            f"reconstructed operator has trace {trace}, expected 1"
         )
     return rho

@@ -189,11 +189,14 @@ def t_overlap(t, s, dmu, dnu, N):
 
 
 def decompose_schwinger(O):
-    """Coefficients C[eta + ell, xi + ell] = Tr[S(eta, xi)^dag O]."""
+    """Coefficients C[eta + ell, xi + ell] = Tr[S(eta, xi)^dag O].
+
+    Leading axes of O are a batch.
+    """
     O = np.asarray(O)
-    check_dim(O.shape[0])
+    check_dim(O.shape[-1])
     # S(eta, xi)^dag = S(-eta, -xi): negate both labels
-    return _traces(O)[::-1, ::-1]
+    return _traces(O)[..., ::-1, ::-1]
 
 
 def reconstruct_schwinger(C):
@@ -211,18 +214,24 @@ def reconstruct_schwinger(C):
 
 
 def decompose_t(O, s):
-    """Phase-space coefficients O^(-s)[mu + ell, nu + ell] = Tr[T^(-s)(mu, nu) O]."""
+    """Phase-space coefficients O^(-s)[mu + ell, nu + ell] = Tr[T^(-s)(mu, nu) O].
+
+    Leading axes of O are a batch.
+    """
     O = np.asarray(O)
     s = check_order(s)
-    N = check_dim(O.shape[0])
+    N = check_dim(O.shape[-1])
     return _dft2(_kernel_power(-s, N) * _traces(O))
 
 
 def reconstruct_t(grid, s):
-    """Rebuild the operator (1/N) sum_{mu,nu} grid(mu, nu) T^(s)(mu, nu)."""
+    """Rebuild the operator (1/N) sum_{mu,nu} grid(mu, nu) T^(s)(mu, nu).
+
+    Leading axes of grid are a batch.
+    """
     grid = np.asarray(grid)
     s = check_order(s)
-    N = check_dim(grid.shape[0])
+    N = check_dim(grid.shape[-1])
     return reconstruct_schwinger(_kernel_power(s, N) * _dft2(grid)) / N
 
 

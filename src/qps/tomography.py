@@ -17,7 +17,6 @@ import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
 from .theta import kernel_table
-from .schwinger import s_op
 from .quasiprob import PhaseSpaceFunction, char_fn
 
 __all__ = [
@@ -147,9 +146,17 @@ def smooth_marginal(dist):
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
 
 
+@lru_cache(maxsize=None)
+def _roots(N):
+    """Read-only 2N-th roots of unity exp(i pi m / N), m = 0..2N-1."""
+    w = np.exp(1j * np.pi * np.arange(2 * N) / N)
+    w.setflags(write=False)
+    return w
+
+
 def _chirp(o, kappa, N):
     """exp(i pi o kappa^2 / N), the exponent reduced mod 2N first (o an integer)."""
-    return np.exp(1j * np.pi * ((o * kappa**2) % (2 * N)) / N)
+    return _roots(N)[(o * kappa**2) % (2 * N)]
 
 
 def _even_shear(omega, N):
@@ -376,6 +383,31 @@ def _ray_loop(rho, shots, rng):
     return PhaseSpaceFunction(0, _dft2(Xi)), F, Xi0, vals
 
 
+def _label_traces(rho, eta, xi):
+    """(Tr rho U, Tr rho U^dag) for U = sqrt(N) S(eta, xi), read from rho's entries.
+
+    Column kappa of U holds its one entry in row center_mod(kappa - xi),
+    with phase exp(i pi eta (2 kappa - xi) / N) at the raw labels.  That
+    phase is a row exp(2 pi i eta kappa / N), set by eta alone, times the
+    front exp(-i pi eta xi / N).  So each trace is the dot product of an
+    eta row with the N entries of rho gathered for xi, times the front:
+    O(N) per label pair, with no S built.  Rows and gathers are made once
+    per label, not per pair, so an eta x xi plane needs O(N^2) memory.
+    Every integer exponent is reduced mod 2N before its phase is read,
+    which keeps the quasi-periodic signs of out-of-range labels exact.
+    """
+    N = check_dim(rho.shape[0])
+    ks, ell, roots = labels(N), half_width(N), _roots(N)
+    eta, xi = np.asarray(eta)[..., None], np.asarray(xi)[..., None]
+    cols, rows = ks + ell, (ks + ell - xi) % N
+    phase = roots[(2 * eta * ks) % (2 * N)][..., None, :]
+    front = roots[(-eta * xi) % (2 * N)][..., 0]
+    # (1, N) @ (N, 1) on the broadcast label axes: one dot product per pair
+    tr_u = front * (phase @ rho[cols, rows][..., None])[..., 0, 0]
+    tr_ud = front.conj() * (phase.conj() @ rho[rows, cols][..., None])[..., 0, 0]
+    return tr_u, tr_ud
+
+
 def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     """Hadamard-test interferometer reading out Re/Im of Tr(U rho).
 
@@ -390,21 +422,26 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     X_0^dag X_1 - X_1^dag X_0 = 2 (U^dag - U) leave two traces:
 
         <sigma_z> = Re (Tr rho U + Tr rho U^dag) / 2,
-        <sigma_y> = Re i (Tr rho U^dag - Tr rho U) / 2,
+        <sigma_y> = Re i (Tr rho U^dag - Tr rho U) / 2.
 
-    each an elementwise sum, O(N^2), for any square U and rho.  Leading
-    axes of `unitary` (or array labels `eta`, `xi`) are a batch, and the
-    pair is then two arrays.
+    For an explicit `unitary` each trace is an elementwise sum, O(N^2),
+    for any square U and rho.  For integer labels (any range, with the
+    quasi-periodic signs of `s_op`) S is never built: U has one entry per
+    column, so each trace is a gather of N entries of rho and one dot
+    product, O(N) per label pair (`_label_traces`).  Leading axes of
+    `unitary`, or the broadcast shape of array labels `eta`, `xi`, are a
+    batch, and the pair is then two arrays; the labels `ks[:, None]` and
+    `ks` read the whole dual plane in O(N^3) time and O(N^2) memory.
     """
     rho = np.asarray(rho)
-    d = rho.shape[0]
     if unitary is None:
         if eta is None or xi is None:
             raise ValueError("either (eta, xi) or an explicit unitary is required")
-        unitary = math.sqrt(d) * s_op(eta, xi, d)
-    U = np.asarray(unitary)
-    tr_u = np.sum(U * rho.T, axis=(-2, -1))  # Tr rho U
-    tr_ud = np.sum(U.conj() * rho, axis=(-2, -1))  # Tr rho U^dag
+        tr_u, tr_ud = _label_traces(rho, eta, xi)
+    else:
+        U = np.asarray(unitary)
+        tr_u = np.sum(U * rho.T, axis=(-2, -1))  # Tr rho U
+        tr_ud = np.sum(U.conj() * rho, axis=(-2, -1))  # Tr rho U^dag
     out_z = ((tr_u + tr_ud) / 2).real
     # ancilla y-polarization, oriented so the pair reads (Re, +Im) of Tr(U rho)
     out_y = (1j * (tr_ud - tr_u) / 2).real

@@ -53,7 +53,10 @@ from qps.schwinger import (
     _conjugation_average,
 )
 from qps.quasiprob import (
+    FormalismViolation,
     PhaseSpaceFunction,
+    expectation,
+    reconstruct_rho,
     coherent_projector,
     char_fn,
     phase_fn,
@@ -485,6 +488,33 @@ def test_t_expansions_match_einsum(N, seed, s):
     assert np.abs(reconstruct_t(grid, s) - rebuilt).max() <= bound(N, s)
 
 
+@pytest.mark.parametrize("N", (1, 3, 7, 9))
+@pytest.mark.parametrize("s", (1, 0, -1, 0.3 - 0.6j))
+def test_core_batch_axes_match_per_state_calls(N, s):
+    # a (B, N, N) stack of states and one non-Hermitian operator against one
+    # call per slice; K^(-1) is the largest kernel power in play
+    tol = bound(N, 1)
+    rhos = np.array([state(N, seed, bool(seed % 2)) for seed in range(3)] + [operator(N, 3)])
+    grids = np.array([operator(N, seed) for seed in range(4, 8)])
+    Xi, F = char_fn(rhos, s), phase_fn(rhos, s)
+    assert Xi.dim == F.dim == N
+    assert Xi.grid.shape == F.grid.shape == rhos.shape
+    C, D, R = decompose_schwinger(rhos), decompose_t(rhos, s), reconstruct_t(grids, s)
+    E = expectation(grids, rhos, s)
+    assert E.shape == (len(rhos),)
+    for b, (rho, grid) in enumerate(zip(rhos, grids)):
+        assert np.abs(Xi.grid[b] - char_fn(rho, s).grid).max() <= tol
+        assert np.abs(F.grid[b] - phase_fn(rho, s).grid).max() <= tol
+        assert np.abs(C[b] - decompose_schwinger(rho)).max() <= tol
+        assert np.abs(D[b] - decompose_t(rho, s)).max() <= tol
+        assert np.abs(R[b] - reconstruct_t(grid, s)).max() <= tol
+        assert abs(E[b] - expectation(grid, rho, s)) <= N * tol
+    # the round trip checks the trace of every slice: the operator's is not 1
+    assert np.abs(reconstruct_rho(phase_fn(rhos[:3], s)) - rhos[:3]).max() <= tol
+    with pytest.raises(FormalismViolation):
+        reconstruct_rho(F)
+
+
 @pytest.mark.parametrize("N", FAMILY_DIMS)
 def test_symplectic_generators_match_basis_loop(N):
     # every Omega in [-N, N], composite N included: C's raw labels
@@ -669,6 +699,63 @@ def test_scattering_circuit_label_rows(N):
         for j, xi in enumerate(ks):
             ref = scattering_circuit(rho, int(eta), int(xi))
             assert abs(complex(sz[i, j], sy[i, j]) - complex(*ref)) <= TOL
+
+
+LABEL_CIRCUIT_DIMS = (1, 3, 5, 9, 15, 31)
+label_shapes = st.sampled_from(("scalar", "row", "broadcast"))
+
+
+@SETTINGS
+@given(N=st.sampled_from(LABEL_CIRCUIT_DIMS), seed=seeds, hermitian=st.booleans(), shape=label_shapes, data=st.data())
+def test_scattering_circuit_labels_match_dense_oracle(N, seed, hermitian, shape, data):
+    # raw labels in [-3N, 3N] carry the quasi-periodic signs of S(eta, xi),
+    # which the label route reads without building S
+    raw = st.integers(-3 * N, 3 * N)
+    rho = state(N, seed, False) if hermitian else operator(N, seed)
+    if shape == "scalar":
+        eta, xi = data.draw(raw), data.draw(raw)
+    elif shape == "row":
+        eta, xi = data.draw(raw), np.array(data.draw(st.lists(raw, min_size=1, max_size=5)))
+    else:
+        eta = np.array(data.draw(st.lists(raw, min_size=1, max_size=3)))[:, None]
+        xi = np.array(data.draw(st.lists(raw, min_size=1, max_size=4)))
+    sz, sy = scattering_circuit(rho, eta, xi)
+    out_shape = np.broadcast(eta, xi).shape
+    if shape == "scalar":
+        assert type(sz) is float and type(sy) is float
+    else:
+        assert sz.shape == sy.shape == out_shape
+    for idx in np.ndindex(out_shape):
+        e, x = (int(np.broadcast_to(a, out_shape)[idx]) for a in (eta, xi))
+        U = math.sqrt(N) * oracle.s_op(e, x, N)
+        ref = oracle.scattering_circuit(rho, U)
+        tol = circuit_tol(U, rho)
+        assert abs(np.asarray(sz)[idx] - ref[0]) <= tol
+        assert abs(np.asarray(sy)[idx] - ref[1]) <= tol
+
+
+def traced_peak(route, *args):
+    tracemalloc.start()
+    try:
+        route(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scattering_circuit_labels_build_no_dense_operator():
+    # one scalar readout holds O(N) temporaries: under a quarter of one dense
+    # N x N complex matrix, so a dense S(eta, xi) build cannot come back
+    N = 251
+    rho = state(N, 0, False)
+    scattering_circuit(rho, 1, 2)  # builds the cached phase table
+    assert traced_peak(scattering_circuit, rho, 7, -5) < N**2 * 16 / 4
+    # the whole dual plane in one call stays O(N^2), where a stack of its
+    # S(eta, xi) would take N^2 dense matrices
+    N = 31
+    rho, ks = state(N, 0, False), labels(N)
+    scattering_circuit(rho, 1, 2)
+    assert traced_peak(scattering_circuit, rho, ks[:, None], ks) < 16 * N**2 * 16
 
 
 @pytest.mark.parametrize("N", (1, 3, 5, 9))
