@@ -61,7 +61,14 @@ class MarginalDistribution:
 
     @property
     def dim(self):
-        return len(self.values)
+        return self.values.shape[-1]
+
+
+def _require_single(array, ndim, name):
+    """Reject a stack: `name` takes one grid (ndim 2) or one marginal (ndim 1)."""
+    if np.ndim(array) != ndim:
+        what = "N x N grid" if ndim == 2 else "length-N marginal"
+        raise ValueError(f"{name} takes one {what}, got shape {np.shape(array)}")
 
 
 def mod_inverse(a, N):
@@ -111,13 +118,19 @@ class SymplecticParams:
 
 
 def marginal_q(F):
-    """Coordinate marginal Q^(s)(mu) = sum_nu F^(s)(mu, nu) / sqrt(N)."""
-    return MarginalDistribution(F.s, "Q", F.grid.sum(axis=1) / np.sqrt(F.dim))
+    """Coordinate marginal Q^(s)(mu) = sum_nu F^(s)(mu, nu) / sqrt(N).
+
+    Leading axes of the grid are a batch.
+    """
+    return MarginalDistribution(F.s, "Q", F.grid.sum(axis=-1) / np.sqrt(F.dim))
 
 
 def marginal_r(F):
-    """Momentum marginal R^(s)(nu) = sum_mu F^(s)(mu, nu) / sqrt(N)."""
-    return MarginalDistribution(F.s, "R", F.grid.sum(axis=0) / np.sqrt(F.dim))
+    """Momentum marginal R^(s)(nu) = sum_mu F^(s)(mu, nu) / sqrt(N).
+
+    Leading axes of the grid are a batch.
+    """
+    return MarginalDistribution(F.s, "R", F.grid.sum(axis=-2) / np.sqrt(F.dim))
 
 
 def _ray(dist):
@@ -133,6 +146,7 @@ def smooth_marginal(dist):
     the forward DFT.  The ray is `dist.line`, or (1, 0) for Q and (0, 1)
     for R when the marginal is axis-aligned.
     """
+    _require_single(dist.values, 1, "smooth_marginal")
     N = dist.dim
     s = complex(dist.s)
     if abs(s - 1) > 1e-12 and abs(s) > 1e-12:
@@ -218,6 +232,7 @@ def symplectic_j(params):
 
 def _line_sums(F, za, zb, axis):
     """sum of F over each line za*mu' + zb*nu' = label, / sqrt(N), by one bincount."""
+    _require_single(F.grid, 2, "radon_" + axis.lower())
     N = F.dim
     if center_mod(za, N) == 0 and center_mod(zb, N) == 0:
         raise ValueError(f"degenerate line: ({za}, {zb}) = (0, 0) mod N")
@@ -307,6 +322,7 @@ def sample_marginal(dist, shots, rng):
     (an integer >= 1) and rescaled, preserving the sum sqrt(N).  `_draw`
     holds the rule that rounds the probabilities before the draw.
     """
+    _require_single(dist.values, 1, "sample_marginal")
     if abs(complex(dist.s)) > 1e-12:
         raise ValueError("shot sampling is defined for s = 0 marginals only")
     return MarginalDistribution(dist.s, dist.axis, _draw(dist.values.real, shots, rng), dist.line)

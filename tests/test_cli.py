@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import loop_oracles as oracle
 
-from qps import cli
+from qps import _gridtext, cli
 from qps.cli import main, parse_state, parse_order, UsageError
 from qps.quasiprob import phase_fn, fock_projector, maximally_mixed
 
@@ -240,7 +240,29 @@ def _subnormal(rng, n):
     return rng.uniform(-2.5, 2.5, n) * TINY
 
 
-VALUE_CLASSES = (_plain, _integral, _zeros, _notation_switch, _wide_exponents, _non_finite, _subnormal)
+def _ties(rng, n):
+    # exactly 16 significant digits, the last a 5: rounding to 15 digits is an exact tie
+    ties = np.stack([
+        rng.integers(10**14, 9 * 10**14, n) * 10.0 + 5,
+        rng.integers(10**14, 10**15, n) + 0.5,
+        rng.integers(10**13, 10**14, n) + rng.choice([0.25, 0.75], n),
+    ])
+    return ties[rng.integers(3, size=n), np.arange(n)] * rng.choice([-1.0, 1.0], n)
+
+
+POWERS_OF_TEN = 10.0 ** np.arange(-5, 17)
+
+
+def _powers_of_ten(rng, n):
+    # one ulp either side of 10^k, where log10 can misjudge the exponent; just
+    # below 1e16 the 15-digit mantissa rounds up to 10^15
+    edges = np.concatenate([np.nextafter(POWERS_OF_TEN, 0), POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, np.inf)])
+    return rng.choice(edges, n) * rng.choice([-1.0, 1.0], n)
+
+
+VALUE_CLASSES = (
+    _plain, _integral, _zeros, _notation_switch, _wide_exponents, _non_finite, _subnormal, _ties, _powers_of_ten
+)
 
 
 def writer_grid(N, seed, values):
@@ -271,6 +293,47 @@ def test_grid_writer_is_byte_identical_to_row_oracle(values, fmt, N, seed, s, ki
     with contextlib.redirect_stdout(out):
         cli.write_grid(grid, N, s, kind, None, fmt)
     assert out.getvalue() == oracle.grid_text(grid, N, s, kind, fmt)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("column", (0.0, -0.0))
+@pytest.mark.parametrize("part", ("real", "imag"))
+def test_grid_writer_zero_columns(fmt, column, part):
+    # a whole column of +-0.0, as the imaginary part of a kernel grid, stays off the scalar fallback
+    N = 7
+    grid = np.empty(N * N, dtype=complex)
+    grid.real = grid.imag = np.random.default_rng(3).normal(size=N * N)
+    setattr(grid, part, column)
+    grid = grid.reshape(N, N)
+    assert not _gridtext.decimal(getattr(grid, part).ravel())[2].any()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_grid(grid, N, 0j, "kernel", None, fmt)
+    assert out.getvalue() == oracle.grid_text(grid, N, 0j, "kernel", fmt)
+
+
+def test_tie_and_power_of_ten_classes_reach_the_fallback():
+    rng = np.random.default_rng(0)
+    assert _gridtext.decimal(_ties(rng, 200))[2].all()
+    slow = _gridtext.decimal(np.concatenate([np.nextafter(POWERS_OF_TEN, 0), POWERS_OF_TEN]))[2]
+    assert slow[np.flatnonzero(POWERS_OF_TEN == 1e16)[0]]  # 9999999999999998.0 rounds to 1e+16
+
+
+def scalar_text(x, fmt):
+    return "%.15g" % x if fmt == "csv" else json.dumps(float("%.15g" % x))
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+def test_column_formatter_matches_scalar_format(values, fmt):
+    assert _gridtext.texts(np.array(values, dtype=float), fmt) == [scalar_text(x, fmt) for x in values]
+
+
+@pytest.mark.parametrize("state", ("fock:3", "coherent:2,-5", "maximally-mixed"))
+def test_wigner_grid_at_61_needs_no_fallback(state):
+    grid = phase_fn(parse_state(state, 61), 0).grid.ravel()
+    assert not _gridtext.decimal(grid.real)[2].any() and not _gridtext.decimal(grid.imag)[2].any()
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))

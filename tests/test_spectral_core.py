@@ -832,12 +832,15 @@ def selftest(capsys, N):
     return code, capsys.readouterr().out
 
 
-# from N = 27 on the P->W residual outgrows a fixed tolerance; its own follows K^(-1)
+# the P->W check starts from a Glauber grid, so no K^(-1) amplifies its round-off and
+# its tolerance is 1e-10 at every N
 @pytest.mark.parametrize("N", (1, 3, 9, 15, 25, 27, 61))
 def test_selftest_passes_through_large_dims(capsys, N):
     code, out = selftest(capsys, N)
     assert code == 0
     assert "FAIL" not in out and f"OK: dim {N}" in out
+    [p2w] = [line for line in out.splitlines() if "P->W" in line]
+    assert p2w.endswith("(tol 1e-10)")
 
 
 @pytest.mark.parametrize("N", (5, 9))
@@ -879,8 +882,11 @@ def smooth_by_k_squared(P):
     return PhaseSpaceFunction(0, smooth_p_to_h(P).grid)
 
 
-# a second self-test line that reads the route under the parametrized fault
-ALSO_READS = {("reconstruct_t", "resolution of identity"): "coherent vacuum"}
+# the other self-test lines that read the route under the parametrized fault
+ALSO_READS = {
+    ("reconstruct_t", "resolution of identity"): ("coherent vacuum", "hierarchy smoothing P->W"),
+    ("reconstruct_t", "coherent vacuum"): ("hierarchy smoothing P->W",),
+}
 
 
 @pytest.mark.parametrize(
@@ -895,12 +901,11 @@ ALSO_READS = {("reconstruct_t", "resolution of identity"): "coherent vacuum"}
     ],
 )
 def test_selftest_fails_on_faulty_route(capsys, monkeypatch, route, fault, line):
-    # every label pair is checked: a fault at the last one fails that check, and only it;
-    # at N = 31 the P->W tolerance has grown to 1e-4, and a wrong step still exceeds it.
-    # The coherent vacuum line reads reconstruct_t too, at order -1, so a fault there at
-    # every order fails both lines
+    # every label pair is checked: a fault at the last one fails that check, and only it.
+    # The coherent vacuum and P->W lines read reconstruct_t too, at order -1, so a fault
+    # there fails them as well
     monkeypatch.setattr(cli, route, fault)
     code, out = selftest(capsys, 31)
     assert code == 1
     failed = [text[len("[FAIL] "):].split(":")[0] for text in out.splitlines() if text.startswith("[FAIL]")]
-    assert sorted(failed) == sorted({line, ALSO_READS.get((route, line), line)})
+    assert sorted(failed) == sorted({line, *ALSO_READS.get((route, line), ())})

@@ -82,6 +82,34 @@ def test_marginals_match_axis_sums_and_char_path():
             assert abs(Q.values[mu + ell] - tot) < 1e-10
 
 
+@pytest.mark.parametrize("N", (1, 3, 7))
+def test_marginals_of_a_stack_match_per_state_calls(N):
+    rng = np.random.default_rng(N)
+    stack = np.stack([random_density(N, rng) for _ in range(4)])
+    for s in (1, 0, -1, 0.3 - 0.2j):
+        F = phase_fn(stack, s)
+        for marginal in (marginal_q, marginal_r):
+            dist = marginal(F)
+            assert dist.values.shape == (4, N) and dist.dim == N
+            for b in range(4):
+                single = marginal(phase_fn(stack[b], s))
+                assert np.abs(dist.values[b] - single.values).max() < 1e-14
+
+
+def test_single_grid_routes_reject_a_stack_by_shape():
+    rng = np.random.default_rng(5)
+    F = phase_fn(np.stack([random_density(3, rng) for _ in range(4)]), 0)
+    Q = marginal_q(F)
+    with pytest.raises(ValueError, match=r"radon_q takes one N x N grid, got shape \(4, 3, 3\)"):
+        radon_q(F, 1, 1)
+    with pytest.raises(ValueError, match=r"radon_r takes one N x N grid, got shape \(4, 3, 3\)"):
+        radon_r(F, 0, 1)
+    with pytest.raises(ValueError, match=r"smooth_marginal takes one length-N marginal, got shape \(4, 3\)"):
+        smooth_marginal(Q)
+    with pytest.raises(ValueError, match=r"sample_marginal takes one length-N marginal, got shape \(4, 3\)"):
+        sample_marginal(Q, 10, rng)
+
+
 def test_marginal_sum_and_positivity_at_s0():
     N = 5
     F = phase_fn(fock_projector(0, N), 0)
