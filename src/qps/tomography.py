@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _traces
 from .theta import kernel_table
-from .quasiprob import PhaseSpaceFunction, char_fn
+from .quasiprob import PhaseSpaceFunction
 
 __all__ = [
     "CoverageError",
@@ -69,6 +69,13 @@ def _require_single(array, ndim, name):
     if np.ndim(array) != ndim:
         what = "N x N grid" if ndim == 2 else "length-N marginal"
         raise ValueError(f"{name} takes one {what}, got shape {np.shape(array)}")
+
+
+def _require_square(array, name):
+    """Reject anything but square matrices over the last two axes."""
+    shape = np.shape(array)
+    if len(shape) < 2 or shape[-2] != shape[-1]:
+        raise ValueError(f"{name} takes square matrices, got shape {shape}")
 
 
 def mod_inverse(a, N):
@@ -286,9 +293,7 @@ def char_from_radon_r(dist, z2, z4, N):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def _draw(p, shots, rng):
@@ -296,8 +301,8 @@ def _draw(p, shots, rng):
 
     Each row is scaled to probabilities, sampled with `shots` draws and
     rescaled, preserving its sum sqrt(N).  Negative values count as zero.
-    The probabilities are rounded to multiples of 2^-32, the rounding
-    error of the row going to its largest bin, so numpy's running
+    The probabilities are rounded to integer counts of 2^-32, the row's
+    rounding error going to its largest bin, so numpy's running
     remainder subtracts them exactly: a conditional probability of 1/2,
     where numpy's binomial changes algorithm, stays exactly 1/2, and a
     last-bit change of p (its sign at zero included) moves no draw unless
@@ -308,11 +313,10 @@ def _draw(p, shots, rng):
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     N = p.shape[-1]
     p = np.maximum(p, 0.0)
-    q = np.rint(p / p.sum(axis=-1, keepdims=True) * 2**32) / 2**32
-    top = q.argmax(axis=-1)[..., None]
-    rest = 1 - q.sum(axis=-1, keepdims=True)
-    np.put_along_axis(q, top, np.take_along_axis(q, top, -1) + rest, -1)
-    return rng.multinomial(shots, q) / shots * math.sqrt(N)
+    counts = np.rint(p / p.sum(axis=-1, keepdims=True) * 2**32)
+    rows = counts.reshape(-1, N)  # a view: the update below writes counts
+    rows[np.arange(len(rows)), rows.argmax(axis=1)] += 2**32 - rows.sum(axis=1)
+    return rng.multinomial(shots, counts / 2**32) / shots * math.sqrt(N)
 
 
 def sample_marginal(dist, shots, rng):
@@ -333,14 +337,14 @@ def reconstruct_wigner(rho, shots=None, rng=None):
 
     For prime N the rays (1, k), k = 0..N-1, plus (0, 1) cover every
     point of the dual plane exactly once (up to the shared origin).  All
-    N + 1 rays are handled at once: the line sums are one Fourier-slice
-    gather of the characteristic function, the rays are inverted by one
-    inverse DFT, and one 2-D DFT takes the dual plane back to phase
-    space, O(N^3) in all.  With `shots` set (an integer >= 1, with a
-    generator `rng`), the line sums are replaced by seeded multinomial
-    estimates, drawn ray by ray in order.
+    N + 1 rays are handled at once: one gather of the traces at K^0 = 1,
+    one Fourier slice for the line sums, one inverse DFT for the rays and
+    one 2-D DFT back to phase space, O(N^3) in all.  With `shots` set (an
+    integer >= 1, with a generator `rng`), the line sums are replaced by
+    seeded multinomial estimates, drawn ray by ray in order.  Leading axes
+    of rho are a batch; shots are then drawn state by state.
     """
-    return _ray_loop(rho, shots, rng)[0]
+    return PhaseSpaceFunction(0, _dft2(_ray_loop(rho, shots, rng)[-1]))
 
 
 @lru_cache(maxsize=None)
@@ -366,37 +370,34 @@ def _ray_sums(Xi):
     """
     N = Xi.shape[-1]
     _, rows, cols = _ray_cells(N)
-    return Xi[rows, cols] @ _dft_phases(N)
+    return Xi[..., rows, cols] @ _dft_phases(N)
 
 
 def _ray_loop(rho, shots, rng):
     """Every ray of `reconstruct_wigner` in one pass over (N + 1, N) stacks.
 
-    Returns the rebuilt Wigner grid, the Wigner function F it was measured
-    from, F's characteristic grid, and the characteristic values recovered
-    on each ray of `_ray_cells`, one row per ray.  The traces are gathered
-    once: F is the 2-D DFT of the characteristic grid, and the line sums
-    are read from it directly.
+    Returns the characteristic grid Xi^(0) of rho, one gather of its traces
+    (K^0 = 1), the values recovered on each ray of `_ray_cells`, one row per
+    ray, and the dual-plane grid they rebuild, whose `_dft2` is the
+    reconstruction.  Leading axes of rho are a batch.
     """
     rho = np.asarray(rho)
-    N = check_dim(rho.shape[0])
+    _require_square(rho, "reconstruct_wigner")
+    N = check_dim(rho.shape[-1])
     if not _is_prime(N):
-        raise CoverageError(
-            f"ray coverage requires prime N; N = {N} has degenerate rays"
-        )
+        raise CoverageError(f"ray coverage requires prime N; N = {N} has degenerate rays")
     if shots is not None and rng is None:
         raise ValueError("shot sampling needs a generator: pass rng with shots")
-    Xi0 = char_fn(rho, 0).grid
-    F = PhaseSpaceFunction(0, _dft2(Xi0))
+    Xi0 = _traces(rho)
     sums = _ray_sums(Xi0)
     if shots is not None:
         sums = _draw(sums.real, shots, rng)
     vals = _ray_invert(sums)
     _, rows, cols = _ray_cells(N)
-    Xi = np.zeros((N, N), dtype=complex)
+    Xi = np.zeros(rho.shape, dtype=complex)
     # every ray passes the origin, each with the value sum(line sums) / N
-    Xi[rows, cols] = vals
-    return PhaseSpaceFunction(0, _dft2(Xi)), F, Xi0, vals
+    Xi[..., rows, cols] = vals
+    return Xi0, vals, Xi
 
 
 def _label_traces(rho, eta, xi):
@@ -448,8 +449,11 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     `unitary`, or the broadcast shape of array labels `eta`, `xi`, are a
     batch, and the pair is then two arrays; the labels `ks[:, None]` and
     `ks` read the whole dual plane in O(N^3) time and O(N^2) memory.
+    `rho` is one square matrix: a stack raises ValueError.
     """
     rho = np.asarray(rho)
+    _require_single(rho, 2, "scattering_circuit")
+    _require_square(rho, "scattering_circuit")
     if unitary is None:
         if eta is None or xi is None:
             raise ValueError("either (eta, xi) or an explicit unitary is required")

@@ -19,7 +19,9 @@ table as one einsum per label pair; the kernel itself is checked against
 mpmath, since its direct theta series cancels near the minimum of K.  The tomography layer keeps the
 scattering circuit as the dense 2N-dimensional Kronecker circuit and
 the Wigner reconstruction one ray at a time (a line sum, a draw and an
-inversion per Python iteration over the N + 1 rays), and
+inversion per Python iteration over the N + 1 rays), the draw's
+probabilities rounded by the along-axis rule, and the `qps tomo` report
+printed one ray line at a time, and
 the self-test keeps its family checks on the cached T^(s) family with
 one overlap or trace per label pair.  The `qps grid` writer is kept as
 one Python tuple per row and `json.dumps` over the whole payload.  They
@@ -27,6 +29,8 @@ are slow by design and exist only so the fast paths can be compared
 against them.
 """
 
+import contextlib
+import io
 import json
 import math
 from functools import lru_cache
@@ -48,7 +52,8 @@ from qps.lattice import (
 from qps.theta import kernel_table as cached_kernel_table, gamma_table as _gamma_table
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op
 from qps import schwinger
-from qps.quasiprob import PhaseSpaceFunction, validate_density, phase_fn
+from qps.quasiprob import PhaseSpaceFunction, validate_density, char_fn, phase_fn
+from qps import tomography
 from qps.tomography import radon_q, radon_r, char_from_radon_q, char_from_radon_r, sample_marginal
 from qps.teleport import BellLabel
 
@@ -461,6 +466,49 @@ def ray_loop(rho, shots=None, rng=None):
     Xi[ell, :] = vals
     rays.append(((0, 1), vals))
     return PhaseSpaceFunction(0, _dft2(Xi)), rays
+
+
+def draw_probabilities(p):
+    """The probabilities `tomography._draw` hands the multinomial, by the
+    along-axis rule: rows rounded to multiples of 2^-32, each row's rounding
+    error added to its largest bin by take_along_axis/put_along_axis."""
+    p = np.maximum(p, 0.0)
+    q = np.rint(p / p.sum(axis=-1, keepdims=True) * 2**32) / 2**32
+    top = q.argmax(axis=-1)[..., None]
+    rest = 1 - q.sum(axis=-1, keepdims=True)
+    np.put_along_axis(q, top, np.take_along_axis(q, top, -1) + rest, -1)
+    return q
+
+
+def tomo_inputs(rho, shots=None, seed=0):
+    """(rays, Xi, vals, R, F) of one `qps tomo` run on rho: the rays in order,
+    the characteristic grid, the values recovered on each ray, and the rebuilt
+    and the exact Wigner grid.  With shots, each route draws from a generator
+    seeded by `seed`, as `qps tomo --seed` does."""
+    N = rho.shape[-1]
+    rng = (lambda: None) if shots is None else (lambda: np.random.default_rng(seed))
+    rays = [(1, k) for k in range(N)] + [(0, 1)]
+    vals = tomography._ray_loop(rho, shots, rng())[1]
+    R = tomography.reconstruct_wigner(rho, shots, rng()).grid
+    return rays, char_fn(rho, 0).grid, vals, R, phase_fn(rho, 0).grid
+
+
+def tomo_report(rays, Xi, vals, R, F, shots=None, seed=0):
+    """The `qps tomo` stdout and exit code, printed one ray line at a time."""
+    N = Xi.shape[-1]
+    ell, ts = half_width(N), labels(N)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for (za, zb), row in zip(rays, vals):
+            ref = Xi[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
+            print(f"ray ({za},{zb}): max |dXi| = {float(np.abs(row - ref).max()):.15g}")
+        err = float(np.abs(R - F).max())
+        if shots is not None:
+            print(f"shots: {shots}  seed: {seed}")
+            print(f"statistical max |dW|: {err:.15g}")
+        else:
+            print(f"max |dW|: {err:.15g}")
+    return out.getvalue(), 0 if shots is not None or err < 1e-9 else 1
 
 
 # the library builds the Gamma table afresh on every call

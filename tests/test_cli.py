@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import loop_oracles as oracle
 
 from qps import _gridtext, cli
 from qps.cli import main, parse_state, parse_order, UsageError
-from qps.quasiprob import phase_fn, fock_projector, maximally_mixed
+from qps.quasiprob import phase_fn, fock_projector, maximally_mixed, random_density
 
 
 def run(capsys, *argv):
@@ -154,6 +156,35 @@ def test_tomo_shots_below_one_exit_2(capsys, shots):
     code, out, err = run(capsys, "tomo", "--dim", "5", "--shots", shots)
     assert code == 2
     assert out == "" and "shots must be an integer >= 1" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.sampled_from((3, 5, 7, 31)),
+    kind=st.sampled_from(("pure", "mixed", "fock")),
+    seed=st.integers(0, 2**32 - 1),
+    shots=st.one_of(st.none(), st.integers(1, 10**6)),
+)
+def test_tomo_report_is_byte_identical_to_loop_oracle(N, kind, seed, shots):
+    # every ray line, the residual lines and the exit code of `qps tomo`,
+    # against the report printed one line at a time
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "fock":
+            spec = f"fock:{seed % N}"
+        else:
+            rho = random_density(N, np.random.default_rng(seed), pure=kind == "pure")
+            path = os.path.join(tmp, "rho.json")
+            with open(path, "w") as fh:
+                json.dump([[[v.real, v.imag] for v in row] for row in rho], fh)
+            spec = f"file:{path}"
+        argv = ["tomo", "--dim", str(N), "--state", spec]
+        if shots is not None:
+            argv += ["--shots", str(shots), "--seed", str(seed)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        rho = parse_state(spec, N)
+    assert (out.getvalue(), code) == oracle.tomo_report(*oracle.tomo_inputs(rho, shots, seed), shots, seed)
 
 
 def test_teleport_reports(capsys):

@@ -399,14 +399,18 @@ def test_ray_sums_match_radon_on_every_ray(N, seed, pure):
 @given(N=primes, seed=seeds, pure=st.booleans())
 def test_reconstruct_wigner_matches_ray_loop(N, seed, pure):
     rho = state(N, seed, pure)
-    W, F, Xi, vals = tomography._ray_loop(rho, None, None)
+    Xi, vals, rebuilt = tomography._ray_loop(rho, None, None)
+    W = tomography.reconstruct_wigner(rho)
     W_loop, rays = oracle.ray_loop(rho)
     assert np.array_equal(tomography._ray_cells(N)[0], [z for z, _ in rays])
     assert np.abs(vals - np.array([v for _, v in rays])).max() <= TOL
     assert np.abs(W.grid - W_loop.grid).max() <= TOL
-    # one gather of the traces: F is the DFT of the characteristic grid handed back
+    # one gather of the traces at K^0 = 1: the characteristic grid, bit for bit,
+    # whose DFT is the Wigner grid `qps tomo` compares against
     assert np.array_equal(Xi, char_fn(rho, 0).grid)
-    assert np.array_equal(F.grid, phase_fn(rho, 0).grid)
+    assert np.array_equal(_dft2(Xi), phase_fn(rho, 0).grid)
+    # and the reconstruction is the one 2-D DFT of the rebuilt dual plane
+    assert np.array_equal(W.grid, _dft2(rebuilt))
 
 
 @pytest.mark.parametrize("N", (3, 5, 7, 11, 13, 31))
@@ -431,7 +435,7 @@ def test_batched_draw_matches_sequential_sample_marginal(N, seed, pure, shots):
     assert np.array_equal(batched, one_by_one)
     assert np.abs(batched.sum(axis=1) - math.sqrt(N)).max() <= 1e-12
     # through the whole route: each sampled ray's origin value is its sum / N
-    vals = tomography._ray_loop(state(N, seed, pure), shots, np.random.default_rng(seed))[-1]
+    vals = tomography._ray_loop(state(N, seed, pure), shots, np.random.default_rng(seed))[1]
     assert np.abs(N * vals[:, half_width(N)] - math.sqrt(N)).max() <= 1e-12
 
 

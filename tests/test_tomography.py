@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import loop_oracles as oracle
+
 from qps import tomography
 from qps.lattice import half_width, labels, center_mod, dagger, tensor
 from qps.theta import kernel_table
@@ -344,6 +346,28 @@ def test_reconstruct_wigner_composite_raises():
         reconstruct_wigner(maximally_mixed(9))
 
 
+@pytest.mark.parametrize("N", (3, 5, 7, 11, 13))
+def test_reconstruct_wigner_takes_stacks(N):
+    rng = np.random.default_rng(N)
+    stack = np.stack([random_density(N, rng, pure=b % 2 == 1) for b in range(5)])
+    W = reconstruct_wigner(stack).grid
+    assert W.shape == (5, N, N)
+    for b in range(5):
+        assert np.abs(W[b] - reconstruct_wigner(stack[b]).grid).max() <= 1e-13
+    # one generator draws state-major, as sequential per-state calls with it do
+    for seed in (0, 7):
+        W = reconstruct_wigner(stack, 1000, np.random.default_rng(seed)).grid
+        rng = np.random.default_rng(seed)
+        for b in range(5):
+            assert np.abs(W[b] - reconstruct_wigner(stack[b], 1000, rng).grid).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shape", ((3, 5), (5,), (2, 3, 5), ()))
+def test_reconstruct_wigner_rejects_non_square_input(shape):
+    with pytest.raises(ValueError, match=r"reconstruct_wigner takes square matrices"):
+        reconstruct_wigner(np.zeros(shape))
+
+
 def test_sample_marginal_seeded_and_normalized():
     N = 3
     F = phase_fn(fock_projector(1, N), 0)
@@ -419,6 +443,46 @@ def test_draw_is_stable_under_one_ulp_of_the_line_sums(N):
                 assert np.array_equal(tomography._draw(v, 10_000, np.random.default_rng(seed)), ref)
 
 
+class RecordingGenerator:
+    """A seeded generator whose multinomial keeps the probabilities it was handed."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def multinomial(self, n, pvals):
+        self.pvals = pvals
+        return self.rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("N", (3, 5, 7, 31))
+def test_draw_is_multinomial_on_the_along_axis_probabilities(N):
+    # integer counts of 2^-32 with one fancy-index update round exactly as the
+    # along-axis rule does, so twin generators draw the same counts
+    rng = np.random.default_rng(N)
+    half_ties = np.zeros((2, N))
+    half_ties[:, :2] = [(1.0, 2.0**33 - 1), (3.0, 2.0**33 - 3)]  # 0.5 and 1.5 counts of 2^-32
+    negatives = rng.normal(size=(N + 1, N))
+    negatives[:, 0] = np.abs(negatives[:, 0]) + 0.1
+    rows = [
+        rng.random(N),
+        tomography._ray_sums(char_fn(random_density(N, rng), 0).grid).real,
+        np.ones((N + 1, N)),  # conditional probabilities of exactly 1/2
+        half_ties,
+        2.0 ** -rng.integers(0, 40, size=(N + 1, N)),
+        negatives,
+        rng.random((2, N + 1, N)),
+    ]
+    for p in rows:
+        q = oracle.draw_probabilities(p)
+        assert np.array_equal(q.sum(axis=-1), np.ones(p.shape[:-1]))
+        for seed, shots in ((0, 1), (1, 1000), (2, 10**6)):
+            ref = np.random.default_rng(seed).multinomial(shots, q) / shots * math.sqrt(N)
+            twin = RecordingGenerator(seed)
+            assert np.array_equal(tomography._draw(p, shots, twin), ref)
+            # a probability 2^-32 off rarely moves a draw, so check them bit for bit too
+            assert np.array_equal(twin.pvals, q)
+
+
 @pytest.mark.parametrize("N", (3, 5))
 def test_scattering_circuit_reads_characteristic_function(N):
     ell = half_width(N)
@@ -446,6 +510,19 @@ def test_scattering_circuit_trivial_and_linearity():
     zm, ym = scattering_circuit(mix, 2, -1)
     assert abs(zm - (0.3 * za + 0.7 * zb)) < 1e-12
     assert abs(ym - (0.3 * ya + 0.7 * yb)) < 1e-12
+
+
+def test_scattering_circuit_takes_one_square_rho():
+    # a (3, 3, 3) stack once read rows of all three states at one label pair
+    rng = np.random.default_rng(4)
+    for n in (3, 5):
+        stack = np.stack([random_density(3, rng) for _ in range(n)])
+        with pytest.raises(ValueError, match=rf"scattering_circuit takes one N x N grid, got shape \({n}, 3, 3\)"):
+            scattering_circuit(stack, 1, 1)
+        with pytest.raises(ValueError, match="scattering_circuit takes one"):
+            scattering_circuit(stack, unitary=np.eye(3))
+    with pytest.raises(ValueError, match=r"scattering_circuit takes square matrices, got shape \(3, 5\)"):
+        scattering_circuit(np.zeros((3, 5)), 1, 1)
 
 
 def test_scattering_circuit_bipartite_bell_mode():
