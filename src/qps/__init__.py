@@ -62,7 +62,6 @@ from .quasiprob import (
     reconstruct_rho,
 )
 from .tomography import (
-    CoverageError,
     MarginalDistribution,
     SymplecticParams,
     mod_inverse,

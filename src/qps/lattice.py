@@ -104,7 +104,7 @@ def partial_trace(A, dims, keep):
 
 def dft_matrix(N):
     """Discrete Fourier matrix F[mu, nu] = exp(2*pi*i*mu*nu/N)/sqrt(N) over centered labels."""
-    return _dft_phases(check_dim(N)).conj() / np.sqrt(N)
+    return _conj_phases(check_dim(N)) / np.sqrt(N)
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +112,14 @@ def _dft_phases(N):
     """Read-only phases ph[eta + ell, mu + ell] = exp(-2*pi*i*eta*mu/N); symmetric."""
     k = labels(N)
     ph = np.exp(-2j * np.pi * np.outer(k, k) / N)
+    ph.setflags(write=False)
+    return ph
+
+
+@lru_cache(maxsize=None)
+def _conj_phases(N):
+    """Read-only conj(`_dft_phases(N)`), the inverse DFT's phases exp(+2*pi*i*eta*mu/N)."""
+    ph = _dft_phases(N).conj()
     ph.setflags(write=False)
     return ph
 
@@ -128,8 +136,7 @@ def _dft2(X):
 def _idft2(F):
     """Phase space to dual plane, the inverse of `_dft2`: leading axes of F are a batch."""
     N = F.shape[-1]
-    ph = _dft_phases(N).conj()
-    return ph @ F @ ph / N**1.5
+    return _conj_phases(N) @ F @ _conj_phases(N) / N**1.5
 
 
 def _dual_multiply(M, grid):
@@ -160,5 +167,5 @@ def _traces(O):
     """
     N = O.shape[-1]
     rows, cols, front = _diagonals(N)
-    return (_dft_phases(N).conj() @ O[..., rows, cols].swapaxes(-1, -2)) * front
+    return (_conj_phases(N) @ O[..., rows, cols].swapaxes(-1, -2)) * front
 

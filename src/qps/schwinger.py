@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _idft2, _diagonals, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _idft2, _diagonals, _traces
 from .theta import _log_kernel
 
 __all__ = [
@@ -209,7 +209,7 @@ def reconstruct_schwinger(C):
     rows, cols, front = _diagonals(N)
     # inverse DFT of the gather in `_traces`, scattered onto the cyclic diagonals
     O = np.empty(C.shape, dtype=complex)
-    O[..., cols, rows] = (C * front).swapaxes(-1, -2) @ _dft_phases(N).conj()
+    O[..., cols, rows] = (C * front).swapaxes(-1, -2) @ _conj_phases(N)
     return O
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _idft2, _dual_multiply, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _idft2, _dual_multiply, _traces
 from .schwinger import check_order, t_op, reconstruct_t, _kernel_power
 from .quasiprob import validate_density, phase_fn
 
@@ -147,12 +147,11 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     # C = (1/N) sum_{k,l} A[-k - w1, -l - w1'] B[k, l] exp(2 pi i (w2 k - w2' l) / N)
     idx = (half_width(N) - np.add.outer(ks, ks)) % N  # idx[w, k] indexes label -k - w
     X = A[idx[:, :, None, None], idx] * B[:, None, :]  # [w1, k, w1', l]
-    ph = _dft_phases(N)
-    Y = (X.reshape(-1, N) @ ph).reshape(N, N, N * N)  # [w1, k, (w1', w2')]
-    return (ph.conj() @ Y / N).reshape(N, N, N, N)
+    Y = (X.reshape(-1, N) @ _dft_phases(N)).reshape(N, N, N * N)  # [w1, k, (w1', w2')]
+    return (_conj_phases(N) @ Y / N).reshape(N, N, N, N)
 
 
-def teleport(rho1, alpha, beta, N=None):
+def teleport(rho1, alpha, beta):
     """Run the three-party protocol and condition on Bell outcome (alpha, beta).
 
     Subsystems 2-3 start in the seed Bell state; a joint measurement projects
@@ -161,11 +160,7 @@ def teleport(rho1, alpha, beta, N=None):
     for every input.
     """
     rho1 = validate_density(rho1)
-    if N is None:
-        N = rho1.shape[0]
-    N = check_dim(N)
-    if rho1.shape[0] != N:
-        raise ValueError("input state dimension does not match N")
+    N = check_dim(rho1.shape[0])
     # <Psi_{alpha,beta}|_12 (|psi>_1 x |Psi_{0,0}>_23) = M^T |psi> in matrix form
     Psi = bell_state(BellLabel(alpha, beta), N).reshape(N, N)
     M = Psi.conj() @ _bell_seed(N).reshape(N, N)

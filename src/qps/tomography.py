@@ -3,9 +3,10 @@ discrete Radon transforms and their ray inverses, Wigner reconstruction
 from simulated line sums, and the scattering-circuit simulator.
 
 `radon_q`/`radon_r`, `char_from_radon_q`/`_r` and `sample_marginal` are
-the per-line objects.  `reconstruct_wigner` handles all N + 1 rays of a
-prime-N plane at once, as (N + 1, N) stacks: one Fourier-slice gather
-for the line sums, one multinomial draw and one inverse DFT.
+the per-line objects.  `reconstruct_wigner` handles every ray of the
+plane at once, one per point of the projective line P^1(Z_N) (N + 1 rays
+at prime N), as (rays, N) stacks: one Fourier-slice gather for the line
+sums, one multinomial draw and one inverse DFT.
 """
 
 import math
@@ -15,12 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _dft2, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _traces
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
 
 __all__ = [
-    "CoverageError",
     "MarginalDistribution",
     "SymplecticParams",
     "mod_inverse",
@@ -39,10 +39,6 @@ __all__ = [
     "scattering_circuit",
     "sample_marginal",
 ]
-
-
-class CoverageError(ValueError):
-    """Raised when the ray family cannot cover the dual plane (composite N)."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +266,7 @@ def _ray_invert(values):
     """
     # out[t] = sum_k exp(2*pi*i*k*t/N) values(k) / N
     N = values.shape[-1]
-    return values @ _dft_phases(N).conj() / N
+    return values @ _conj_phases(N) / N
 
 
 def _char_from_radon(dist, axis, za, zb, N):
@@ -290,10 +286,6 @@ def char_from_radon_q(dist, z1, z3, N):
 def char_from_radon_r(dist, z2, z4, N):
     """Ray values Xi^(s)(z2*xi, z4*xi) recovered from an R-type line sum on that ray."""
     return _char_from_radon(dist, "R", z2, z4, N)
-
-
-def _is_prime(n):
-    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def _draw(p, shots, rng):
@@ -335,11 +327,11 @@ def sample_marginal(dist, shots, rng):
 def reconstruct_wigner(rho, shots=None, rng=None):
     """Reconstruct the Wigner grid of `rho` from simulated line sums.
 
-    For prime N the rays (1, k), k = 0..N-1, plus (0, 1) cover every
-    point of the dual plane exactly once (up to the shared origin).  All
-    N + 1 rays are handled at once: one gather of the traces at K^0 = 1,
-    one Fourier slice for the line sums, one inverse DFT for the rays and
-    one 2-D DFT back to phase space, O(N^3) in all.  With `shots` set (an
+    The R rays, one per point of the projective line P^1(Z_N) (N + 1 at
+    prime N, 12 at N = 9; `_ray_cells`), cover the dual plane at every odd
+    N and are handled at once: one gather of the traces at K^0 = 1, one
+    Fourier slice for the line sums, one inverse DFT for the rays and one
+    2-D DFT back to phase space, O(R N^2) in all.  With `shots` set (an
     integer >= 1, with a generator `rng`), the line sums are replaced by
     seeded multinomial estimates, drawn ray by ray in order.  Leading axes
     of rho are a batch; shots are then drawn state by state.
@@ -349,11 +341,24 @@ def reconstruct_wigner(rho, shots=None, rng=None):
 
 @lru_cache(maxsize=None)
 def _ray_cells(N):
-    """The rays (1, 0), ..., (1, N-1), (0, 1) as an (N + 1, 2) array, and the
-    dual-plane cells they pass through: ray j meets (za*t, zb*t) at
-    [rows[j, t + ell], cols[j, t + ell]].  O(N^2) per N."""
+    """One ray per point of the projective line P^1(Z_N) as an (R, 2) array,
+    and the dual-plane cells they pass through: ray j meets (za*t, zb*t) at
+    [rows[j, t + ell], cols[j, t + ell]].  Per prime power q = p^a of N the
+    classes are (1, k), k mod q, then (p*j, 1), j mod q/p, joined by CRT:
+    R = N prod_{p | N} (1 + 1/p) rays, covering every dual cell.  At prime
+    N they are (1, 0), ..., (1, N-1), (0, 1); at N = 1, the cell (0, 0).
+    O(R N) per N.
+    """
+    rays, n = np.zeros((1, 2), dtype=int), N
+    for p in range(3, N + 1, 2):
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            e = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N / q
+            local = [(1, k) for k in range(q)] + [(p * j, 1) for j in range(q // p)]
+            rays = (rays[:, None] + e * np.array(local)).reshape(-1, 2) % N
     ts, ell = labels(N), half_width(N)
-    rays = np.array([(1, k) for k in range(N)] + [(0, 1)])
     rows = center_mod(np.outer(rays[:, 0], ts), N) + ell
     cols = center_mod(np.outer(rays[:, 1], ts), N) + ell
     for a in (rays, rows, cols):
@@ -374,7 +379,7 @@ def _ray_sums(Xi):
 
 
 def _ray_loop(rho, shots, rng):
-    """Every ray of `reconstruct_wigner` in one pass over (N + 1, N) stacks.
+    """Every ray of `reconstruct_wigner` in one pass over (rays, N) stacks.
 
     Returns the characteristic grid Xi^(0) of rho, one gather of its traces
     (K^0 = 1), the values recovered on each ray of `_ray_cells`, one row per
@@ -384,8 +389,6 @@ def _ray_loop(rho, shots, rng):
     rho = np.asarray(rho)
     _require_square(rho, "reconstruct_wigner")
     N = check_dim(rho.shape[-1])
-    if not _is_prime(N):
-        raise CoverageError(f"ray coverage requires prime N; N = {N} has degenerate rays")
     if shots is not None and rng is None:
         raise ValueError("shot sampling needs a generator: pass rng with shots")
     Xi0 = _traces(rho)
@@ -395,7 +398,8 @@ def _ray_loop(rho, shots, rng):
     vals = _ray_invert(sums)
     _, rows, cols = _ray_cells(N)
     Xi = np.zeros(rho.shape, dtype=complex)
-    # every ray passes the origin, each with the value sum(line sums) / N
+    # a cell of order below N (the origin on every ray) lies on several
+    # rays and keeps the value of the last one written
     Xi[..., rows, cols] = vals
     return Xi0, vals, Xi
 

@@ -468,6 +468,22 @@ def ray_loop(rho, shots=None, rng=None):
     return PhaseSpaceFunction(0, _dft2(Xi)), rays
 
 
+def ray_cover(N):
+    """The points of P^1(Z_N) as a set of classes, each the frozenset of the
+    primitive cells (gcd(a, b, N) = 1) that are unit multiples of one another,
+    built by loops over cells and units."""
+    units = [u for u in range(N) if math.gcd(u, N) == 1]
+    classes, seen = set(), set()
+    for a in range(N):
+        for b in range(N):
+            if math.gcd(math.gcd(a, b), N) != 1 or (a, b) in seen:
+                continue
+            cls = frozenset((u * a % N, u * b % N) for u in units)
+            seen |= cls
+            classes.add(cls)
+    return classes
+
+
 def draw_probabilities(p):
     """The probabilities `tomography._draw` hands the multinomial, by the
     along-axis rule: rows rounded to multiples of 2^-32, each row's rounding
@@ -481,13 +497,14 @@ def draw_probabilities(p):
 
 
 def tomo_inputs(rho, shots=None, seed=0):
-    """(rays, Xi, vals, R, F) of one `qps tomo` run on rho: the rays in order,
-    the characteristic grid, the values recovered on each ray, and the rebuilt
-    and the exact Wigner grid.  With shots, each route draws from a generator
-    seeded by `seed`, as `qps tomo --seed` does."""
+    """(rays, Xi, vals, R, F) of one `qps tomo` run on rho: the rays of
+    `tomography._ray_cells` in order, the characteristic grid, the values
+    recovered on each ray, and the rebuilt and the exact Wigner grid.  With
+    shots, each route draws from a generator seeded by `seed`, as `qps tomo
+    --seed` does."""
     N = rho.shape[-1]
     rng = (lambda: None) if shots is None else (lambda: np.random.default_rng(seed))
-    rays = [(1, k) for k in range(N)] + [(0, 1)]
+    rays = tomography._ray_cells(N)[0].tolist()
     vals = tomography._ray_loop(rho, shots, rng())[1]
     R = tomography.reconstruct_wigner(rho, shots, rng()).grid
     return rays, char_fn(rho, 0).grid, vals, R, phase_fn(rho, 0).grid

@@ -123,12 +123,18 @@ def test_grid_io_error_exit_3(capsys):
 
 
 def test_tomo_exact_and_composite(capsys):
-    code, out, _ = run(capsys, "tomo", "--dim", "5", "--state", "coherent:1,-1")
-    assert code == 0
-    assert "max |dW|" in out
-    code, _, err = run(capsys, "tomo", "--dim", "9", "--state", "maximally-mixed")
-    assert code == 4
-    assert "coverage" in err
+    # composite N runs over the 12 and 24 rays of P^1(Z_N), exact to round-off
+    for N, rays in ((5, 6), (9, 12), (15, 24)):
+        code, out, _ = run(capsys, "tomo", "--dim", str(N), "--state", "coherent:1,-1")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == rays + 1 and lines[-1].startswith("max |dW|: ")
+        assert float(lines[-1].split()[-1]) < 1e-9
+    # seeded shots at composite N: the same report twice
+    for N in ("9", "15"):
+        args = ["tomo", "--dim", N, "--state", "fock:2", "--shots", "5000", "--seed", "3"]
+        first, second = run(capsys, *args), run(capsys, *args)
+        assert first == second and first[0] == 0 and "statistical max |dW|" in first[1]
 
 
 def test_tomo_ray_residuals_are_round_off(capsys):
@@ -160,7 +166,7 @@ def test_tomo_shots_below_one_exit_2(capsys, shots):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    N=st.sampled_from((3, 5, 7, 31)),
+    N=st.sampled_from((3, 5, 7, 9, 15, 21, 31)),
     kind=st.sampled_from(("pure", "mixed", "fock")),
     seed=st.integers(0, 2**32 - 1),
     shots=st.one_of(st.none(), st.integers(1, 10**6)),

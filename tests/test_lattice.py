@@ -12,6 +12,8 @@ from qps.lattice import (
     tensor,
     partial_trace,
     dft_matrix,
+    _conj_phases,
+    _dft_phases,
 )
 
 
@@ -87,3 +89,8 @@ def test_dft_matrix_is_unitary_and_symmetric():
         F = dft_matrix(N)
         assert np.abs(F @ dagger(F) - np.eye(N)).max() < 1e-12
         assert np.abs(F - F.T).max() < 1e-12
+        # the inverse phases are one cached read-only table, the exact conjugate
+        ph = _conj_phases(N)
+        assert ph is _conj_phases(N) and not ph.flags.writeable
+        assert np.array_equal(ph, _dft_phases(N).conj())
+        assert np.array_equal(F, ph / np.sqrt(N))

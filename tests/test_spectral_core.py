@@ -381,6 +381,25 @@ def test_line_sums_match_mask_loop(N, seed, pure, s, z):
 primes = st.sampled_from((3, 5, 7, 11, 13, 31))
 
 
+@pytest.mark.parametrize("N", (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 45, 105))
+def test_ray_cells_are_the_projective_line(N):
+    # one ray per class of primitive cells under unit multiples, N prod (1 + 1/p)
+    # of them, and every dual cell on a ray; at prime N, (1, 0..N-1) then (0, 1)
+    rays, rows, cols = tomography._ray_cells(N)
+    cover = oracle.ray_cover(N)
+    hit = [next(c for c in cover if (a, b) in c) for a, b in rays.tolist()]
+    assert len(set(hit)) == len(hit) == len(cover)
+    prime_divisors = [p for p in range(3, N + 1, 2) if N % p == 0 and all(p % d for d in range(3, p, 2))]
+    assert len(rays) == round(N * math.prod(1 + 1 / p for p in prime_divisors))
+    covered = np.zeros((N, N), dtype=bool)
+    covered[rows, cols] = True
+    assert covered.all()
+    # CRT keeps the affine representatives: (1, k) is a ray for every k mod N
+    assert sorted(b for a, b in rays.tolist() if a == 1 % N) == list(range(N))
+    if prime_divisors == [N]:
+        assert rays.tolist() == [[1, k] for k in range(N)] + [[0, 1]]
+
+
 @SETTINGS
 @given(N=primes, seed=seeds, pure=st.booleans())
 def test_ray_sums_match_radon_on_every_ray(N, seed, pure):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import loop_oracles as oracle
 
@@ -20,7 +21,6 @@ from qps.quasiprob import (
     phase_fn,
 )
 from qps.tomography import (
-    CoverageError,
     MarginalDistribution,
     SymplecticParams,
     mod_inverse,
@@ -341,9 +341,20 @@ def test_reconstruct_wigner_three_families(N):
         assert np.abs(R - W).max() < 1e-9
 
 
-def test_reconstruct_wigner_composite_raises():
-    with pytest.raises(CoverageError):
-        reconstruct_wigner(maximally_mixed(9))
+@settings(max_examples=30, deadline=None)
+@example(N=9, seed=0, pure=False)
+@example(N=15, seed=1, pure=True)
+@given(N=st.sampled_from((9, 15, 21, 25, 27, 33, 35, 39, 45)), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+def test_reconstruct_wigner_composite_is_exact(N, seed, pure):
+    # one state, a stack of pure and mixed states, and seeded shots, all over P^1(Z_N)
+    rng = np.random.default_rng(seed)
+    rho = random_density(N, rng, pure=pure)
+    stack = np.stack([random_density(N, rng, pure=b % 2 == 1) for b in range(3)])
+    for states in (rho, stack):
+        assert np.abs(reconstruct_wigner(states).grid - phase_fn(states, 0).grid).max() < 1e-9
+    W, again = (reconstruct_wigner(rho, 1000, np.random.default_rng(seed)).grid for _ in range(2))
+    assert np.array_equal(W, again)
+    assert np.abs(W.imag).max() < 1e-12 and abs(W.real.sum() - N) < 1e-9
 
 
 @pytest.mark.parametrize("N", (3, 5, 7, 11, 13))
