@@ -186,7 +186,9 @@ def cmd_teleport(args):
     # the shift law moves the sender's grid by (alpha, -beta); the recovery
     # operation undoes it, so the displacement reported is (-alpha, beta)
     expected = (center_mod(-alpha, N), beta)
-    err = float(np.abs(W3 - np.roll(W1, (alpha, -beta), axis=(0, 1))).max())
+    # np.roll(W1, (alpha, -beta)) as one gather: row i reads W1[i - alpha], column j reads W1[:, j + beta]
+    rows = np.arange(N)
+    err = float(np.abs(W3 - W1[np.ix_((rows - alpha) % N, (rows + beta) % N)]).max())
     ok = err < 1e-9 and abs(p - 1 / N**2) < 1e-12
     measured = expected
     if err >= 1e-9:
@@ -198,10 +200,12 @@ def cmd_teleport(args):
         i, j = np.unravel_index(np.argmin(dists), dists.shape)
         measured = (center_mod(-ks[i], N), center_mod(-ks[j], N))
     fid = float(np.trace(rho3 @ rho3).real)  # purity proxy printed alongside
-    print(f"p({alpha},{beta}) = {_fmt(p)}  (uniform value {_fmt(1 / N**2)})")
-    print(f"measured displacement: ({measured[0]},{measured[1]})  expected ({expected[0]},{expected[1]})")
-    print(f"shift-law residual: {_fmt(err)}")
-    print(f"receiver purity: {_fmt(fid)}")
+    sys.stdout.write(
+        f"p({alpha},{beta}) = {_fmt(p)}  (uniform value {_fmt(1 / N**2)})\n"
+        f"measured displacement: ({measured[0]},{measured[1]})  expected ({expected[0]},{expected[1]})\n"
+        f"shift-law residual: {_fmt(err)}\n"
+        f"receiver purity: {_fmt(fid)}\n"
+    )
     return EXIT_OK if ok else EXIT_FAIL
 
 

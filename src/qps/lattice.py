@@ -24,6 +24,10 @@ __all__ = [
     "dft_matrix",
 ]
 
+# the one bound on every table cache in the package (keyed by N, or by
+# (s, N)): a sweep over N keeps only the most recent tables, each read-only
+_table_cache = lru_cache(maxsize=8)
+
 
 def check_dim(N):
     """Validate a Hilbert-space dimension: positive and odd."""
@@ -48,6 +52,8 @@ def center_mod(x, N):
     """Reduce integer(s) x into the centered interval [-ell, ell] mod N."""
     N = check_dim(N)
     ell = (N - 1) // 2
+    if isinstance(x, int):
+        return (x + ell) % N - ell
     r = (np.asarray(x) + ell) % N - ell
     if np.ndim(x) == 0:
         return int(r)
@@ -107,7 +113,7 @@ def dft_matrix(N):
     return _conj_phases(check_dim(N)) / np.sqrt(N)
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _dft_phases(N):
     """Read-only phases ph[eta + ell, mu + ell] = exp(-2*pi*i*eta*mu/N); symmetric."""
     k = labels(N)
@@ -116,7 +122,7 @@ def _dft_phases(N):
     return ph
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _conj_phases(N):
     """Read-only conj(`_dft_phases(N)`), the inverse DFT's phases exp(+2*pi*i*eta*mu/N)."""
     ph = _dft_phases(N).conj()
@@ -144,7 +150,7 @@ def _dual_multiply(M, grid):
     return _dft2(M * _idft2(grid))
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _diagonals(N):
     """Indices [xi + ell, kappa + ell] of O[kappa, kappa - xi], and the phases
     front[eta + ell, xi + ell] = exp(-i*pi*eta*xi/N) / sqrt(N).

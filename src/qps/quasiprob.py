@@ -9,11 +9,10 @@ is a product by K in that dual plane (Cahill and Glauber, Phys. Rev. 177,
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _dual_multiply, _traces
+from .lattice import check_dim, labels, center_mod, _dual_multiply, _traces, _table_cache
 from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, decompose_t, reconstruct_t, _kernel_power
 
@@ -155,7 +154,7 @@ def phase_fn(rho, s):
     return PhaseSpaceFunction(s, decompose_t(rho, -s))
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def smoothing_table(N):
     """2-D smoothing weights E[dmu + ell, dnu + ell] linking the hierarchy.
 

@@ -18,11 +18,9 @@ is that gather or scatter plus a 2-D DFT against K^(-s).  Every other
 kernel T^(s)(mu, nu) is a displaced copy of the origin one (`t_op`).
 """
 
-from functools import lru_cache
-
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _idft2, _diagonals, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _idft2, _diagonals, _traces, _table_cache
 from .theta import _log_kernel
 
 __all__ = [
@@ -50,7 +48,7 @@ def check_order(s):
     return s
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def u_matrix(N):
     """Clock operator: diagonal phases exp(2*pi*i*kappa/N) over centered kappa."""
     N = check_dim(N)
@@ -59,7 +57,7 @@ def u_matrix(N):
     return U
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def v_matrix(N):
     """Shift operator: V|kappa> = |kappa - 1> with centered wraparound."""
     N = check_dim(N)
@@ -98,7 +96,7 @@ def s_op(eta, xi, N):
 LOG_MAX = float(np.log(np.finfo(float).max))
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _log_gain(N):
     """-min log K >= 0, the log of max K^(-1): the round-off amplification of the Glauber order."""
     return float(-_log_kernel(N).min())
@@ -127,7 +125,7 @@ def s_op_ordered(eta, xi, s, N):
     return Kpow * s_op(eta, xi, N)
 
 
-@lru_cache(maxsize=8)
+@_table_cache
 def _origin_kernel(s, N):
     """Cached read-only T^(s)(0, 0) = sum K^(-s) S / sqrt(N); at s = -1 the vacuum projector |F_0><F_0|."""
     T0 = reconstruct_schwinger(_kernel_power(s, N)) / np.sqrt(N)
@@ -135,7 +133,7 @@ def _origin_kernel(s, N):
     return T0
 
 
-@lru_cache(maxsize=8)
+@_table_cache
 def _t_family(s, N):
     ks = labels(N)
     T = np.empty((N, N, N, N), dtype=complex)

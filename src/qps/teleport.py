@@ -3,21 +3,22 @@ tables linking the Bell and phase-space operator bases, and the three-party
 teleportation protocol with its phase-space displacement law.
 
 A Bell state in matrix form Psi[kappa1, kappa2] is the seed Pi / sqrt(N)
-(Pi the parity) with its rows rolled and its columns phased, so every
-route here works on N x N matrices: the protocol is a product of three of
-them, the two-mode tables are the gather of `lattice._traces` applied
-to one mode after the other, the Bell coefficients of T (x) T are one
-gather of the first kernel and a 1-D DFT per mode, and the receiver
-coefficients are one multiplier in the dual plane.  Only two-mode
-operators given as input or built as a Bell dyad are N^2 x N^2 matrices.
+(Pi the parity) with its rows gathered in rolled order and its columns
+phased, so every route here works on N x N matrices: the protocol is a
+product of three of them, the two-mode tables are one gather of the
+operator's cyclic diagonals in both modes followed by six products with
+N x N phase tables, the Bell coefficients of T (x) T are one gather of
+the first kernel and a 1-D DFT per mode, and the receiver coefficients
+are one multiplier in the dual plane.  Only two-mode operators given as
+input or built as a Bell dyad are N^2 x N^2 matrices.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _idft2, _dual_multiply, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _idft2, _dual_multiply, _diagonals, _table_cache
 from .schwinger import check_order, t_op, reconstruct_t, _kernel_power
 from .quasiprob import validate_density, phase_fn
 
@@ -60,7 +61,7 @@ class BipartitePhaseFn:
         return self.grid.shape[0]
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _bell_seed(N):
     """|Psi_{0,0}> = N^(-1/2) sum_eps |v_eps> x |v_eps> over the shift eigenbasis.
 
@@ -83,7 +84,7 @@ def bell_state(omega, N):
     N = check_dim(N)
     w = omega.reduced(N) if isinstance(omega, BellLabel) else BellLabel(*omega).reduced(N)
     # (V^omega1 M)[kappa] = M[kappa + omega1]; U^(-omega2) = diag exp(-2 pi i omega2 kappa / N)
-    psi = np.roll(_bell_seed(N).reshape(N, N), -w.omega1, axis=0)
+    psi = _bell_seed(N).reshape(N, N).take(np.arange(w.omega1, w.omega1 + N), axis=0, mode="wrap")
     return (psi * _dft_phases(N)[w.omega2 + half_width(N)]).ravel()
 
 
@@ -97,25 +98,37 @@ def bipartite_phase_fn(state, s1, s2):
 
     grid[m1, n1, m2, n2] is the trace of T^(s1)(mu1, nu1) (x) T^(s2)(mu2, nu2)
     against the operator; a vector input is promoted to its projector.
+    One gather of the operator's cyclic diagonals in both modes, then six
+    products, each transforming the leading axis and moving it last: two
+    label sums, the K^(-s1) (x) K^(-s2) multiplier, and a 2-D DFT per
+    mode.  O(N^5), with no N x N slice handled on its own.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        rho = np.outer(state, state.conj())
-    else:
-        rho = state
-    D = rho.shape[0]
-    N = check_dim(round(np.sqrt(D)))
+        state = np.outer(state, state.conj())
+    elif state.ndim != 2 or state.shape[0] != state.shape[1]:
+        raise ValueError(f"expected a state vector or a square operator, got shape {state.shape}")
+    D = state.shape[0]
+    N = math.isqrt(D)
     if N * N != D:
         raise ValueError(f"operator dimension {D} is not a perfect square")
+    N = check_dim(N)
     s1 = check_order(s1)
     s2 = check_order(s2)
-    R = rho.reshape(N, N, N, N)  # [i1, i2, j1, j2]
-    # Tr[(A x B) rho] = A_ji B_lk R[i, k, j, l]: gather mode 1 over its
-    # operator axes (i, j), batched over mode 2, then mode 2
-    X = _traces(_traces(R.transpose(1, 3, 0, 2)).transpose(2, 3, 0, 1))
-    X = _kernel_power(s1, N)[:, :, None, None] * X * _kernel_power(s2, N)
-    grid = _dft2(_dft2(X).transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
-    return BipartitePhaseFn(s1, s2, grid)
+    rows, cols, front = _diagonals(N)
+    c = cols.T  # c[kappa + ell, xi + ell] indexes kappa - xi
+    # X[k1, k2, xi1, xi2] = R[k1, k2, k1 - xi1, k2 - xi2] with R[i1, i2, j1, j2] the operator
+    X = state.reshape(N, N, N, N)[rows[:, None, None, None], rows[:, None, None], c[:, None, :, None], c[:, None, :]]
+    for ph in (_conj_phases(N),) * 2:
+        X = X.reshape(N, -1).T @ ph
+    # X[xi1, xi2, eta1, eta2] = sum_k1,k2 exp(2 pi i (eta1 k1 + eta2 k2) / N) R[...]
+    A = (front * _kernel_power(s1, N)).T
+    B = (front * _kernel_power(s2, N)).T / N
+    X = X.reshape(N, N, N, N) * (A[:, None, :, None] * B[:, None, :])
+    for ph in (_dft_phases(N),) * 4:
+        X = X.reshape(N, -1).T @ ph
+    # X[nu1, nu2, mu1, mu2]
+    return BipartitePhaseFn(s1, s2, X.reshape(N, N, N, N).transpose(2, 0, 3, 1))
 
 
 def upsilon_coeffs(omega, omega_p, s1, s2, N):

@@ -12,11 +12,10 @@ wraparound and the finite number-basis tables.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _traces, _table_cache
 
 __all__ = [
     "theta",
@@ -79,7 +78,7 @@ def _image_sums(x, N):
     return terms[..., EVEN].sum(-1), terms[..., ~EVEN].sum(-1)
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _log_kernel(N):
     """Cached read-only log K[eta + ell, xi + ell] = -pi (eta^2 + xi^2) / (2N) + log(B / B(0, 0)).
 
@@ -99,7 +98,7 @@ def _log_kernel(N):
     return L
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def kernel_table(N):
     """Cached read-only K[eta + ell, xi + ell] = exp(log K); corners below the
     smallest double (from N ~ 950 on) are 0, and the log table keeps them."""
@@ -136,7 +135,7 @@ def smoothing_1d(chi, N):
     return w if w.ndim else float(w)
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def fock_coefficients(N):
     """Coefficients F[kappa + ell, n] of the finite number states.
 

@@ -12,11 +12,10 @@ sums, one multinomial draw and one inverse DFT.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _traces
+from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _traces, _table_cache
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
 
@@ -163,7 +162,7 @@ def smooth_marginal(dist):
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _roots(N):
     """Read-only 2N-th roots of unity exp(i pi m / N), m = 0..2N-1."""
     w = np.exp(1j * np.pi * np.arange(2 * N) / N)
@@ -339,7 +338,7 @@ def reconstruct_wigner(rho, shots=None, rng=None):
     return PhaseSpaceFunction(0, _dft2(_ray_loop(rho, shots, rng)[-1]))
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _ray_cells(N):
     """One ray per point of the projective line P^1(Z_N) as an (R, 2) array,
     and the dual-plane cells they pass through: ray j meets (za*t, zb*t) at

@@ -21,7 +21,9 @@ scattering circuit as the dense 2N-dimensional Kronecker circuit and
 the Wigner reconstruction one ray at a time (a line sum, a draw and an
 inversion per Python iteration over the N + 1 rays), the draw's
 probabilities rounded by the along-axis rule, and the `qps tomo` report
-printed one ray line at a time, and
+printed one ray line at a time.  The two-mode table keeps the trace
+gather applied one mode after the other, with a batched 2-D DFT per
+mode, and the `qps teleport` report is printed one line at a time, and
 the self-test keeps its family checks on the cached T^(s) family with
 one overlap or trace per label pair.  The `qps grid` writer is kept as
 one Python tuple per row and `json.dumps` over the whole payload.  They
@@ -48,14 +50,15 @@ from qps.lattice import (
     partial_trace,
     dft_matrix,
     _dft2,
+    _traces,
 )
 from qps.theta import kernel_table as cached_kernel_table, gamma_table as _gamma_table
-from qps.schwinger import check_order, u_matrix, v_matrix, t_op
+from qps.schwinger import check_order, u_matrix, v_matrix, t_op, _kernel_power
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density, char_fn, phase_fn
 from qps import tomography
 from qps.tomography import radon_q, radon_r, char_from_radon_q, char_from_radon_r, sample_marginal
-from qps.teleport import BellLabel
+from qps.teleport import BellLabel, teleport as protocol
 
 
 def theta(kind, z, a, tol=1e-16):
@@ -394,6 +397,18 @@ def bipartite_phase_fn_grid(rho, s1, s2):
     return np.einsum("abij,cdkl,jlik->abcd", fam1, fam2, R)
 
 
+def bipartite_phase_fn_core(rho, s1, s2):
+    """grid[m1, n1, m2, n2] as the trace gather applied to mode 1 (batched over
+    the indices of mode 2) and then to mode 2, K^(-s1) (x) K^(-s2), and a
+    batched 2-D DFT per mode: 6 N^2 products of N x N slices."""
+    N = check_dim(math.isqrt(rho.shape[0]))
+    R = rho.reshape(N, N, N, N)  # [i1, i2, j1, j2]
+    # Tr[(A x B) rho] = A_ji B_lk R[i, k, j, l]
+    X = _traces(_traces(R.transpose(1, 3, 0, 2)).transpose(2, 3, 0, 1))
+    X = _kernel_power(s1, N)[:, :, None, None] * X * _kernel_power(s2, N)
+    return _dft2(_dft2(X).transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+
+
 def r_kernel(alpha, beta, ds, N):
     """R[m1, n1, m3, n3] as the unoptimised three-operand einsum of 1-D phases and K^ds."""
     N = check_dim(N)
@@ -526,6 +541,35 @@ def tomo_report(rays, Xi, vals, R, F, shots=None, seed=0):
         else:
             print(f"max |dW|: {err:.15g}")
     return out.getvalue(), 0 if shots is not None or err < 1e-9 else 1
+
+
+def teleport_report(rho, alpha, beta):
+    """The `qps teleport` stdout and exit code for a parsed state, printed one
+    line at a time, with the shift law checked against `np.roll`."""
+    N = rho.shape[0]
+    alpha, beta = center_mod(alpha, N), center_mod(beta, N)
+    rho3, p = protocol(rho, alpha, beta)
+    W1 = phase_fn(rho, 0).grid.real
+    W3 = phase_fn(rho3, 0).grid.real
+    expected = (center_mod(-alpha, N), beta)
+    err = float(np.abs(W3 - np.roll(W1, (alpha, -beta), axis=(0, 1))).max())
+    ok = err < 1e-9 and abs(p - 1 / N**2) < 1e-12
+    measured = expected
+    if err >= 1e-9:
+        ks = labels(N)
+        dists = np.array(
+            [[np.abs(W3 - np.roll(W1, (da, db), axis=(0, 1))).max() for db in ks] for da in ks]
+        )
+        i, j = np.unravel_index(np.argmin(dists), dists.shape)
+        measured = (center_mod(-ks[i], N), center_mod(-ks[j], N))
+    fid = float(np.trace(rho3 @ rho3).real)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print(f"p({alpha},{beta}) = {p:.15g}  (uniform value {1 / N**2:.15g})")
+        print(f"measured displacement: ({measured[0]},{measured[1]})  expected ({expected[0]},{expected[1]})")
+        print(f"shift-law residual: {err:.15g}")
+        print(f"receiver purity: {fid:.15g}")
+    return out.getvalue(), 0 if ok else 1
 
 
 # the library builds the Gamma table afresh on every call

@@ -234,6 +234,38 @@ def test_teleport_exit_follows_shift_law_and_probability(capsys, monkeypatch):
     assert "measured displacement: (-1,0)  expected (-1,0)" in out
 
 
+TELEPORT_CASES = [
+    (N, spec) for N in (1, 3, 5, 7, 9) for spec in ("maximally-mixed", f"fock:{N - 1}", "coherent:1,-1")
+] + [(9, "bell:1,-1"), (9, "bell:-4,7")]
+
+
+@pytest.mark.parametrize("N, spec", TELEPORT_CASES)
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (1, -1), (13, -22), (-31, 19)])
+def test_teleport_report_is_byte_identical_to_loop_oracle(N, spec, alpha, beta):
+    # the four report lines and the exit code of `qps teleport`, labels
+    # reduced mod N, against the report printed one line at a time
+    argv = ["teleport", "--dim", str(N), "--state", spec, "--alpha", str(alpha), "--beta", str(beta)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert (out.getvalue(), code) == oracle.teleport_report(parse_state(spec, N), alpha, beta)
+
+
+def test_teleport_failure_report_is_byte_identical_to_loop_oracle(monkeypatch):
+    # a protocol off by one label fails the shift law: the best-roll search
+    # names the displacement it finds, in the same bytes as the oracle
+    real = cli.teleport
+    wrong = lambda rho, a, b: real(rho, a + 1, b)
+    monkeypatch.setattr(cli, "teleport", wrong)
+    monkeypatch.setattr(oracle, "protocol", wrong)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["teleport", "--dim", "5", "--state", "fock:1", "--alpha", "1", "--beta", "2"])
+    assert code == 1
+    assert "measured displacement: (-2,2)  expected (-1,2)" in out.getvalue()
+    assert (out.getvalue(), code) == oracle.teleport_report(parse_state("fock:1", 5), 1, 2)
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--dim", "3")
     assert code == 0

@@ -1,4 +1,7 @@
-"""Centered-index arithmetic and dense linear-algebra helpers."""
+"""Centered-index arithmetic and dense linear-algebra helpers, and the
+bound on the package's per-N table caches."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -94,3 +97,30 @@ def test_dft_matrix_is_unitary_and_symmetric():
         assert ph is _conj_phases(N) and not ph.flags.writeable
         assert np.array_equal(ph, _dft_phases(N).conj())
         assert np.array_equal(F, ph / np.sqrt(N))
+
+
+# every table the package caches per dimension N, by module
+PER_N_TABLES = {
+    "lattice": ("_dft_phases", "_conj_phases", "_diagonals"),
+    "theta": ("_log_kernel", "kernel_table", "fock_coefficients"),
+    "schwinger": ("_log_gain", "u_matrix", "v_matrix"),
+    "quasiprob": ("smoothing_table",),
+    "tomography": ("_ray_cells", "_roots"),
+    "teleport": ("_bell_seed",),
+}
+
+
+def test_per_dimension_tables_stay_bounded_and_read_only():
+    # unbounded, one reconstruct_wigner left 101 MB of tables held at N = 1001
+    tables = [getattr(importlib.import_module(f"qps.{mod}"), name)
+              for mod, names in PER_N_TABLES.items() for name in names]
+    bound = _dft_phases.cache_info().maxsize
+    assert bound is not None and bound < 20
+    for N in range(1, 41, 2):
+        for table in tables:
+            out = table(N)
+            for a in out if isinstance(out, tuple) else (out,):
+                assert not isinstance(a, np.ndarray) or not a.flags.writeable
+    for table in tables:
+        info = table.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound, table.__name__

@@ -34,7 +34,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import loop_oracles as oracle
 from qps import cli, schwinger, tomography
@@ -630,6 +630,32 @@ def test_bipartite_phase_fn_matches_einsum(N, seed, pure, s1, s2):
     F = bipartite_phase_fn(rho, s1, s2)
     assert (F.s1, F.s2) == (complex(s1), complex(s2))
     assert np.abs(F.grid - oracle.bipartite_phase_fn_grid(rho, s1, s2)).max() <= bound2(N, s1, s2)
+
+
+def two_mode_operator(N, seed, kind, wa, wb):
+    """A pure or mixed state on the doubled space, or a (non-Hermitian) Bell dyad."""
+    if kind == "dyad":
+        return np.outer(oracle.bell_state(wa, N), oracle.bell_state(wb, N).conj())
+    return state(N * N, seed, kind == "pure")
+
+
+@SETTINGS
+@given(N=teleport_dims, seed=seeds, kind=st.sampled_from(("pure", "mixed", "dyad")),
+       wa=bell_labels, wb=bell_labels, s1=orders, s2=orders)
+@example(N=1, seed=0, kind="mixed", wa=(0, 0), wb=(0, 0), s1=0j, s2=0j)
+@example(N=3, seed=1, kind="dyad", wa=(1, 0), wb=(0, -1), s1=1 + 0j, s2=-1 + 0j)
+@example(N=5, seed=2, kind="pure", wa=(0, 0), wb=(0, 0), s1=0.3 + 0.4j, s2=-0.6j)
+@example(N=7, seed=3, kind="dyad", wa=(2, -3), wb=(-1, 1), s1=-0.5 + 0.5j, s2=0j)
+@example(N=9, seed=4, kind="mixed", wa=(0, 0), wb=(0, 0), s1=-1 + 0j, s2=1 + 0j)
+def test_bipartite_phase_fn_matches_core_oracle(N, seed, kind, wa, wb, s1, s2):
+    # one gather and six products against the per-mode trace gathers and
+    # batched 2-D DFTs they replaced, and against the einsum over two families
+    op = two_mode_operator(N, seed, kind, wa, wb)
+    grid = bipartite_phase_fn(op, s1, s2).grid
+    assert grid.shape == (N,) * 4
+    tol = bound2(N, s1, s2)
+    assert np.abs(grid - oracle.bipartite_phase_fn_core(op, s1, s2)).max() <= tol
+    assert np.abs(grid - oracle.bipartite_phase_fn_grid(op, s1, s2)).max() <= tol
 
 
 @SETTINGS

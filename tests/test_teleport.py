@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_bipartite_phase_fn_factorizes_and_normalizes():
     fb = phase_fn_direct(rb, -1).grid
     assert np.abs(grid - np.einsum("ab,cd->abcd", fa, fb)).max() < 1e-10
     assert abs(grid.sum() / N**2 - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(2, 9, 9), (9, 3), (3, 9), (1, 1, 1), ()])
+def test_bipartite_phase_fn_rejects_non_square_and_stacked_operators(shape):
+    # a stack used to be read as an operator of dimension shape[0], and a
+    # non-square matrix failed inside numpy's reshape
+    with pytest.raises(ValueError, match=r"square operator, got shape " + re.escape(str(shape))):
+        bipartite_phase_fn(np.zeros(shape, dtype=complex), 0, 0)
+
+
+@pytest.mark.parametrize("D", [2, 5, 8, 10])
+def test_bipartite_phase_fn_rejects_non_square_dimension(D):
+    with pytest.raises(ValueError, match=f"operator dimension {D} is not a perfect square"):
+        bipartite_phase_fn(np.eye(D) / D, 0, 0)
+    with pytest.raises(ValueError, match=f"operator dimension {D} is not a perfect square"):
+        bipartite_phase_fn(np.ones(D) / np.sqrt(D), 0, 0)
 
 
 def test_upsilon_expansion_reconstructs_bell_dyad():
