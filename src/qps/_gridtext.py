@@ -129,18 +129,10 @@ def _dd_pow10(k):
 
 @lru_cache(maxsize=None)
 def _pow10_table():
-    """Rows hi, bh, bl, lo of 10^(14 - e) per exponent e; NaN until first needed."""
-    return np.full((4, 2 * _EOFF + 1), np.nan)
-
-
-def _pow10(idx):
-    table = _pow10_table()
-    rows = np.take(table, idx, axis=1)
-    if np.isnan(rows[0]).any():
-        for i in set(idx[np.isnan(rows[0])].tolist()):
-            table[:, i] = _dd_pow10(14 + _EOFF - i)
-        rows = np.take(table, idx, axis=1)
-    return rows
+    """Read-only rows hi, bh, bl, lo of 10^(14 - e) per exponent e, at column e + _EOFF."""
+    table = np.array([_dd_pow10(14 + _EOFF - i) for i in range(2 * _EOFF + 1)]).T
+    table.flags.writeable = False
+    return table
 
 
 def decimal(x):
@@ -154,7 +146,7 @@ def decimal(x):
     zero = a == 0
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, bh, bl, lo = _pow10(e + _EOFF)
+    hi, bh, bl, lo = np.take(_pow10_table(), e + _EOFF, axis=1)
     # ph + t = a 10^(14 - e): Dekker's exact product of a and hi, plus a lo
     ph = a * hi
     c = _SPLIT * a

@@ -52,37 +52,41 @@ def parse_state(spec, N):
 
     Accepted forms: ``maximally-mixed``, ``fock:n``, ``coherent:mu,nu``,
     ``bell:w1,w2`` (dimension must equal the square of the Bell order),
-    and ``file:path`` (JSON rows with [re, im] entries).
+    and ``file:path`` (JSON rows with [re, im] entries).  A state whose
+    dimension is not N (only a file can give one) is a usage error.
     """
     kind, _, arg = spec.partition(":")
     try:
         if kind == "maximally-mixed":
-            return maximally_mixed(N)
-        if kind == "fock":
-            return fock_projector(int(arg), N)
-        if kind == "coherent":
+            rho = maximally_mixed(N)
+        elif kind == "fock":
+            rho = fock_projector(int(arg), N)
+        elif kind == "coherent":
             mu, nu = (int(a) for a in arg.split(","))
-            return coherent_projector(mu, nu, N)
-        if kind == "bell":
+            rho = coherent_projector(mu, nu, N)
+        elif kind == "bell":
             w1, w2 = (int(a) for a in arg.split(","))
             n = math.isqrt(N)
             if n * n != N:
                 raise UsageError(
                     f"bell states live on a squared dimension; {N} is not a square"
                 )
-            return bell_projector(BellLabel(w1, w2), n)
-        if kind == "file":
+            rho = bell_projector(BellLabel(w1, w2), n)
+        elif kind == "file":
             with open(arg) as fh:
                 rows = json.load(fh)
-            rho = np.array([[complex(re, im) for re, im in row] for row in rows])
-            return validate_density(rho)
+            rho = validate_density(np.array([[complex(re, im) for re, im in row] for row in rows]))
+        else:
+            raise UsageError(f"unknown state kind {kind!r}")
     except UsageError:
         raise
     except OSError:
         raise
     except Exception as exc:
         raise UsageError(f"cannot parse state spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown state kind {kind!r}")
+    if rho.shape[0] != N:
+        raise UsageError(f"state dimension {rho.shape[0]} does not match --dim {N}")
+    return rho
 
 
 def parse_order(text):
@@ -133,10 +137,6 @@ def cmd_grid(args):
         if args.state is None:
             raise UsageError(f"--what {what} requires --state")
         rho = parse_state(args.state, N)
-        if rho.shape[0] != N:
-            raise UsageError(
-                f"state dimension {rho.shape[0]} does not match --dim {N}"
-            )
         if what in WHAT_ORDERS:
             s = WHAT_ORDERS[what]
             grid, kind = phase_fn(rho, s).grid, "phase_fn"
@@ -155,8 +155,6 @@ def cmd_grid(args):
 def cmd_tomo(args):
     N = check_dim(args.dim)
     rho = parse_state(args.state, N)
-    if rho.shape[0] != N:
-        raise UsageError(f"state dimension {rho.shape[0]} does not match --dim {N}")
     # a shot count below 1 raises ValueError in the sampler: exit 2
     rng = None if args.shots is None else np.random.default_rng(args.seed)
     Xi, vals, rebuilt = _ray_loop(rho, args.shots, rng)
@@ -176,8 +174,6 @@ def cmd_tomo(args):
 def cmd_teleport(args):
     N = check_dim(args.dim)
     rho = parse_state(args.state, N)
-    if rho.shape[0] != N:
-        raise UsageError(f"state dimension {rho.shape[0]} does not match --dim {N}")
     alpha = center_mod(args.alpha, N)
     beta = center_mod(args.beta, N)
     rho3, p = teleport(rho, alpha, beta)

@@ -3,9 +3,12 @@
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
-The Fourier helpers at the end hold the package's one 2-D DFT convention,
-and `_traces` is the one gather of Tr[S(eta, xi) O] over every label pair
-(S(eta, xi) the symmetrized displacement of `schwinger`).
+The helpers at the end are the only readers of the phase tables and the
+one operand check: `_square` decides what an operand's shape must be,
+`_dft`/`_idft`, `_phases` and `_dft2`/`_idft2` hold the package's one
+Fourier convention, and `_traces` is the one gather of Tr[S(eta, xi) O]
+over every label pair (S(eta, xi) the symmetrized displacement of
+`schwinger`).
 """
 
 import math
@@ -128,6 +131,42 @@ def _conj_phases(N):
     ph = _dft_phases(N).conj()
     ph.setflags(write=False)
     return ph
+
+
+def _square(A, name):
+    """A as an array and its N, or a ValueError naming `name` and the shape
+    unless the last two axes are N x N with N odd.  Leading axes stay a batch."""
+    A = np.asarray(A)
+    shape = A.shape
+    if len(shape) < 2 or shape[-2] != shape[-1]:
+        raise ValueError(f"{name} takes square matrices, got shape {shape}")
+    if shape[-1] % 2 == 0:
+        raise ValueError(f"{name} takes square matrices of odd size N, got shape {shape}")
+    return A, shape[-1]
+
+
+def _phases(k, N):
+    """Phase rows exp(-2*pi*i*k*kappa/N) over centered kappa, one per integer of k (any range)."""
+    return _dft_phases(N)[(k + (N - 1) // 2) % N]
+
+
+def _dft(X, axis=-1):
+    """Unnormalized forward sum over labels eta of exp(-2*pi*i*eta*mu/N) X[eta].
+
+    axis=-1 sums the last axis, a right product X @ ph; axis=-2 sums the
+    second-to-last axis, or a vector's only one, a left product ph @ X.
+    The two sides round differently, so each caller keeps its own.
+    """
+    if axis == -1:
+        return X @ _dft_phases(X.shape[-1])
+    return _dft_phases(X.shape[-min(X.ndim, 2)]) @ X
+
+
+def _idft(X, axis=-1):
+    """Unnormalized inverse of `_dft`: the sum against exp(+2*pi*i*eta*mu/N), on the same sides."""
+    if axis == -1:
+        return X @ _conj_phases(X.shape[-1])
+    return _conj_phases(X.shape[-min(X.ndim, 2)]) @ X
 
 
 def _dft2(X):

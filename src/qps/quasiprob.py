@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _dual_multiply, _traces, _table_cache
+from .lattice import check_dim, labels, center_mod, _square, _dual_multiply, _traces, _table_cache
 from .theta import kernel_table, fock_coefficients
-from .schwinger import check_order, t_op, t_overlap, decompose_t, reconstruct_t, _kernel_power
+from .schwinger import check_order, t_op, t_overlap, _kernel_power, _t_grid, _t_sum
 
 __all__ = [
     "FormalismViolation",
@@ -44,33 +44,32 @@ class FormalismViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PhaseSpaceFunction:
+class _LabelGrid:
+    """A (..., N, N) grid over centered labels, tagged with its order s; checked when built."""
+
+    s: complex
+    grid: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", _square(self.grid, type(self).__name__)[0])
+
+    @property
+    def dim(self):
+        return self.grid.shape[-1]
+
+
+class PhaseSpaceFunction(_LabelGrid):
     """Grid of F^(s)(mu, nu) over centered labels, tagged with its order s.
 
     Leading axes of the grid are a batch.
     """
 
-    s: complex
-    grid: np.ndarray
 
-    @property
-    def dim(self):
-        return self.grid.shape[-1]
-
-
-@dataclass(frozen=True)
-class CharacteristicFunction:
+class CharacteristicFunction(_LabelGrid):
     """Grid of Xi^(s)(eta, xi) over centered labels, tagged with its order s.
 
     Leading axes of the grid are a batch.
     """
-
-    s: complex
-    grid: np.ndarray
-
-    @property
-    def dim(self):
-        return self.grid.shape[-1]
 
 
 def validate_density(rho, tol=1e-10):
@@ -139,9 +138,8 @@ def char_fn(rho, s):
 
     Leading axes of rho are a batch.
     """
-    rho = np.asarray(rho)
+    rho, N = _square(rho, "char_fn")
     s = check_order(s)
-    N = check_dim(rho.shape[-1])
     return CharacteristicFunction(s, _kernel_power(s, N) * _traces(rho))
 
 
@@ -150,8 +148,9 @@ def phase_fn(rho, s):
 
     Leading axes of rho are a batch.
     """
+    rho, _ = _square(rho, "phase_fn")
     s = check_order(s)
-    return PhaseSpaceFunction(s, decompose_t(rho, -s))
+    return PhaseSpaceFunction(s, _t_grid(rho, -s))
 
 
 @_table_cache
@@ -200,11 +199,11 @@ def expectation(O, rho, s):
 
     Leading axes of O and rho are a batch, and the result is then an array.
     """
-    O = np.asarray(O)
+    O, N = _square(O, "expectation")
+    rho, _ = _square(rho, "expectation")
     s = check_order(s)
-    coeffs = decompose_t(O, s)  # O^(-s)(mu, nu)
-    F = phase_fn(rho, s)
-    out = np.sum(coeffs * F.grid, axis=(-2, -1)) / F.dim
+    # O^(-s)(mu, nu) against F^(s)(mu, nu)
+    out = np.sum(_t_grid(O, s) * _t_grid(rho, -s), axis=(-2, -1)) / N
     return complex(out) if out.ndim == 0 else out
 
 
@@ -223,7 +222,7 @@ def reconstruct_rho(F, tol=1e-8):
     rho = (1/N) sum F^(s)(mu, nu) T^(-s)(mu, nu); flags a non-unit trace.
     Leading axes of the grid are a batch, and every slice is checked.
     """
-    rho = reconstruct_t(F.grid, -complex(F.s))
+    rho = _t_sum(F.grid, check_order(-complex(F.s)))
     trace = rho.trace(axis1=-2, axis2=-1)
     if abs(trace - 1.0).max() > tol:
         raise FormalismViolation(

@@ -20,7 +20,7 @@ kernel T^(s)(mu, nu) is a displaced copy of the origin one (`t_op`).
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _idft2, _diagonals, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
 from .theta import _log_kernel
 
 __all__ = [
@@ -60,11 +60,8 @@ def u_matrix(N):
 @_table_cache
 def v_matrix(N):
     """Shift operator: V|kappa> = |kappa - 1> with centered wraparound."""
-    N = check_dim(N)
-    ell = half_width(N)
-    V = np.zeros((N, N), dtype=complex)
-    for kappa in labels(N):
-        V[center_mod(kappa - 1, N) + ell, kappa + ell] = 1.0
+    # row kappa - 1 of column kappa holds the one: the identity's rows rolled up by one
+    V = np.roll(np.eye(check_dim(N), dtype=complex), -1, axis=0)
     V.setflags(write=False)
     return V
 
@@ -128,7 +125,7 @@ def s_op_ordered(eta, xi, s, N):
 @_table_cache
 def _origin_kernel(s, N):
     """Cached read-only T^(s)(0, 0) = sum K^(-s) S / sqrt(N); at s = -1 the vacuum projector |F_0><F_0|."""
-    T0 = reconstruct_schwinger(_kernel_power(s, N)) / np.sqrt(N)
+    T0 = _scatter(_kernel_power(s, N)) / np.sqrt(N)
     T0.setflags(write=False)
     return T0
 
@@ -164,9 +161,9 @@ def t_op(mu, nu, s, N):
     N = check_dim(N)
     ell = (N - 1) // 2
     idx = _diagonals(N)[1][(mu + ell) % N]  # row kappa + ell holds index (kappa - mu) + ell
-    ph = _dft_phases(N)  # row -nu is p, row nu is conj(p)
     T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
-    return ph[(ell - nu) % N, :, None] * T0 * ph[(nu + ell) % N, None, :]
+    # the phase row of -nu is p, the row of nu is conj(p)
+    return _phases(-nu, N)[..., :, None] * T0 * _phases(nu, N)[..., None, :]
 
 
 def t_overlap(t, s, dmu, dnu, N):
@@ -186,15 +183,33 @@ def t_overlap(t, s, dmu, dnu, N):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def _scatter(C):
+    """sum_{eta,xi} C(eta, xi) S(eta, xi): the inverse DFT of the gather in `_traces`,
+    scattered onto the cyclic diagonals."""
+    rows, cols, front = _diagonals(C.shape[-1])
+    O = np.empty(C.shape, dtype=complex)
+    O[..., cols, rows] = _idft((C * front).swapaxes(-1, -2))
+    return O
+
+
+def _t_grid(O, s):
+    """Tr[T^(-s)(mu, nu) O] over phase space: the 2-D DFT of K^(s) times the traces."""
+    return _dft2(_kernel_power(-s, O.shape[-1]) * _traces(O))
+
+
+def _t_sum(grid, s):
+    """(1/N) sum_{mu,nu} grid(mu, nu) T^(s)(mu, nu): the scatter of K^(-s) times the grid's 2-D DFT."""
+    N = grid.shape[-1]
+    return _scatter(_kernel_power(s, N) * _dft2(grid)) / N
+
+
 def decompose_schwinger(O):
     """Coefficients C[eta + ell, xi + ell] = Tr[S(eta, xi)^dag O].
 
     Leading axes of O are a batch.
     """
-    O = np.asarray(O)
-    check_dim(O.shape[-1])
     # S(eta, xi)^dag = S(-eta, -xi): negate both labels
-    return _traces(O)[..., ::-1, ::-1]
+    return _traces(_square(O, "decompose_schwinger")[0])[..., ::-1, ::-1]
 
 
 def reconstruct_schwinger(C):
@@ -202,13 +217,7 @@ def reconstruct_schwinger(C):
 
     Leading axes of C are a batch.
     """
-    C = np.asarray(C)
-    N = check_dim(C.shape[-1])
-    rows, cols, front = _diagonals(N)
-    # inverse DFT of the gather in `_traces`, scattered onto the cyclic diagonals
-    O = np.empty(C.shape, dtype=complex)
-    O[..., cols, rows] = (C * front).swapaxes(-1, -2) @ _conj_phases(N)
-    return O
+    return _scatter(_square(C, "reconstruct_schwinger")[0])
 
 
 def decompose_t(O, s):
@@ -216,10 +225,7 @@ def decompose_t(O, s):
 
     Leading axes of O are a batch.
     """
-    O = np.asarray(O)
-    s = check_order(s)
-    N = check_dim(O.shape[-1])
-    return _dft2(_kernel_power(-s, N) * _traces(O))
+    return _t_grid(_square(O, "decompose_t")[0], check_order(s))
 
 
 def reconstruct_t(grid, s):
@@ -227,10 +233,7 @@ def reconstruct_t(grid, s):
 
     Leading axes of grid are a batch.
     """
-    grid = np.asarray(grid)
-    s = check_order(s)
-    N = check_dim(grid.shape[-1])
-    return reconstruct_schwinger(_kernel_power(s, N) * _dft2(grid)) / N
+    return _t_sum(_square(grid, "reconstruct_t")[0], check_order(s))
 
 
 def _conjugation_average(O, w):
@@ -241,16 +244,15 @@ def _conjugation_average(O, w):
     Schwinger coefficients of O by a 2-D DFT of the weights.
     """
     M = (_dft2(w) / np.sqrt(len(w))).T[::-1]
-    return reconstruct_schwinger(decompose_schwinger(O) * M)
+    return _scatter(_traces(O)[..., ::-1, ::-1] * M)
 
 
 def depolarize(O, omega=0.0):
     """Uniform conjugation average over the unitary set sqrt(N) S^(i*omega).
 
     Equals Tr(O) * identity for every operator O; omega = 0 recovers the
-    plain symmetrized-basis depolarizer.
+    plain symmetrized-basis depolarizer.  Leading axes of O are a batch.
     """
-    O = np.asarray(O)
-    N = check_dim(O.shape[0])
+    O, N = _square(O, "depolarize")
     s = check_order(1j * omega)
     return _conjugation_average(O, np.abs(_kernel_power(s, N)) ** 2)

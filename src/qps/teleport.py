@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _idft2, _dual_multiply, _diagonals, _table_cache
-from .schwinger import check_order, t_op, reconstruct_t, _kernel_power
+from .lattice import check_dim, half_width, labels, center_mod, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
+from .schwinger import check_order, t_op, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
 __all__ = [
@@ -85,7 +85,7 @@ def bell_state(omega, N):
     w = omega.reduced(N) if isinstance(omega, BellLabel) else BellLabel(*omega).reduced(N)
     # (V^omega1 M)[kappa] = M[kappa + omega1]; U^(-omega2) = diag exp(-2 pi i omega2 kappa / N)
     psi = _bell_seed(N).reshape(N, N).take(np.arange(w.omega1, w.omega1 + N), axis=0, mode="wrap")
-    return (psi * _dft_phases(N)[w.omega2 + half_width(N)]).ravel()
+    return (psi * _phases(w.omega2, N)).ravel()
 
 
 def bell_projector(omega, N):
@@ -119,14 +119,14 @@ def bipartite_phase_fn(state, s1, s2):
     c = cols.T  # c[kappa + ell, xi + ell] indexes kappa - xi
     # X[k1, k2, xi1, xi2] = R[k1, k2, k1 - xi1, k2 - xi2] with R[i1, i2, j1, j2] the operator
     X = state.reshape(N, N, N, N)[rows[:, None, None, None], rows[:, None, None], c[:, None, :, None], c[:, None, :]]
-    for ph in (_conj_phases(N),) * 2:
-        X = X.reshape(N, -1).T @ ph
+    for _ in range(2):
+        X = _idft(X.reshape(N, -1).T)
     # X[xi1, xi2, eta1, eta2] = sum_k1,k2 exp(2 pi i (eta1 k1 + eta2 k2) / N) R[...]
     A = (front * _kernel_power(s1, N)).T
     B = (front * _kernel_power(s2, N)).T / N
     X = X.reshape(N, N, N, N) * (A[:, None, :, None] * B[:, None, :])
-    for ph in (_dft_phases(N),) * 4:
-        X = X.reshape(N, -1).T @ ph
+    for _ in range(4):
+        X = _dft(X.reshape(N, -1).T)
     # X[nu1, nu2, mu1, mu2]
     return BipartitePhaseFn(s1, s2, X.reshape(N, N, N, N).transpose(2, 0, 3, 1))
 
@@ -160,8 +160,8 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     # C = (1/N) sum_{k,l} A[-k - w1, -l - w1'] B[k, l] exp(2 pi i (w2 k - w2' l) / N)
     idx = (half_width(N) - np.add.outer(ks, ks)) % N  # idx[w, k] indexes label -k - w
     X = A[idx[:, :, None, None], idx] * B[:, None, :]  # [w1, k, w1', l]
-    Y = (X.reshape(-1, N) @ _dft_phases(N)).reshape(N, N, N * N)  # [w1, k, (w1', w2')]
-    return (_conj_phases(N) @ Y / N).reshape(N, N, N, N)
+    Y = _dft(X.reshape(-1, N)).reshape(N, N, N * N)  # [w1, k, (w1', w2')]
+    return (_idft(Y, axis=-2) / N).reshape(N, N, N, N)
 
 
 def teleport(rho1, alpha, beta):
@@ -208,8 +208,7 @@ def lambda_coeffs(F1, alpha, beta, s3):
     """
     s1 = -complex(F1.s)
     N = F1.dim
-    ks = labels(N)
-    shift = np.outer(np.exp(2j * np.pi / N * alpha * ks), np.exp(-2j * np.pi / N * beta * ks))
+    shift = np.outer(_phases(-alpha, N), _phases(beta, N))
     return _dual_multiply(_kernel_power(s1 - complex(s3), N) * shift, F1.grid)
 
 
@@ -224,4 +223,4 @@ def teleport_via_coeffs(rho1, alpha, beta, s1, s3):
     s1 = check_order(s1)
     s3 = check_order(s3)
     F1 = phase_fn(rho1, -s1)
-    return reconstruct_t(lambda_coeffs(F1, alpha, beta, s3), s3)
+    return _t_sum(lambda_coeffs(F1, alpha, beta, s3), s3)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _dft_phases, _conj_phases, _dft2, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _square, _dft, _idft, _dft2, _traces, _table_cache
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
 
@@ -64,13 +64,6 @@ def _require_single(array, ndim, name):
     if np.ndim(array) != ndim:
         what = "N x N grid" if ndim == 2 else "length-N marginal"
         raise ValueError(f"{name} takes one {what}, got shape {np.shape(array)}")
-
-
-def _require_square(array, name):
-    """Reject anything but square matrices over the last two axes."""
-    shape = np.shape(array)
-    if len(shape) < 2 or shape[-2] != shape[-1]:
-        raise ValueError(f"{name} takes square matrices, got shape {shape}")
 
 
 def mod_inverse(a, N):
@@ -156,7 +149,7 @@ def smooth_marginal(dist):
     za, zb = _ray(dist)
     ts, ell = labels(N), half_width(N)
     K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
-    out = _dft_phases(N) @ (K * _ray_invert(dist.values))
+    out = _dft(K * _ray_invert(dist.values), axis=-2)
     # K is even along every ray, so real line sums stay real
     out = out.real if np.isrealobj(dist.values) else out
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
@@ -191,7 +184,7 @@ def _circulant(omega3, cols, N):
     """M(Omega3)[j, k] at column labels `cols`: c(cols[k] - j), where
     c = DFT of the momentum chirp exp(-i pi o3 eta^2 / N), divided by N."""
     ks, ell = labels(N), half_width(N)
-    c = _dft_phases(N) @ _chirp(-_even_shear(omega3, N), ks, N) / N
+    c = _dft(_chirp(-_even_shear(omega3, N), ks, N), axis=-2) / N
     return c[center_mod(cols[None, :] - ks[:, None], N) + ell]
 
 
@@ -264,8 +257,7 @@ def _ray_invert(values):
     every order s.
     """
     # out[t] = sum_k exp(2*pi*i*k*t/N) values(k) / N
-    N = values.shape[-1]
-    return values @ _conj_phases(N) / N
+    return _idft(values) / values.shape[-1]
 
 
 def _char_from_radon(dist, axis, za, zb, N):
@@ -372,9 +364,8 @@ def _ray_sums(Xi):
     By the projection-slice theorem they are the 1-D DFT of Xi along each
     ray: one gather and one product.
     """
-    N = Xi.shape[-1]
-    _, rows, cols = _ray_cells(N)
-    return Xi[..., rows, cols] @ _dft_phases(N)
+    _, rows, cols = _ray_cells(Xi.shape[-1])
+    return _dft(Xi[..., rows, cols])
 
 
 def _ray_loop(rho, shots, rng):
@@ -385,9 +376,7 @@ def _ray_loop(rho, shots, rng):
     ray, and the dual-plane grid they rebuild, whose `_dft2` is the
     reconstruction.  Leading axes of rho are a batch.
     """
-    rho = np.asarray(rho)
-    _require_square(rho, "reconstruct_wigner")
-    N = check_dim(rho.shape[-1])
+    rho, N = _square(rho, "reconstruct_wigner")
     if shots is not None and rng is None:
         raise ValueError("shot sampling needs a generator: pass rng with shots")
     Xi0 = _traces(rho)
@@ -416,7 +405,7 @@ def _label_traces(rho, eta, xi):
     Every integer exponent is reduced mod 2N before its phase is read,
     which keeps the quasi-periodic signs of out-of-range labels exact.
     """
-    N = check_dim(rho.shape[0])
+    N = len(rho)
     ks, ell, roots = labels(N), half_width(N), _roots(N)
     eta, xi = np.asarray(eta)[..., None], np.asarray(xi)[..., None]
     cols, rows = ks + ell, (ks + ell - xi) % N
@@ -445,18 +434,17 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
         <sigma_y> = Re i (Tr rho U^dag - Tr rho U) / 2.
 
     For an explicit `unitary` each trace is an elementwise sum, O(N^2),
-    for any square U and rho.  For integer labels (any range, with the
+    for any U of rho's shape.  For integer labels (any range, with the
     quasi-periodic signs of `s_op`) S is never built: U has one entry per
     column, so each trace is a gather of N entries of rho and one dot
     product, O(N) per label pair (`_label_traces`).  Leading axes of
     `unitary`, or the broadcast shape of array labels `eta`, `xi`, are a
     batch, and the pair is then two arrays; the labels `ks[:, None]` and
     `ks` read the whole dual plane in O(N^3) time and O(N^2) memory.
-    `rho` is one square matrix: a stack raises ValueError.
+    `rho` is one N x N matrix with N odd: a stack raises ValueError.
     """
-    rho = np.asarray(rho)
     _require_single(rho, 2, "scattering_circuit")
-    _require_square(rho, "scattering_circuit")
+    rho, _ = _square(rho, "scattering_circuit")
     if unitary is None:
         if eta is None or xi is None:
             raise ValueError("either (eta, xi) or an explicit unitary is required")

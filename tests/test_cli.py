@@ -50,6 +50,23 @@ def test_parse_state_variants(tmp_path):
     assert np.abs(loaded - target).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--what", "wigner"),
+        ("tomo",),
+        ("teleport",),
+    ],
+)
+def test_file_state_of_another_dimension_exits_2(capsys, tmp_path, argv):
+    # only a file state can disagree with --dim; parse_state checks it once for every command
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps([[[v.real, v.imag] for v in row] for row in maximally_mixed(3)]))
+    code, out, err = run(capsys, *argv, "--dim", "5", "--state", f"file:{path}")
+    assert code == 2 and out == ""
+    assert err == "error: state dimension 3 does not match --dim 5\n"
+
+
 def test_parse_order():
     assert parse_order("0.5") == 0.5 + 0j
     assert parse_order("0,1") == 1j

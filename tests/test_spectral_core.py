@@ -525,6 +525,8 @@ def test_core_batch_axes_match_per_state_calls(N, s):
     C, D, R = decompose_schwinger(rhos), decompose_t(rhos, s), reconstruct_t(grids, s)
     E = expectation(grids, rhos, s)
     assert E.shape == (len(rhos),)
+    P = depolarize(rhos, 0.4)
+    assert P.shape == rhos.shape
     for b, (rho, grid) in enumerate(zip(rhos, grids)):
         assert np.abs(Xi.grid[b] - char_fn(rho, s).grid).max() <= tol
         assert np.abs(F.grid[b] - phase_fn(rho, s).grid).max() <= tol
@@ -532,6 +534,7 @@ def test_core_batch_axes_match_per_state_calls(N, s):
         assert np.abs(D[b] - decompose_t(rho, s)).max() <= tol
         assert np.abs(R[b] - reconstruct_t(grid, s)).max() <= tol
         assert abs(E[b] - expectation(grid, rho, s)) <= N * tol
+        assert np.abs(P[b] - depolarize(rho, 0.4)).max() <= tol
     # the round trip checks the trace of every slice: the operator's is not 1
     assert np.abs(reconstruct_rho(phase_fn(rhos[:3], s)) - rhos[:3]).max() <= tol
     with pytest.raises(FormalismViolation):

@@ -1,6 +1,7 @@
 """Marginals, symplectic transformations, Radon inversion, and the circuit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ import loop_oracles as oracle
 from qps import tomography
 from qps.lattice import half_width, labels, center_mod, dagger, tensor
 from qps.theta import kernel_table
-from qps.schwinger import s_op, t_op
+from qps.schwinger import s_op, t_op, decompose_schwinger, reconstruct_schwinger, decompose_t, reconstruct_t, depolarize
 from qps.quasiprob import (
+    PhaseSpaceFunction,
+    CharacteristicFunction,
+    expectation,
     maximally_mixed,
     fock_projector,
     coherent_projector,
@@ -373,10 +377,30 @@ def test_reconstruct_wigner_takes_stacks(N):
             assert np.abs(W[b] - reconstruct_wigner(stack[b], 1000, rng).grid).max() <= 1e-13
 
 
-@pytest.mark.parametrize("shape", ((3, 5), (5,), (2, 3, 5), ()))
+# the core's other entry points and grid containers, by the name their ValueError gives
+SQUARE_OPERAND_ROUTES = {
+    "decompose_schwinger": decompose_schwinger,
+    "reconstruct_schwinger": reconstruct_schwinger,
+    "decompose_t": lambda X: decompose_t(X, 0),
+    "reconstruct_t": lambda X: reconstruct_t(X, 0),
+    "char_fn": lambda X: char_fn(X, 0),
+    "phase_fn": lambda X: phase_fn(X, 0),
+    "expectation": lambda X: expectation(X, X, 0),
+    "depolarize": depolarize,
+    "PhaseSpaceFunction": lambda X: PhaseSpaceFunction(0, X),
+    "CharacteristicFunction": lambda X: CharacteristicFunction(0, X),
+}
+
+
+@pytest.mark.parametrize("shape", ((3, 5), (5,), (2, 3, 5), (), (4, 4), (2, 4, 4)))
 def test_reconstruct_wigner_rejects_non_square_input(shape):
     with pytest.raises(ValueError, match=r"reconstruct_wigner takes square matrices"):
         reconstruct_wigner(np.zeros(shape))
+    # every route reads N through one check, so none reaches a gather with
+    # a non-square or even operand: the error names the route and the shape
+    for name, route in SQUARE_OPERAND_ROUTES.items():
+        with pytest.raises(ValueError, match=rf"^{name} takes square matrices.*, got shape {re.escape(str(shape))}$"):
+            route(np.zeros(shape))
 
 
 def test_sample_marginal_seeded_and_normalized():
