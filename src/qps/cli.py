@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import check_dim, labels, center_mod, _dft2
 from .theta import kernel_table
-from .schwinger import t_overlap, decompose_t, reconstruct_t, depolarize
+from .schwinger import check_order, t_overlap, decompose_t, reconstruct_t, depolarize
 from .quasiprob import (
     PhaseSpaceFunction,
     validate_density,
@@ -95,9 +95,10 @@ def parse_order(text):
         s = complex(float(re_), float(im))
     else:
         s = complex(float(text))
-    if abs(s) > 1 + 1e-12:
-        raise UsageError(f"ordering parameter must satisfy |s| <= 1, got {s}")
-    return s
+    try:
+        return check_order(s)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _order_str(s):

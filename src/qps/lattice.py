@@ -175,13 +175,13 @@ def _dft2(X):
     Leading axes of X are a batch.
     """
     N = X.shape[-1]
-    return _dft_phases(N) @ X @ _dft_phases(N) / math.sqrt(N)
+    return _dft_phases(N) @ X @ _dft_phases(N) * (1 / math.sqrt(N))
 
 
 def _idft2(F):
     """Phase space to dual plane, the inverse of `_dft2`: leading axes of F are a batch."""
     N = F.shape[-1]
-    return _conj_phases(N) @ F @ _conj_phases(N) / N**1.5
+    return _conj_phases(N) @ F @ _conj_phases(N) * (1 / N**1.5)
 
 
 def _dual_multiply(M, grid):

@@ -200,7 +200,9 @@ def expectation(O, rho, s):
     Leading axes of O and rho are a batch, and the result is then an array.
     """
     O, N = _square(O, "expectation")
-    rho, _ = _square(rho, "expectation")
+    rho, M = _square(rho, "expectation")
+    if M != N:
+        raise ValueError(f"expectation takes operands of one size N, got shapes {O.shape} and {rho.shape}")
     s = check_order(s)
     # O^(-s)(mu, nu) against F^(s)(mu, nu)
     out = np.sum(_t_grid(O, s) * _t_grid(rho, -s), axis=(-2, -1)) / N

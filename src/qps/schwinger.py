@@ -18,6 +18,9 @@ is that gather or scatter plus a 2-D DFT against K^(-s).  Every other
 kernel T^(s)(mu, nu) is a displaced copy of the origin one (`t_op`).
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
@@ -41,8 +44,10 @@ __all__ = [
 
 
 def check_order(s):
-    """Validate an ordering parameter: complex with |s| <= 1."""
+    """Validate an ordering parameter: finite complex with |s| <= 1."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"ordering parameter must be finite, got {s}")
     if abs(s) > 1 + 1e-12:
         raise ValueError(f"ordering parameter must satisfy |s| <= 1, got {s}")
     return s
@@ -100,18 +105,34 @@ def _log_gain(N):
 
 
 def _kernel_power(s, N):
-    """K^(-s) over the centered label square, as exp(-s log K) on the cached log table.
+    """K^(-s) over the centered label square: a cached read-only table per (s, N).
+
+    0j == -0j, so the key also carries the sign of each part of s: a hit
+    is byte for byte the table a miss at that exact s computes.
+    """
+    s = complex(s)
+    return _kernel_power_table(s, math.copysign(1, s.real), math.copysign(1, s.imag), N)
+
+
+@_table_cache
+def _kernel_power_table(s, re_sign, im_sign, N):
+    """exp(-s log K) on the cached log table, the only place K^(-s) is formed.
 
     Its largest modulus is exp(Re(s) * (-min log K)); an exponent above
-    log(max double) raises `OverflowError` rather than returning inf.
+    log(max double) raises `OverflowError` rather than returning inf, on
+    every call, since a raising call is not cached.
     """
-    exponent = complex(s).real * _log_gain(N)
+    if not cmath.isfinite(s):
+        raise ValueError(f"K^(-s) needs a finite order, got s={s}")
+    exponent = s.real * _log_gain(N)
     if exponent > LOG_MAX:
         raise OverflowError(
-            f"K^(-s) overflows at N={N}, s={complex(s)}: Re(s) * (-min log K) = {exponent:.6g}"
+            f"K^(-s) overflows at N={N}, s={s}: Re(s) * (-min log K) = {exponent:.6g}"
             f" exceeds log(max double) = {LOG_MAX:.6g}"
         )
-    return np.exp(-s * _log_kernel(N))
+    P = np.exp(-s * _log_kernel(N))
+    P.setflags(write=False)
+    return P
 
 
 def s_op_ordered(eta, xi, s, N):
@@ -125,7 +146,7 @@ def s_op_ordered(eta, xi, s, N):
 @_table_cache
 def _origin_kernel(s, N):
     """Cached read-only T^(s)(0, 0) = sum K^(-s) S / sqrt(N); at s = -1 the vacuum projector |F_0><F_0|."""
-    T0 = _scatter(_kernel_power(s, N)) / np.sqrt(N)
+    T0 = _scatter(_kernel_power(s, N)) * (1 / np.sqrt(N))
     T0.setflags(write=False)
     return T0
 
@@ -200,7 +221,7 @@ def _t_grid(O, s):
 def _t_sum(grid, s):
     """(1/N) sum_{mu,nu} grid(mu, nu) T^(s)(mu, nu): the scatter of K^(-s) times the grid's 2-D DFT."""
     N = grid.shape[-1]
-    return _scatter(_kernel_power(s, N) * _dft2(grid)) / N
+    return _scatter(_kernel_power(s, N) * _dft2(grid)) * (1 / N)
 
 
 def decompose_schwinger(O):
@@ -236,23 +257,36 @@ def reconstruct_t(grid, s):
     return _t_sum(_square(grid, "reconstruct_t")[0], check_order(s))
 
 
-def _conjugation_average(O, w):
-    """sum_{eta,xi} w(eta, xi) X O X^dag / N over X = sqrt(N) S(eta, xi).
+def _conjugation_multiplier(w):
+    """The multiplier that `_conjugation_average` applies to the Schwinger coefficients.
 
-    Conjugation by X multiplies the coefficient of S(eta', xi') by
-    exp(2*pi*i*(xi*eta' - eta*xi')/N), so the average multiplies the
-    Schwinger coefficients of O by a 2-D DFT of the weights.
+    Conjugation by X = sqrt(N) S(eta, xi) multiplies the coefficient of
+    S(eta', xi') by exp(2*pi*i*(xi*eta' - eta*xi')/N), so the weighted
+    average multiplies it by a 2-D DFT of the weights.
     """
-    M = (_dft2(w) / np.sqrt(len(w))).T[::-1]
-    return _scatter(_traces(O)[..., ::-1, ::-1] * M)
+    return (_dft2(w) * (1 / math.sqrt(len(w)))).T[::-1]
+
+
+def _conjugation_average(O, w):
+    """sum_{eta,xi} w(eta, xi) X O X^dag / N over X = sqrt(N) S(eta, xi)."""
+    return _scatter(_traces(O)[..., ::-1, ::-1] * _conjugation_multiplier(w))
+
+
+@_table_cache
+def _depolarizer(r, N):
+    """Cached read-only `_conjugation_multiplier` of the weights |K^(-s)|^2 = K^(-r), r = 2 Re s."""
+    M = _conjugation_multiplier(_kernel_power(r, N).real)
+    M.setflags(write=False)
+    return M
 
 
 def depolarize(O, omega=0.0):
     """Uniform conjugation average over the unitary set sqrt(N) S^(i*omega).
 
     Equals Tr(O) * identity for every operator O; omega = 0 recovers the
-    plain symmetrized-basis depolarizer.  Leading axes of O are a batch.
+    plain symmetrized-basis depolarizer.  The weights |K^(-s)|^2 =
+    K^(-2 Re s) are exactly 1 at s = i*omega.  Leading axes of O are a batch.
     """
     O, N = _square(O, "depolarize")
     s = check_order(1j * omega)
-    return _conjugation_average(O, np.abs(_kernel_power(s, N)) ** 2)
+    return _scatter(_traces(O)[..., ::-1, ::-1] * _depolarizer(2 * s.real, N))

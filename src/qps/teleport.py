@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _square, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
 from .schwinger import check_order, t_op, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
@@ -123,7 +123,7 @@ def bipartite_phase_fn(state, s1, s2):
         X = _idft(X.reshape(N, -1).T)
     # X[xi1, xi2, eta1, eta2] = sum_k1,k2 exp(2 pi i (eta1 k1 + eta2 k2) / N) R[...]
     A = (front * _kernel_power(s1, N)).T
-    B = (front * _kernel_power(s2, N)).T / N
+    B = (front * _kernel_power(s2, N)).T * (1 / N)
     X = X.reshape(N, N, N, N) * (A[:, None, :, None] * B[:, None, :])
     for _ in range(4):
         X = _dft(X.reshape(N, -1).T)
@@ -161,7 +161,7 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     idx = (half_width(N) - np.add.outer(ks, ks)) % N  # idx[w, k] indexes label -k - w
     X = A[idx[:, :, None, None], idx] * B[:, None, :]  # [w1, k, w1', l]
     Y = _dft(X.reshape(-1, N)).reshape(N, N, N * N)  # [w1, k, (w1', w2')]
-    return (_idft(Y, axis=-2) / N).reshape(N, N, N, N)
+    return (_idft(Y, axis=-2) * (1 / N)).reshape(N, N, N, N)
 
 
 def teleport(rho1, alpha, beta):
@@ -172,8 +172,8 @@ def teleport(rho1, alpha, beta):
     state rho_3R together with the outcome probability p, which equals 1/N^2
     for every input.
     """
+    rho1, N = _square(rho1, "teleport")
     rho1 = validate_density(rho1)
-    N = check_dim(rho1.shape[0])
     # <Psi_{alpha,beta}|_12 (|psi>_1 x |Psi_{0,0}>_23) = M^T |psi> in matrix form
     Psi = bell_state(BellLabel(alpha, beta), N).reshape(N, N)
     M = Psi.conj() @ _bell_seed(N).reshape(N, N)
@@ -192,7 +192,7 @@ def r_kernel(alpha, beta, ds, N):
     N = check_dim(N)
     ks, ell = labels(N), half_width(N)
     # K is even in each label, so the sum is _idft2 of K^ds at (a, b)
-    grid = _idft2(_kernel_power(-complex(ds), N)) / np.sqrt(N)
+    grid = _idft2(_kernel_power(-complex(ds), N)) * (1 / np.sqrt(N))
     a = center_mod(np.subtract.outer(ks, ks) + alpha, N) + ell  # [m1, m3]
     b = center_mod(np.subtract.outer(ks, ks) - beta, N) + ell  # [n1, n3]
     return grid[a[:, None, :, None], b[None, :, None, :]]
@@ -219,7 +219,7 @@ def teleport_via_coeffs(rho1, alpha, beta, s1, s3):
     from the sender's F^(-s1).  Agrees with the projection path of
     teleport() for any admissible (s1, s3).
     """
-    rho1 = validate_density(rho1)
+    rho1 = validate_density(_square(rho1, "teleport_via_coeffs")[0])
     s1 = check_order(s1)
     s3 = check_order(s3)
     F1 = phase_fn(rho1, -s1)

@@ -257,7 +257,7 @@ def _ray_invert(values):
     every order s.
     """
     # out[t] = sum_k exp(2*pi*i*k*t/N) values(k) / N
-    return _idft(values) / values.shape[-1]
+    return _idft(values) * (1 / values.shape[-1])
 
 
 def _char_from_radon(dist, axis, za, zb, N):

@@ -131,6 +131,14 @@ def test_grid_bad_flags_exit_2(capsys):
     assert run(capsys, "grid", "--dim", "5", "--what", "wigner")[0] == 2
 
 
+@pytest.mark.parametrize("order", ("nan", "inf", "0,nan", "-inf,0"))
+def test_grid_non_finite_order_exits_2(capsys, order):
+    # a NaN order printed nan rows and exited 0
+    code, out, err = run(capsys, "grid", "--dim", "3", "--what", "phase", "--state", "fock:1", f"--s={order}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ordering parameter must be finite")
+
+
 def test_grid_io_error_exit_3(capsys):
     code, _, err = run(
         capsys, "grid", "--dim", "3", "--what", "kernel",

@@ -171,6 +171,12 @@ def test_expectation_matches_trace(s):
     assert abs(expectation(O, rho, s) - direct) < 1e-10
 
 
+def test_expectation_rejects_operands_of_different_size():
+    # numpy's broadcast error named neither the function nor the mismatch
+    with pytest.raises(ValueError, match=r"expectation takes operands of one size N, got shapes \(3, 3\) and \(5, 5\)"):
+        expectation(np.eye(3), np.eye(5) / 5, 0)
+
+
 def test_t_matrix_element_matches_kernel():
     N = 5
     from qps.schwinger import t_op

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from qps import schwinger
 from qps.lattice import half_width, labels, center_mod, dagger
-from qps.theta import kernel_table
+from qps.theta import kernel_table, _log_kernel
+from qps.quasiprob import phase_fn
 from qps.schwinger import (
     check_order,
     u_matrix,
@@ -32,6 +34,15 @@ def test_check_order_bounds():
         check_order(1.5)
     with pytest.raises(ValueError):
         check_order(1j + 1)
+
+
+@pytest.mark.parametrize("s", (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)))
+def test_check_order_rejects_non_finite(s):
+    # a NaN order passed |s| <= 1 and gave an all-NaN grid
+    with pytest.raises(ValueError, match="must be finite"):
+        check_order(s)
+    with pytest.raises(ValueError, match="must be finite"):
+        phase_fn(np.eye(3) / 3, s)
 
 
 @pytest.mark.parametrize("N", DIMS)
@@ -149,3 +160,41 @@ def test_depolarizer_collapses_to_trace(N):
         assert np.abs(out - np.trace(O) * np.eye(N)).max() < 1e-10
         out_w = depolarize(O, omega=0.5)
         assert np.abs(out_w - np.trace(O) * np.eye(N)).max() < 1e-10
+
+
+@pytest.mark.parametrize("N", (3, 7))
+def test_kernel_power_hit_has_the_bytes_of_a_miss(N):
+    # 0j == -0j, yet exp(-s log K) differs in the signs of its zeros:
+    # tobytes() sees them, array_equal does not
+    orders = (0j, -0j, complex(0, -0.0), 1, -1, 0.3 - 0.4j)
+    schwinger._kernel_power_table.cache_clear()
+    for _ in range(2):  # misses, then hits
+        for s in orders:
+            assert schwinger._kernel_power(s, N).tobytes() == np.exp(-complex(s) * _log_kernel(N)).tobytes()
+
+
+def test_kernel_power_cache_is_bounded_and_read_only():
+    rng = np.random.default_rng(3)
+    tables = [schwinger._kernel_power(complex(*rng.uniform(-0.7, 0.7, 2)), 5) for _ in range(20)]
+    assert schwinger._kernel_power_table.cache_info().currsize <= 8
+    assert not any(P.flags.writeable for P in tables)
+    assert not schwinger._depolarizer(0.0, 5).flags.writeable
+
+
+def test_glauber_overflow_raises_on_every_call():
+    # max K^(-1) passes the largest double from N = 907 on; a raising call is not cached
+    rho = np.eye(907) / 907
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="K\\^\\(-s\\) overflows at N=907"):
+            phase_fn(rho, 1)
+
+
+@pytest.mark.parametrize("N", (3, 5, 9))
+def test_depolarize_matches_uncached_weights(N):
+    # the weights as they were formed before the cache: |exp(-s log K)|^2 at s = i omega
+    rng = np.random.default_rng(N)
+    for omega in rng.uniform(-1, 1, 4):
+        O = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        w = np.abs(np.exp(-1j * omega * _log_kernel(N))) ** 2
+        ref = schwinger._conjugation_average(O, w)
+        assert np.abs(depolarize(O, omega) - ref).max() <= 1e-12 * N * np.abs(O).max()

@@ -104,6 +104,14 @@ def test_bipartite_phase_fn_rejects_non_square_dimension(D):
         bipartite_phase_fn(np.ones(D) / np.sqrt(D), 0, 0)
 
 
+def test_teleport_rejects_even_dimension_under_its_own_name():
+    rho = np.eye(4) / 4
+    with pytest.raises(ValueError, match=r"^teleport takes square matrices of odd size N, got shape \(4, 4\)"):
+        teleport(rho, 0, 0)
+    with pytest.raises(ValueError, match=r"^teleport_via_coeffs takes square matrices of odd size N, got shape \(4, 4\)"):
+        teleport_via_coeffs(rho, 0, 0, 0, 0)
+
+
 def test_upsilon_expansion_reconstructs_bell_dyad():
     wa, wb = BellLabel(0, 1), BellLabel(1, 0)
     for s1, s2 in [(0, 0), (0.5, -0.5)]:
