@@ -5,8 +5,9 @@ kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
 The helpers at the end are the only readers of the phase tables and the
 one operand check: `_square` decides what an operand's shape must be,
-`_dft`/`_idft`, `_phases` and `_dft2`/`_idft2` hold the package's one
-Fourier convention, and `_traces` is the one gather of Tr[S(eta, xi) O]
+`_root` reads every phase exp(i*pi*m/N) from the one table of 2N-th
+roots `_roots`, `_dft`/`_idft`, `_phases` and `_dft2`/`_idft2` hold the
+one Fourier convention, and `_traces` is the one gather of Tr[S(eta, xi) O]
 over every label pair (S(eta, xi) the symmetrized displacement of
 `schwinger`).
 """
@@ -117,10 +118,27 @@ def dft_matrix(N):
 
 
 @_table_cache
+def _roots(N):
+    """Read-only w[m] = exp(i*pi*m/N), m = 0..2N-1: an exp only at m <= ell (angles below
+    pi/2), the rest its reflections w[N - m] = -conj(w[m]) and w[m + N] = -w[m], so the
+    table is exactly antiperiodic and exactly conjugate-symmetric."""
+    q = np.exp(1j * (np.pi * np.arange(half_width(N) + 1) / N))
+    half = np.concatenate([q, -q[:0:-1].conj()])
+    w = np.concatenate([half, -half])
+    w.setflags(write=False)
+    return w
+
+
+def _root(m, N):
+    """exp(i*pi*m/N) at integer(s) m of any range, reduced exactly mod 2N."""
+    return _roots(N)[m % (2 * N)]
+
+
+@_table_cache
 def _dft_phases(N):
     """Read-only phases ph[eta + ell, mu + ell] = exp(-2*pi*i*eta*mu/N); symmetric."""
     k = labels(N)
-    ph = np.exp(-2j * np.pi * np.outer(k, k) / N)
+    ph = _root(-2 * np.outer(k, k), N)
     ph.setflags(write=False)
     return ph
 
@@ -150,23 +168,14 @@ def _phases(k, N):
     return _dft_phases(N)[(k + (N - 1) // 2) % N]
 
 
-def _dft(X, axis=-1):
-    """Unnormalized forward sum over labels eta of exp(-2*pi*i*eta*mu/N) X[eta].
-
-    axis=-1 sums the last axis, a right product X @ ph; axis=-2 sums the
-    second-to-last axis, or a vector's only one, a left product ph @ X.
-    The two sides round differently, so each caller keeps its own.
-    """
-    if axis == -1:
-        return X @ _dft_phases(X.shape[-1])
-    return _dft_phases(X.shape[-min(X.ndim, 2)]) @ X
+def _dft(X):
+    """Unnormalized forward sum over labels eta of exp(-2*pi*i*eta*mu/N) X[..., eta], on the last axis."""
+    return X @ _dft_phases(X.shape[-1])
 
 
-def _idft(X, axis=-1):
-    """Unnormalized inverse of `_dft`: the sum against exp(+2*pi*i*eta*mu/N), on the same sides."""
-    if axis == -1:
-        return X @ _conj_phases(X.shape[-1])
-    return _conj_phases(X.shape[-min(X.ndim, 2)]) @ X
+def _idft(X):
+    """Unnormalized inverse of `_dft`: the sum against exp(+2*pi*i*eta*mu/N), on the last axis."""
+    return X @ _conj_phases(X.shape[-1])
 
 
 def _dft2(X):
@@ -199,7 +208,7 @@ def _diagonals(N):
     """
     ks, rows = labels(N), np.arange(N)
     cols = (rows - ks[:, None]) % N
-    front = np.exp(-1j * np.pi * np.outer(ks, ks) / N) / np.sqrt(N)
+    front = _root(-np.outer(ks, ks), N) / np.sqrt(N)
     for a in (rows, cols, front):
         a.setflags(write=False)
     return rows, cols, front

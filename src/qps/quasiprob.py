@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _square, _dual_multiply, _traces, _table_cache
+from .lattice import check_dim, labels, _phases, _square, _dual_multiply, _traces, _table_cache
 from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, _kernel_power, _t_grid, _t_sum
 
@@ -116,7 +116,7 @@ def coherent_state(mu, nu, N):
     The free global phase makes the largest-magnitude amplitude real positive.
     """
     N = check_dim(N)
-    psi = np.exp(2j * np.pi * center_mod(nu, N) * labels(N) / N) * np.roll(fock_state(0, N), mu)
+    psi = _phases(-nu, N) * np.roll(fock_state(0, N), mu)
     k = np.argmax(np.abs(psi))
     return psi * (abs(psi[k]) / psi[k])
 

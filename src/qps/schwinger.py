@@ -57,7 +57,7 @@ def check_order(s):
 def u_matrix(N):
     """Clock operator: diagonal phases exp(2*pi*i*kappa/N) over centered kappa."""
     N = check_dim(N)
-    U = np.diag(np.exp(2j * np.pi * labels(N) / N))
+    U = np.diag(_phases(-1, N))
     U.setflags(write=False)
     return U
 
@@ -74,7 +74,7 @@ def v_matrix(N):
 def s_op(eta, xi, N):
     """Symmetrized displacement S(eta, xi) = exp(i*pi*eta*xi/N) U^eta V^xi / sqrt(N).
 
-    Defined for arbitrary integer labels; out-of-range labels pick up the
+    Defined for integer labels only; out-of-range labels pick up the
     quasi-periodic phases of the raw formula.  `eta` and `xi` may be
     broadcastable integer arrays; the matrices then stack on the leading
     axes, and scalars give one N x N matrix.
@@ -82,7 +82,10 @@ def s_op(eta, xi, N):
     N = check_dim(N)
     ell = half_width(N)
     ks = labels(N)
-    eta, xi = (np.asarray(x)[..., None] for x in np.broadcast_arrays(eta, xi))
+    eta, xi = np.broadcast_arrays(eta, xi)
+    if not all(x.dtype.kind in "iu" or np.all(np.isfinite(x) & (x == np.round(x))) for x in (eta, xi)):
+        raise ValueError("s_op labels must be integers")
+    eta, xi = eta.astype(int, copy=False)[..., None], xi.astype(int, copy=False)[..., None]
     S = np.zeros(eta.shape[:-1] + (N, N), dtype=complex)
     # a real division: numpy's complex one multiplies by 1/N, a last-bit change
     front = np.exp(1j * (np.pi * eta * xi / N)) / np.sqrt(N)

@@ -160,8 +160,8 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     # C = (1/N) sum_{k,l} A[-k - w1, -l - w1'] B[k, l] exp(2 pi i (w2 k - w2' l) / N)
     idx = (half_width(N) - np.add.outer(ks, ks)) % N  # idx[w, k] indexes label -k - w
     X = A[idx[:, :, None, None], idx] * B[:, None, :]  # [w1, k, w1', l]
-    Y = _dft(X.reshape(-1, N)).reshape(N, N, N * N)  # [w1, k, (w1', w2')]
-    return (_idft(Y, axis=-2) * (1 / N)).reshape(N, N, N, N)
+    Y = _dft(X.reshape(-1, N)).reshape(N, N, N * N).swapaxes(1, 2)  # [w1, (w1', w2'), k]
+    return (_idft(Y).swapaxes(1, 2) * (1 / N)).reshape(N, N, N, N)
 
 
 def teleport(rho1, alpha, beta):

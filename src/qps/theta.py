@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _root, _traces, _table_cache
 
 __all__ = [
     "theta",
@@ -149,7 +149,7 @@ def fock_coefficients(N):
     # exp(-pi*beta^2/N) < 1e-16 beyond this winding range
     bmax = int(math.ceil(math.sqrt(16 * math.log(10) * N / math.pi))) + 1
     betas = np.arange(-bmax, bmax + 1)
-    phases = np.exp(2j * math.pi * np.outer(betas, kappas) / N)
+    phases = _root(2 * np.outer(betas, kappas), N)
 
     # psi_n(x) = H_n(x) exp(-x^2/2) up to a constant per n, which the column
     # norm removes; the normalised recurrence keeps every row in range

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _square, _dft, _idft, _dft2, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _square, _root, _dft, _idft, _dft2, _traces, _table_cache
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
 
@@ -149,23 +149,10 @@ def smooth_marginal(dist):
     za, zb = _ray(dist)
     ts, ell = labels(N), half_width(N)
     K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
-    out = _dft(K * _ray_invert(dist.values), axis=-2)
+    out = _dft(K * _ray_invert(dist.values))
     # K is even along every ray, so real line sums stay real
     out = out.real if np.isrealobj(dist.values) else out
     return MarginalDistribution(s - 1, dist.axis, out, dist.line)
-
-
-@_table_cache
-def _roots(N):
-    """Read-only 2N-th roots of unity exp(i pi m / N), m = 0..2N-1."""
-    w = np.exp(1j * np.pi * np.arange(2 * N) / N)
-    w.setflags(write=False)
-    return w
-
-
-def _chirp(o, kappa, N):
-    """exp(i pi o kappa^2 / N), the exponent reduced mod 2N first (o an integer)."""
-    return _roots(N)[(o * kappa**2) % (2 * N)]
 
 
 def _even_shear(omega, N):
@@ -184,7 +171,7 @@ def _circulant(omega3, cols, N):
     """M(Omega3)[j, k] at column labels `cols`: c(cols[k] - j), where
     c = DFT of the momentum chirp exp(-i pi o3 eta^2 / N), divided by N."""
     ks, ell = labels(N), half_width(N)
-    c = _dft(_chirp(-_even_shear(omega3, N), ks, N), axis=-2) / N
+    c = _dft(_root(-_even_shear(omega3, N) * ks**2, N)) / N
     return c[center_mod(cols[None, :] - ks[:, None], N) + ell]
 
 
@@ -201,7 +188,7 @@ def symplectic_n(params):
     """Coordinate quadratic-phase generator N(Omega2): the diagonal chirp
     exp(i pi o2 kappa^2 / N), o2 = -Omega2 as its even representative mod 2N."""
     N = params.N
-    return np.diag(_chirp(_even_shear(params.omegas[1], N), labels(N), N))
+    return np.diag(_root(_even_shear(params.omegas[1], N) * labels(N) ** 2, N))
 
 
 def symplectic_m(params):
@@ -222,7 +209,7 @@ def symplectic_j(params):
     N = params.N
     o1, o2, o3 = params.omegas
     cols = center_mod(o1 * labels(N), N)
-    return _circulant(o3, cols, N) * _chirp(_even_shear(o2, N), cols, N)
+    return _circulant(o3, cols, N) * _root(_even_shear(o2, N) * cols**2, N)
 
 
 def _line_sums(F, za, zb, axis):
@@ -402,15 +389,13 @@ def _label_traces(rho, eta, xi):
     eta row with the N entries of rho gathered for xi, times the front:
     O(N) per label pair, with no S built.  Rows and gathers are made once
     per label, not per pair, so an eta x xi plane needs O(N^2) memory.
-    Every integer exponent is reduced mod 2N before its phase is read,
-    which keeps the quasi-periodic signs of out-of-range labels exact.
     """
     N = len(rho)
-    ks, ell, roots = labels(N), half_width(N), _roots(N)
+    ks, ell = labels(N), half_width(N)
     eta, xi = np.asarray(eta)[..., None], np.asarray(xi)[..., None]
     cols, rows = ks + ell, (ks + ell - xi) % N
-    phase = roots[(2 * eta * ks) % (2 * N)][..., None, :]
-    front = roots[(-eta * xi) % (2 * N)][..., 0]
+    phase = _root(2 * eta * ks, N)[..., None, :]
+    front = _root(-eta * xi, N)[..., 0]
     # (1, N) @ (N, 1) on the broadcast label axes: one dot product per pair
     tr_u = front * (phase @ rho[cols, rows][..., None])[..., 0, 0]
     tr_ud = front.conj() * (phase.conj() @ rho[rows, cols][..., None])[..., 0, 0]
@@ -451,6 +436,8 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
         tr_u, tr_ud = _label_traces(rho, eta, xi)
     else:
         U = np.asarray(unitary)
+        if U.shape[-2:] != rho.shape:
+            raise ValueError(f"scattering_circuit takes a unitary of rho's shape {rho.shape}, got shape {U.shape}")
         tr_u = np.sum(U * rho.T, axis=(-2, -1))  # Tr rho U
         tr_ud = np.sum(U.conj() * rho, axis=(-2, -1))  # Tr rho U^dag
     out_z = ((tr_u + tr_ud) / 2).real

@@ -3,6 +3,7 @@ bound on the package's per-N table caches."""
 
 import importlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,8 @@ from qps.lattice import (
     dft_matrix,
     _conj_phases,
     _dft_phases,
+    _diagonals,
+    _roots,
 )
 
 
@@ -99,13 +102,41 @@ def test_dft_matrix_is_unitary_and_symmetric():
         assert np.array_equal(F, ph / np.sqrt(N))
 
 
+def mp_roots(N):
+    """exp(i*pi*m/N), m = 0..2N-1, rounded from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return np.array([complex(mpmath.expjpi(mpmath.mpf(m) / N)) for m in range(2 * N)])
+
+
+@pytest.mark.parametrize("N", (1, 3, 61, 251, 1001))
+def test_roots_table_is_exact_to_the_last_bit(N):
+    # an exp at every m once erred by 1.1e-15 at N = 1001 and broke both symmetries
+    w = _roots(N)
+    assert w.shape == (2 * N,) and not w.flags.writeable
+    assert np.abs(w - mp_roots(N)).max() <= 1e-15
+    assert np.array_equal(w[N:], -w[:N])
+    assert np.array_equal(w[:0:-1], w[1:].conj())
+
+
+@pytest.mark.parametrize("N", (61, 251, 1001))
+def test_phase_tables_match_mpmath(N):
+    # both tables once took an exp of an angle up to pi N / 2, erring by
+    # 1.0e-14 at N = 61 and 2.8e-13 at N = 1001
+    ks, ref = labels(N), mp_roots(N)
+    ph = _dft_phases(N)
+    assert np.array_equal(ph, ph.T)
+    assert np.abs(ph - ref[-2 * np.outer(ks, ks) % (2 * N)]).max() <= 1e-15
+    front = _diagonals(N)[2]
+    assert np.abs(front - ref[-np.outer(ks, ks) % (2 * N)] / np.sqrt(N)).max() <= 1e-15
+
+
 # every table the package caches per dimension N, by module
 PER_N_TABLES = {
-    "lattice": ("_dft_phases", "_conj_phases", "_diagonals"),
+    "lattice": ("_roots", "_dft_phases", "_conj_phases", "_diagonals"),
     "theta": ("_log_kernel", "kernel_table", "fock_coefficients"),
     "schwinger": ("_log_gain", "u_matrix", "v_matrix"),
     "quasiprob": ("smoothing_table",),
-    "tomography": ("_ray_cells", "_roots"),
+    "tomography": ("_ray_cells",),
     "teleport": ("_bell_seed",),
 }
 

@@ -83,6 +83,20 @@ def test_s_op_quasi_periodicity():
             assert np.abs(s_op(eta, xi + N, N) - (-1) ** eta * S).max() < 1e-12
 
 
+def test_s_op_rejects_non_integer_labels():
+    # s_op(0.5, 0, 5) once returned a matrix that is no S(eta, xi)
+    for eta, xi in ((0.5, 0), (0, 1.5), (np.array([1, 2.5]), 0), (np.nan, 0), (np.inf, 1)):
+        with pytest.raises(ValueError, match="s_op labels must be integers"):
+            s_op(eta, xi, 5)
+    assert np.array_equal(s_op(2.0, -3.0, 5), s_op(2, -3, 5))
+
+
+@pytest.mark.parametrize("N", (251, 501))
+def test_reconstruct_t_of_ones_is_identity_to_round_off(N):
+    # phases of angles up to pi N / 2 once left 2.9e-14 at N = 251 and 4.7e-14 at N = 501
+    assert np.abs(reconstruct_t(np.ones((N, N)), 0) - np.eye(N)).max() < 5e-15
+
+
 def test_s_op_ordered_weights():
     N = 5
     ell = half_width(N)

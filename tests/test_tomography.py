@@ -560,6 +560,25 @@ def test_scattering_circuit_takes_one_square_rho():
         scattering_circuit(np.zeros((3, 5)), 1, 1)
 
 
+def test_scattering_circuit_rejects_a_unitary_of_another_size():
+    # numpy once raised "operands could not be broadcast together" here
+    rho = random_density(5, np.random.default_rng(6))
+    for U in (np.eye(3), np.zeros((2, 3, 3)), np.eye(5)[:, :3]):
+        with pytest.raises(ValueError, match=rf"scattering_circuit .*\(5, 5\), got shape {re.escape(str(U.shape))}"):
+            scattering_circuit(rho, unitary=U)
+    # leading axes of the unitary stay a batch
+    sz, sy = scattering_circuit(rho, unitary=np.stack([np.eye(5), -np.eye(5)]))
+    assert np.allclose(sz, [1, -1]) and np.allclose(sy, 0)
+
+
+@pytest.mark.parametrize("N", (251, 501))
+def test_reconstruct_wigner_is_exact_to_round_off_at_large_n(N):
+    # phases of angles up to pi N / 2 once left 2.8e-14 at N = 251 and 5.3e-14 at N = 501
+    rng = np.random.default_rng(N)
+    for rho in (fock_projector(3, N), random_density(N, rng), random_density(N, rng, pure=True)):
+        assert np.abs(reconstruct_wigner(rho).grid - phase_fn(rho, 0).grid).max() < 5e-15
+
+
 def test_scattering_circuit_bipartite_bell_mode():
     from qps.teleport import BellLabel, bell_projector
 
