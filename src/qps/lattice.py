@@ -3,6 +3,8 @@
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
+`_table_cache` is the one table cache, `_frozen` the one place an array
+is made read-only, and `_integers` the one check that labels are integers.
 The helpers at the end are the only readers of the phase tables and the
 one operand check: `_square` decides what an operand's shape must be,
 `_root` reads every phase exp(i*pi*m/N) from the one table of 2N-th
@@ -13,7 +15,7 @@ over every label pair (S(eta, xi) the symmetrized displacement of
 """
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -28,9 +30,28 @@ __all__ = [
     "dft_matrix",
 ]
 
-# the one bound on every table cache in the package (keyed by N, or by
-# (s, N)): a sweep over N keeps only the most recent tables, each read-only
-_table_cache = lru_cache(maxsize=8)
+def _frozen(table):
+    """`table`, an array or a tuple of arrays, each marked read-only."""
+    for a in table if isinstance(table, tuple) else (table,):
+        a.setflags(write=False)
+    return table
+
+
+def _table_cache(build):
+    """Decorator: `build`'s tables for its eight most recent keys (N, or (s, N)),
+    every array read-only.  Keys compare by value: 1 + 0j, 1 - 0j and 1 are one."""
+    return lru_cache(maxsize=8)(wraps(build)(lambda *key: _frozen(build(*key))))
+
+
+def _integers(x, name):
+    """Integer label(s) x, or a ValueError naming `name`.  A Python or numpy integer
+    passes with no array built; integer-valued floats become ints."""
+    if isinstance(x, (int, np.integer)):
+        return x
+    a = np.asarray(x)
+    if a.dtype.kind not in "iu" and not (a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.round(a)))):
+        raise ValueError(f"{name} labels must be integers, got {x!r}")
+    return a.astype(int, copy=False) if a.ndim else int(a)
 
 
 def check_dim(N):
@@ -58,10 +79,8 @@ def center_mod(x, N):
     ell = (N - 1) // 2
     if isinstance(x, int):
         return (x + ell) % N - ell
-    r = (np.asarray(x) + ell) % N - ell
-    if np.ndim(x) == 0:
-        return int(r)
-    return r
+    r = (_integers(x, "center_mod") + ell) % N - ell
+    return r if np.ndim(r) else int(r)
 
 
 def dagger(A):
@@ -124,9 +143,7 @@ def _roots(N):
     table is exactly antiperiodic and exactly conjugate-symmetric."""
     q = np.exp(1j * (np.pi * np.arange(half_width(N) + 1) / N))
     half = np.concatenate([q, -q[:0:-1].conj()])
-    w = np.concatenate([half, -half])
-    w.setflags(write=False)
-    return w
+    return np.concatenate([half, -half])
 
 
 def _root(m, N):
@@ -138,17 +155,13 @@ def _root(m, N):
 def _dft_phases(N):
     """Read-only phases ph[eta + ell, mu + ell] = exp(-2*pi*i*eta*mu/N); symmetric."""
     k = labels(N)
-    ph = _root(-2 * np.outer(k, k), N)
-    ph.setflags(write=False)
-    return ph
+    return _root(-2 * np.outer(k, k), N)
 
 
 @_table_cache
 def _conj_phases(N):
     """Read-only conj(`_dft_phases(N)`), the inverse DFT's phases exp(+2*pi*i*eta*mu/N)."""
-    ph = _dft_phases(N).conj()
-    ph.setflags(write=False)
-    return ph
+    return _dft_phases(N).conj()
 
 
 def _square(A, name):
@@ -208,10 +221,7 @@ def _diagonals(N):
     """
     ks, rows = labels(N), np.arange(N)
     cols = (rows - ks[:, None]) % N
-    front = _root(-np.outer(ks, ks), N) / np.sqrt(N)
-    for a in (rows, cols, front):
-        a.setflags(write=False)
-    return rows, cols, front
+    return rows, cols, _root(-np.outer(ks, ks), N) / np.sqrt(N)
 
 
 def _traces(O):

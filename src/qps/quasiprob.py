@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, _phases, _square, _dual_multiply, _traces, _table_cache
+from .lattice import check_dim, labels, _integers, _phases, _square, _dual_multiply, _traces, _table_cache
 from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, _kernel_power, _t_grid, _t_sum
 
@@ -116,6 +116,7 @@ def coherent_state(mu, nu, N):
     The free global phase makes the largest-magnitude amplitude real positive.
     """
     N = check_dim(N)
+    mu, nu = _integers(mu, "coherent_state"), _integers(nu, "coherent_state")
     psi = _phases(-nu, N) * np.roll(fock_state(0, N), mu)
     k = np.argmax(np.abs(psi))
     return psi * (abs(psi[k]) / psi[k])
@@ -162,9 +163,7 @@ def smoothing_table(N):
     E(dmu, dnu) = (1/N) sum_{eta,xi} exp(2*pi*i*(eta*dmu + xi*dnu)/N) K(eta, xi).
     """
     ks = labels(check_dim(N))
-    E = t_overlap(0, -1, ks[:, None], ks, N).real
-    E.setflags(write=False)
-    return E
+    return t_overlap(0, -1, ks[:, None], ks, N).real
 
 
 def _require_order(F, s, what):

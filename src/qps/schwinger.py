@@ -14,7 +14,8 @@ are one gather of the cyclic diagonals of O plus one DFT, O(N^3)
 (`lattice._traces`), and a sum over the basis is the inverse scatter.
 Every other route between operators and label grids (the T^(s)
 expansions, the origin kernel T^(s)(0, 0) and the depolarizer average)
-is that gather or scatter plus a 2-D DFT against K^(-s).  Every other
+is that gather or scatter plus a 2-D DFT against K^(-s), one cached
+table per order (`_kernel_power`, keyed by the value of s).  Every other
 kernel T^(s)(mu, nu) is a displaced copy of the origin one (`t_op`).
 """
 
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integers, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
 from .theta import _log_kernel
 
 __all__ = [
@@ -56,19 +57,14 @@ def check_order(s):
 @_table_cache
 def u_matrix(N):
     """Clock operator: diagonal phases exp(2*pi*i*kappa/N) over centered kappa."""
-    N = check_dim(N)
-    U = np.diag(_phases(-1, N))
-    U.setflags(write=False)
-    return U
+    return np.diag(_phases(-1, check_dim(N)))
 
 
 @_table_cache
 def v_matrix(N):
     """Shift operator: V|kappa> = |kappa - 1> with centered wraparound."""
     # row kappa - 1 of column kappa holds the one: the identity's rows rolled up by one
-    V = np.roll(np.eye(check_dim(N), dtype=complex), -1, axis=0)
-    V.setflags(write=False)
-    return V
+    return np.roll(np.eye(check_dim(N), dtype=complex), -1, axis=0)
 
 
 def s_op(eta, xi, N):
@@ -82,10 +78,8 @@ def s_op(eta, xi, N):
     N = check_dim(N)
     ell = half_width(N)
     ks = labels(N)
-    eta, xi = np.broadcast_arrays(eta, xi)
-    if not all(x.dtype.kind in "iu" or np.all(np.isfinite(x) & (x == np.round(x))) for x in (eta, xi)):
-        raise ValueError("s_op labels must be integers")
-    eta, xi = eta.astype(int, copy=False)[..., None], xi.astype(int, copy=False)[..., None]
+    eta, xi = np.broadcast_arrays(_integers(eta, "s_op"), _integers(xi, "s_op"))
+    eta, xi = eta[..., None], xi[..., None]
     S = np.zeros(eta.shape[:-1] + (N, N), dtype=complex)
     # a real division: numpy's complex one multiplies by 1/N, a last-bit change
     front = np.exp(1j * (np.pi * eta * xi / N)) / np.sqrt(N)
@@ -102,40 +96,26 @@ LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @_table_cache
-def _log_gain(N):
-    """-min log K >= 0, the log of max K^(-1): the round-off amplification of the Glauber order."""
-    return float(-_log_kernel(N).min())
-
-
 def _kernel_power(s, N):
-    """K^(-s) over the centered label square: a cached read-only table per (s, N).
+    """K^(-s) = exp(-s log K) on the cached log table, the only place K^(-s) is formed.
 
-    0j == -0j, so the key also carries the sign of each part of s: a hit
-    is byte for byte the table a miss at that exact s computes.
+    One cached read-only table per order: equal orders are one key
+    (1 + 0j == 1 - 0j == 1), and the table is formed at s with its zero
+    parts made positive, so every hit has the bytes of a miss.  Its largest
+    modulus is exp(Re(s) * (-min log K)); an exponent above log(max double)
+    raises `OverflowError` rather than returning inf, on every call, since
+    a raising call is not cached.
     """
-    s = complex(s)
-    return _kernel_power_table(s, math.copysign(1, s.real), math.copysign(1, s.imag), N)
-
-
-@_table_cache
-def _kernel_power_table(s, re_sign, im_sign, N):
-    """exp(-s log K) on the cached log table, the only place K^(-s) is formed.
-
-    Its largest modulus is exp(Re(s) * (-min log K)); an exponent above
-    log(max double) raises `OverflowError` rather than returning inf, on
-    every call, since a raising call is not cached.
-    """
+    s = complex(s) + 0
     if not cmath.isfinite(s):
         raise ValueError(f"K^(-s) needs a finite order, got s={s}")
-    exponent = s.real * _log_gain(N)
+    exponent = s.real * -_log_kernel(N).min()
     if exponent > LOG_MAX:
         raise OverflowError(
             f"K^(-s) overflows at N={N}, s={s}: Re(s) * (-min log K) = {exponent:.6g}"
             f" exceeds log(max double) = {LOG_MAX:.6g}"
         )
-    P = np.exp(-s * _log_kernel(N))
-    P.setflags(write=False)
-    return P
+    return np.exp(-s * _log_kernel(N))
 
 
 def s_op_ordered(eta, xi, s, N):
@@ -149,9 +129,7 @@ def s_op_ordered(eta, xi, s, N):
 @_table_cache
 def _origin_kernel(s, N):
     """Cached read-only T^(s)(0, 0) = sum K^(-s) S / sqrt(N); at s = -1 the vacuum projector |F_0><F_0|."""
-    T0 = _scatter(_kernel_power(s, N)) * (1 / np.sqrt(N))
-    T0.setflags(write=False)
-    return T0
+    return _scatter(_kernel_power(s, N)) * (1 / np.sqrt(N))
 
 
 @_table_cache
@@ -160,7 +138,6 @@ def _t_family(s, N):
     T = np.empty((N, N, N, N), dtype=complex)
     for m, mu in enumerate(ks):  # one row of mu at a time
         T[m] = t_op(mu, ks, s, N)
-    T.setflags(write=False)
     return T
 
 
@@ -184,6 +161,7 @@ def t_op(mu, nu, s, N):
     """
     N = check_dim(N)
     ell = (N - 1) // 2
+    mu, nu = _integers(mu, "t_op"), _integers(nu, "t_op")
     idx = _diagonals(N)[1][(mu + ell) % N]  # row kappa + ell holds index (kappa - mu) + ell
     T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
     # the phase row of -nu is p, the row of nu is conj(p)
@@ -278,9 +256,7 @@ def _conjugation_average(O, w):
 @_table_cache
 def _depolarizer(r, N):
     """Cached read-only `_conjugation_multiplier` of the weights |K^(-s)|^2 = K^(-r), r = 2 Re s."""
-    M = _conjugation_multiplier(_kernel_power(r, N).real)
-    M.setflags(write=False)
-    return M
+    return _conjugation_multiplier(_kernel_power(r, N).real)
 
 
 def depolarize(O, omega=0.0):

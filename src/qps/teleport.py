@@ -68,10 +68,7 @@ def _bell_seed(N):
     The DFT matrix squares to the parity, so the sum is Pi / sqrt(N) in
     matrix form: amplitude 1/sqrt(N) on each |kappa> x |-kappa>.
     """
-    N = check_dim(N)
-    psi = np.eye(N, dtype=complex)[::-1].ravel() / np.sqrt(N)
-    psi.setflags(write=False)
-    return psi
+    return np.eye(check_dim(N), dtype=complex)[::-1].ravel() / np.sqrt(N)
 
 
 def bell_state(omega, N):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _root, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integers, _root, _traces, _frozen, _table_cache
 
 __all__ = [
     "theta",
@@ -93,18 +93,14 @@ def _log_kernel(N):
     if not np.all(np.isfinite(B) & (B > 0)):
         raise ArithmeticError(f"kernel Gaussian sum is not finite and positive at N={N}")
     ell = half_width(N)
-    L = np.log(B / B[ell, ell]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
-    L.setflags(write=False)
-    return L
+    return np.log(B / B[ell, ell]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
 
 
 @_table_cache
 def kernel_table(N):
     """Cached read-only K[eta + ell, xi + ell] = exp(log K); corners below the
     smallest double (from N ~ 950 on) are 0, and the log table keeps them."""
-    K = np.exp(_log_kernel(N))
-    K.setflags(write=False)
-    return K
+    return np.exp(_log_kernel(N))
 
 
 def kernel_value(eta, xi, N):
@@ -112,10 +108,7 @@ def kernel_value(eta, xi, N):
     times the table entry at the reduced labels.  `eta` and `xi` may be
     broadcastable integer arrays; scalars give a float."""
     N = check_dim(N)
-    eta, xi = np.asarray(eta), np.asarray(xi)
-    if not all(np.all(np.isfinite(x) & (x == np.round(x))) for x in (eta, xi)):
-        raise ValueError("kernel labels must be integers")
-    eta, xi, ell = eta.astype(int), xi.astype(int), half_width(N)
+    eta, xi, ell = _integers(eta, "kernel_value"), _integers(xi, "kernel_value"), half_width(N)
     sign = 1 - 2 * (phase_phi(eta, xi, N) % 2)
     val = sign * kernel_table(N)[center_mod(eta, N) + ell, center_mod(xi, N) + ell]
     return val if val.ndim else float(val)
@@ -142,12 +135,16 @@ def fock_coefficients(N):
     Each column n holds the coordinate-basis amplitudes of the n-th
     number state, built from a sum of the Hermite function psi_n over the
     integer winding index and normalized to unit column norm.  Columns
-    are exactly N-periodic in kappa.
+    are exactly N-periodic in kappa.  The sum runs a Gaussian tail below
+    1e-16 past the last turning point sqrt(2N - 1), so columns n < N/2
+    are orthonormal to round-off.  Above about n = N/4 at small N the
+    periodized Hermite functions themselves are not quite orthogonal
+    (Mehta, J. Math. Phys. 28, 781 (1987)): 6.8e-8 at N = 61 over n < 30.
     """
     N = check_dim(N)
     kappas = labels(N)
-    # exp(-pi*beta^2/N) < 1e-16 beyond this winding range
-    bmax = int(math.ceil(math.sqrt(16 * math.log(10) * N / math.pi))) + 1
+    # |x| <= sqrt(2N - 1) + sqrt(32 ln 10) for the Hermite argument x = sqrt(2 pi / N) beta
+    bmax = int(math.ceil((math.sqrt(2 * N - 1) + math.sqrt(32 * math.log(10))) * math.sqrt(N / (2 * math.pi)))) + 1
     betas = np.arange(-bmax, bmax + 1)
     phases = _root(2 * np.outer(betas, kappas), N)
 
@@ -163,9 +160,7 @@ def fock_coefficients(N):
     n = np.arange(N)
     # cols[n] is column n; (-1j) ** (n % 4) keeps the phases exact at large n
     cols = ((-1j) ** (n % 4) / math.sqrt(N))[:, None] * (psi @ phases)
-    F = (cols / np.linalg.norm(cols, axis=1, keepdims=True)).T
-    F.setflags(write=False)
-    return F
+    return (cols / np.linalg.norm(cols, axis=1, keepdims=True)).T
 
 
 def gamma_table(N):
@@ -181,5 +176,4 @@ def gamma_table(N):
     # G[m, n] = sqrt(N) Tr[S(eta, xi) |F_n><F_m|]; one gather per row m keeps temporaries at N^3
     for m in range(N):
         G[m] = np.sqrt(N) * _traces(np.einsum("in,j->nij", F, F[:, m].conj()))
-    G.setflags(write=False)
-    return G
+    return _frozen(G)

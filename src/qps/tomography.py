@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _square, _root, _dft, _idft, _dft2, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integers, _square, _root, _dft, _idft, _dft2, _traces, _table_cache
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
 
@@ -270,7 +270,8 @@ def _draw(p, shots, rng):
     """Multinomial shot-noise estimates of the line sums p, one per row of the last axis.
 
     Each row is scaled to probabilities, sampled with `shots` draws and
-    rescaled, preserving its sum sqrt(N).  Negative values count as zero.
+    rescaled, preserving its sum sqrt(N).  Negative values (round-off, in
+    the twisted line sums of `_ray_loop`) count as zero.
     The probabilities are rounded to integer counts of 2^-32, the row's
     rounding error going to its largest bin, so numpy's running
     remainder subtracts them exactly: a conditional probability of 1/2,
@@ -310,9 +311,11 @@ def reconstruct_wigner(rho, shots=None, rng=None):
     N and are handled at once: one gather of the traces at K^0 = 1, one
     Fourier slice for the line sums, one inverse DFT for the rays and one
     2-D DFT back to phase space, O(R N^2) in all.  With `shots` set (an
-    integer >= 1, with a generator `rng`), the line sums are replaced by
-    seeded multinomial estimates, drawn ray by ray in order.  Leading axes
-    of rho are a batch; shots are then drawn state by state.
+    integer >= 1, with a generator `rng`), the line sums of the twisted
+    grid (`_twist`), which are probabilities, are replaced by seeded
+    multinomial estimates, drawn ray by ray in order, and the values they
+    recover are untwisted: an unbiased estimate.  Leading axes of rho are a
+    batch; shots are then drawn state by state.
     """
     return PhaseSpaceFunction(0, _dft2(_ray_loop(rho, shots, rng)[-1]))
 
@@ -339,9 +342,18 @@ def _ray_cells(N):
     ts, ell = labels(N), half_width(N)
     rows = center_mod(np.outer(rays[:, 0], ts), N) + ell
     cols = center_mod(np.outer(rays[:, 1], ts), N) + ell
-    for a in (rays, rows, cols):
-        a.setflags(write=False)
     return rays, rows, cols
+
+
+@_table_cache
+def _twist(N):
+    """t = (-1)^(eta xi) over centered labels at the cells (eta, xi) of every ray
+    of `_ray_cells`, one row per ray.  t S(eta, xi) carries exp(i pi eta xi (N + 1)
+    / N), so along a ray it is the powers of one unitary, and the line sums of
+    the twisted characteristic values are its eigenspace probabilities: >= 0."""
+    _, rows, cols = _ray_cells(N)
+    ell = half_width(N)
+    return 1.0 - 2 * ((rows - ell) * (cols - ell) % 2)
 
 
 def _ray_sums(Xi):
@@ -361,17 +373,19 @@ def _ray_loop(rho, shots, rng):
     Returns the characteristic grid Xi^(0) of rho, one gather of its traces
     (K^0 = 1), the values recovered on each ray of `_ray_cells`, one row per
     ray, and the dual-plane grid they rebuild, whose `_dft2` is the
-    reconstruction.  Leading axes of rho are a batch.
+    reconstruction.  Shots draw the twisted line sums, and the values they
+    recover are untwisted.  Leading axes of rho are a batch.
     """
     rho, N = _square(rho, "reconstruct_wigner")
     if shots is not None and rng is None:
         raise ValueError("shot sampling needs a generator: pass rng with shots")
     Xi0 = _traces(rho)
-    sums = _ray_sums(Xi0)
-    if shots is not None:
-        sums = _draw(sums.real, shots, rng)
-    vals = _ray_invert(sums)
     _, rows, cols = _ray_cells(N)
+    if shots is None:
+        vals = _ray_invert(_ray_sums(Xi0))
+    else:
+        t = _twist(N)
+        vals = _ray_invert(_draw(_dft(t * Xi0[..., rows, cols]).real, shots, rng)) * t
     Xi = np.zeros(rho.shape, dtype=complex)
     # a cell of order below N (the origin on every ray) lies on several
     # rays and keeps the value of the last one written
@@ -433,7 +447,7 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     if unitary is None:
         if eta is None or xi is None:
             raise ValueError("either (eta, xi) or an explicit unitary is required")
-        tr_u, tr_ud = _label_traces(rho, eta, xi)
+        tr_u, tr_ud = _label_traces(rho, _integers(eta, "scattering_circuit"), _integers(xi, "scattering_circuit"))
     else:
         U = np.asarray(unitary)
         if U.shape[-2:] != rho.shape:

@@ -89,10 +89,16 @@ def smoothing_1d(chi, N):
 
 
 def fock_coefficients(N):
-    """Number-state columns F[kappa + ell, n], one Hermite sum per column."""
+    """Number-state columns F[kappa + ell, n], one Hermite sum per column.
+
+    The winding sum runs over a fixed range of the Hermite argument
+    x = sqrt(2 pi / N) beta, |x| <= 40, independent of the library's bound:
+    past every turning point sqrt(2n + 1) for N <= 101 by far more than the
+    Gaussian tail needs, and with H_n(40) still a finite double there.
+    """
     N = check_dim(N)
     kappas = labels(N)
-    bmax = int(math.ceil(math.sqrt(16 * math.log(10) * N / math.pi))) + 1
+    bmax = int(math.ceil(40 / math.sqrt(2 * math.pi / N)))
     betas = np.arange(-bmax, bmax + 1)
     gauss = np.exp(-math.pi * betas**2 / N)
     phases = np.exp(2j * math.pi * np.outer(betas, kappas) / N)
@@ -460,13 +466,19 @@ def ray_loop(rho, shots=None, rng=None):
 
     One Python iteration per ray of the prime-N plane, (1, k) for
     k = 0..N-1 and then (0, 1): a line sum, optionally a draw, and the
-    ray inverse, each through the public per-line functions.
+    ray inverse, each through the public per-line functions.  With shots
+    the line sums are those of the grid whose characteristic grid is
+    Xi^(0)(eta, xi) (-1)^(eta xi), and each ray's values are multiplied
+    back by (-1)^(eta xi) at its cells.
     """
     rho = np.asarray(rho)
     N = rho.shape[0]
     ell = half_width(N)
     ks = labels(N)
-    F = phase_fn(rho, 0)
+    F, sign = phase_fn(rho, 0), np.ones((N, N))
+    if shots is not None:
+        sign = (-1.0) ** np.outer(ks, ks)
+        F = PhaseSpaceFunction(0, _dft2(sign * char_fn(rho, 0).grid))
 
     def measured(dist):
         return dist if shots is None else sample_marginal(dist, shots, rng)
@@ -474,8 +486,9 @@ def ray_loop(rho, shots=None, rng=None):
     Xi = np.zeros((N, N), dtype=complex)
     rays = []
     for k in range(N):
-        vals = char_from_radon_q(measured(radon_q(F, 1, k)), 1, k, N)
-        Xi[ks + ell, center_mod(k * ks, N) + ell] = vals
+        cells = ks + ell, center_mod(k * ks, N) + ell
+        vals = char_from_radon_q(measured(radon_q(F, 1, k)), 1, k, N) * sign[cells]
+        Xi[cells] = vals
         rays.append(((1, k), vals))
     vals = char_from_radon_r(measured(radon_r(F, 0, 1)), 0, 1, N)
     Xi[ell, :] = vals

@@ -1,5 +1,5 @@
-"""Centered-index arithmetic and dense linear-algebra helpers, and the
-bound on the package's per-N table caches."""
+"""Centered-index arithmetic and dense linear-algebra helpers, the
+integer-label check, and the one table cache of the package."""
 
 import importlib
 
@@ -134,11 +134,14 @@ def test_phase_tables_match_mpmath(N):
 PER_N_TABLES = {
     "lattice": ("_roots", "_dft_phases", "_conj_phases", "_diagonals"),
     "theta": ("_log_kernel", "kernel_table", "fock_coefficients"),
-    "schwinger": ("_log_gain", "u_matrix", "v_matrix"),
+    "schwinger": ("u_matrix", "v_matrix"),
     "quasiprob": ("smoothing_table",),
-    "tomography": ("_ray_cells",),
+    "tomography": ("_ray_cells", "_twist"),
     "teleport": ("_bell_seed",),
 }
+# every table the package caches per order and dimension (s, N); `_depolarizer`
+# is keyed by r = 2 Re s
+PER_ORDER_TABLES = {"schwinger": ("_kernel_power", "_origin_kernel", "_t_family", "_depolarizer")}
 
 
 def test_per_dimension_tables_stay_bounded_and_read_only():
@@ -155,3 +158,61 @@ def test_per_dimension_tables_stay_bounded_and_read_only():
     for table in tables:
         info = table.cache_info()
         assert info.maxsize == bound and info.currsize <= bound, table.__name__
+
+
+def test_every_table_cache_is_listed_and_hands_out_read_only_arrays():
+    # each table once marked its own result read-only; the cache now does it for all
+    found = {(mod, name) for mod in PER_N_TABLES
+             for name, f in vars(importlib.import_module(f"qps.{mod}")).items()
+             if hasattr(f, "cache_info") and f.__module__ == f"qps.{mod}"}
+    listed = {(mod, name) for tables in (PER_N_TABLES, PER_ORDER_TABLES)
+              for mod, names in tables.items() for name in names}
+    assert found == listed
+    schwinger = importlib.import_module("qps.schwinger")
+    for N in (1, 3, 5):
+        for s in (0, 1, -1, 0.3 - 0.4j, -0.0j):
+            for name in PER_ORDER_TABLES["schwinger"]:
+                table = getattr(schwinger, name)
+                out = table(2 * complex(s).real if name == "_depolarizer" else s, N)
+                assert isinstance(out, np.ndarray) and not out.flags.writeable, name
+
+
+def label_calls(x, rho):
+    """Every function that takes integer labels, called with label x, and the name its check gives."""
+    from qps.quasiprob import coherent_state, t_matrix_element
+    from qps.schwinger import t_op
+    from qps.teleport import BellLabel, bell_state, teleport
+    from qps.tomography import scattering_circuit
+    return [
+        (lambda: coherent_state(x, 0, 5), "coherent_state"),
+        (lambda: coherent_state(0, x, 5), "coherent_state"),
+        (lambda: center_mod(x, 5), "center_mod"),
+        (lambda: bell_state(BellLabel(x, 0), 5), "center_mod"),
+        (lambda: teleport(rho, x, 0), "center_mod"),
+        (lambda: scattering_circuit(rho, x, 0), "scattering_circuit"),
+        (lambda: scattering_circuit(rho, 0, np.array([1, x])), "scattering_circuit"),
+        (lambda: t_op(x, 0, 0, 5), "t_op"),
+        (lambda: t_op(0, np.array([1, x]), 0, 5), "t_op"),
+        (lambda: t_matrix_element(0, 0, x, 0, 0, 5), "t_op"),
+    ]
+
+
+@pytest.mark.parametrize("bad", (0.5, -2.5, np.nan, np.inf))
+def test_non_integer_labels_raise_a_value_error_naming_the_function(bad):
+    # coherent_state(0.5, 0, 5) once returned the vacuum and center_mod(0.5, 5)
+    # returned 0; t_op(0.5, 0, 0, 5) raised numpy's untyped IndexError
+    rho = np.eye(5) / 5
+    for call, name in label_calls(bad, rho):
+        with pytest.raises(ValueError, match=f"^{name} labels must be integers"):
+            call()
+
+
+def test_integer_valued_labels_still_pass():
+    def flat(out):
+        return np.concatenate([np.ravel(v) for v in (out if isinstance(out, tuple) else (out,))])
+
+    rho = np.diag([0.1, 0.2, 0.3, 0.25, 0.15]).astype(complex)
+    for (as_float, _), (as_int, _) in zip(label_calls(-2.0, rho), label_calls(np.int64(-2), rho)):
+        assert np.array_equal(flat(as_float()), flat(as_int()))
+    assert center_mod(7.0, 5) == 2 and type(center_mod(7.0, 5)) is int
+    assert type(center_mod(np.int64(7), 5)) is int

@@ -6,7 +6,7 @@ import pytest
 from qps import schwinger
 from qps.lattice import half_width, labels, center_mod, dagger
 from qps.theta import kernel_table, _log_kernel
-from qps.quasiprob import phase_fn
+from qps.quasiprob import phase_fn, reconstruct_rho
 from qps.schwinger import (
     check_order,
     u_matrix,
@@ -176,21 +176,49 @@ def test_depolarizer_collapses_to_trace(N):
         assert np.abs(out_w - np.trace(O) * np.eye(N)).max() < 1e-10
 
 
+def signed_zeros(s):
+    """s, then every complex equal to it that gives its zero parts either sign."""
+    z = complex(s)
+    return [s] + [complex(a, b) for a in ((z.real,) if z.real else (0.0, -0.0))
+                  for b in ((z.imag,) if z.imag else (0.0, -0.0))]
+
+
 @pytest.mark.parametrize("N", (3, 7))
 def test_kernel_power_hit_has_the_bytes_of_a_miss(N):
-    # 0j == -0j, yet exp(-s log K) differs in the signs of its zeros:
-    # tobytes() sees them, array_equal does not
-    orders = (0j, -0j, complex(0, -0.0), 1, -1, 0.3 - 0.4j)
-    schwinger._kernel_power_table.cache_clear()
-    for _ in range(2):  # misses, then hits
-        for s in orders:
-            assert schwinger._kernel_power(s, N).tobytes() == np.exp(-complex(s) * _log_kernel(N)).tobytes()
+    # 0j == -0j, yet exp(-s log K) differs in the signs of its zeros (tobytes()
+    # sees them, array_equal does not): one key per order, whatever signs its
+    # zero parts carry, holds the bytes of s with its zero parts made positive
+    tables = (schwinger._kernel_power, schwinger._origin_kernel, schwinger._depolarizer)
+    for s in (0, 1, -1, 0.3 - 0.4j):
+        ref = np.exp(-(complex(s) + 0) * _log_kernel(N)).tobytes()
+        first = {}
+        for z in signed_zeros(s):
+            for table in tables:
+                table.cache_clear()
+            assert schwinger._kernel_power(z, N).tobytes() == ref  # a miss
+            for w in signed_zeros(s):  # hits
+                assert schwinger._kernel_power(w, N).tobytes() == ref
+            assert schwinger._kernel_power.cache_info()[1:] == (1, 8, 1)  # misses, maxsize, currsize
+            for table, key in ((schwinger._origin_kernel, z), (schwinger._depolarizer, 2 * z.real)):
+                assert first.setdefault(table, table(key, N).tobytes()) == table(key, N).tobytes()
+
+
+@pytest.mark.parametrize("N", (5, 9))
+def test_a_round_of_orders_fills_one_key_per_order(N):
+    # routes negate s, which once flipped the signs of its zeros and filled two keys per order
+    rho = np.random.default_rng(N).normal(size=(N, N)) * (1 + 1j)
+    rho = rho @ rho.conj().T / np.trace(rho @ rho.conj().T)
+    schwinger._kernel_power.cache_clear()
+    for s in (1, 0, -1):
+        reconstruct_t(decompose_t(rho, s), s)
+        reconstruct_rho(phase_fn(rho, s))
+    assert schwinger._kernel_power.cache_info().currsize == 3
 
 
 def test_kernel_power_cache_is_bounded_and_read_only():
     rng = np.random.default_rng(3)
     tables = [schwinger._kernel_power(complex(*rng.uniform(-0.7, 0.7, 2)), 5) for _ in range(20)]
-    assert schwinger._kernel_power_table.cache_info().currsize <= 8
+    assert schwinger._kernel_power.cache_info().currsize <= 8
     assert not any(P.flags.writeable for P in tables)
     assert not schwinger._depolarizer(0.0, 5).flags.writeable
 

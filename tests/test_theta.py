@@ -107,6 +107,14 @@ def test_fock_gram_structure():
         assert abs(off - residual) < 1e-6
 
 
+@pytest.mark.parametrize("N", [251, 1001])
+def test_number_states_below_half_the_dimension_are_orthonormal(N):
+    # a winding sum cut at |x| <= sqrt(32 ln 10) missed every column past
+    # n = 36, whose turning point lies beyond it: 0.78 at N = 251, 0.95 at 1001
+    F = fock_coefficients(N)[:, : N // 2]
+    assert np.abs(F.conj().T @ F - np.eye(N // 2)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("N", [3, 5, 7])
 def test_gamma_table_center_and_hermiticity(N):
     G = gamma_table(N)
