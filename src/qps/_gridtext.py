@@ -13,15 +13,15 @@ Where this cannot be exact the value takes a scalar "%.15g" (JSON:
 `json.dumps(float("%.15g" % x))`): a residual within 1e-6 of a rounding
 tie, an exponent that log10 misjudged (scaled value below 1e14 or mantissa
 reaching 1e15), NaN, infinities, subnormals and magnitudes outside
-[1e-280, 1e280).  Zeros stay on the vector path.
+[1e-280, 1e280).  Zeros stay on the vector path.  Every byte table is
+cached read-only by `lattice._table_cache`, as all tables of `qps` are.
 """
 
 import json
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import labels
+from .lattice import labels, _table_cache
 
 # magnitudes of the vector path: 10^(14 - e) and its Veltkamp split stay
 # normal and finite, and so do the partial products of the two-product
@@ -41,7 +41,7 @@ _CLASSES = 22  # fixed form at X = -4..15, then exponent form with 2 or 3 digits
 _BLOCK = 2048
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _digit_tables():
     """Byte tables of 0..999: its three digits each followed by a point (void, 6 bytes),
     its trailing-zero count (000 has 3), and the exponent text: sign and three digits
@@ -55,13 +55,10 @@ def _digit_tables():
     exps = np.empty((len(X), 4), dtype=np.uint8)
     exps[:, 0] = np.where(X < 0, ord("-"), ord("+"))
     exps[:, 1:] = digits[np.abs(X)]
-    tables = pairs.view("V6").ravel(), trailing, exps.view("V4").ravel()
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return pairs.view("V6").ravel(), trailing, exps.view("V4").ravel()
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _const_slots():
     """The value slots' fixed bytes: "0.000", every point, the "0" digits 15, 16 and "e";
     0xFF on the slots that hold a value's own bytes."""
@@ -70,11 +67,10 @@ def _const_slots():
     row[_DIG + 1 : _EXP : 2] = ord(".")
     row[_DIG + 30 : _EXP : 2] = ord("0")
     row[_EXP] = ord("e")
-    row.flags.writeable = False
     return row
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _masks(fmt):
     """0xFF on the slots a value shows, one row per class * 16 + digit count (1..15).
 
@@ -106,9 +102,7 @@ def _masks(fmt):
         | (slot >= _EXP) & ((slot != _EXP + 2) | (cls == _CLASSES - 1))
     )
     keep = (slot == 0) | np.where(fixed, keep_fixed, keep_exp)
-    masks = np.where(keep, 0xFF, 0).astype(np.uint8).reshape(-1, WIDTH)
-    masks.flags.writeable = False
-    return masks
+    return np.where(keep, 0xFF, 0).astype(np.uint8).reshape(-1, WIDTH)
 
 
 def _dd_pow10(k):
@@ -127,12 +121,10 @@ def _dd_pow10(k):
     return hi, bh, hi - bh, lo
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _pow10_table():
     """Read-only rows hi, bh, bl, lo of 10^(14 - e) per exponent e, at column e + _EOFF."""
-    table = np.array([_dd_pow10(14 + _EOFF - i) for i in range(2 * _EOFF + 1)]).T
-    table.flags.writeable = False
-    return table
+    return np.array([_dd_pow10(14 + _EOFF - i) for i in range(2 * _EOFF + 1)]).T
 
 
 def decimal(x):
@@ -227,7 +219,7 @@ _HEAD = {"csv": (b"", b",", b","), "json": (b"  [\n   ", b",\n   ", b",\n   ")}
 _TAIL = {"csv": (b",", b"\n"), "json": (b",\n   ", b"\n  ],\n")}
 
 
-@lru_cache(maxsize=4)
+@_table_cache
 def _prefixes(N, fmt):
     """The text of every row up to its re value (label1 outer), as a read-only N^2 x width uint8 matrix."""
     ks = labels(N).tolist()
@@ -238,9 +230,7 @@ def _prefixes(N, fmt):
         return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (N * N, len(text)))
 
     before, between, before_re = _HEAD[fmt]
-    out = np.hstack([fixed(before), np.repeat(lab, N, axis=0), fixed(between), np.tile(lab, (N, 1)), fixed(before_re)])
-    out.flags.writeable = False
-    return out
+    return np.hstack([fixed(before), np.repeat(lab, N, axis=0), fixed(between), np.tile(lab, (N, 1)), fixed(before_re)])
 
 
 def grid_rows(grid, N, fmt):

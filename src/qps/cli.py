@@ -159,7 +159,7 @@ def cmd_tomo(args):
     # a shot count below 1 raises ValueError in the sampler: exit 2
     rng = None if args.shots is None else np.random.default_rng(args.seed)
     Xi, vals, rebuilt = _ray_loop(rho, args.shots, rng)
-    rays, rows, cols = _ray_cells(N)
+    rays, rows, cols, _ = _ray_cells(N)
     ray_errs = np.abs(vals - Xi[rows, cols]).max(axis=1)
     lines = [f"ray ({za},{zb}): max |dXi| = {_fmt(e)}\n" for (za, zb), e in zip(rays.tolist(), ray_errs.tolist())]
     # two transforms, not one of the difference: a linear shortcut would move the residual's last bits

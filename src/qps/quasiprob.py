@@ -92,8 +92,9 @@ def maximally_mixed(N):
 
 
 def fock_state(n, N):
-    """Coordinate-basis amplitudes of the n-th finite number state."""
+    """Coordinate-basis amplitudes of the n-th finite number state; n an integer in 0..N-1."""
     N = check_dim(N)
+    n = _integers(n, "fock_state")
     if not 0 <= n < N:
         raise ValueError(f"number-state index must lie in 0..{N - 1}, got {n}")
     return fock_coefficients(N)[:, n].copy()
@@ -210,11 +211,7 @@ def expectation(O, rho, s):
 
 def t_matrix_element(m, n, mu, nu, s, N):
     """Number-basis matrix element <m|T^(s)(mu, nu)|n> on the displaced kernel of `t_op`: O(N^2)."""
-    N = check_dim(N)
-    if not (0 <= m < N and 0 <= n < N):
-        raise IndexError(f"number-basis indices must lie in 0..{N - 1}, got {m},{n}")
-    F = fock_coefficients(N)
-    return complex(F[:, m].conj() @ t_op(mu, nu, s, N) @ F[:, n])
+    return complex(fock_state(m, N).conj() @ t_op(mu, nu, s, N) @ fock_state(n, N))
 
 
 def reconstruct_rho(F, tol=1e-8):

@@ -2,11 +2,12 @@
 discrete Radon transforms and their ray inverses, Wigner reconstruction
 from simulated line sums, and the scattering-circuit simulator.
 
-`radon_q`/`radon_r`, `char_from_radon_q`/`_r` and `sample_marginal` are
-the per-line objects.  `reconstruct_wigner` handles every ray of the
-plane at once, one per point of the projective line P^1(Z_N) (N + 1 rays
-at prime N), as (rays, N) stacks: one Fourier-slice gather for the line
-sums, one multinomial draw and one inverse DFT.
+`radon_q`/`radon_r`, `char_from_radon_q`/`_r` and `sample_marginal` are the
+per-line objects.  `reconstruct_wigner` handles every ray of the plane at
+once, one per point of the projective line P^1(Z_N) (N + 1 rays at prime
+N), as (rays, N) stacks: one Fourier-slice gather for the line sums, one
+multinomial draw and one inverse DFT.  Both shot routes draw the twisted
+line sums, which are probabilities (`_ray_cells`, `_shot_values`).
 """
 
 import math
@@ -68,7 +69,7 @@ def _require_single(array, ndim, name):
 
 def mod_inverse(a, N):
     """Multiplicative inverse of a mod N, as a centered label."""
-    a = int(a) % N
+    a = int(_integers(a, "mod_inverse")) % N
     if math.gcd(a, N) != 1:
         raise ValueError(f"{a} has no inverse mod {N}")
     return center_mod(pow(a, -1, N), N)
@@ -269,9 +270,9 @@ def char_from_radon_r(dist, z2, z4, N):
 def _draw(p, shots, rng):
     """Multinomial shot-noise estimates of the line sums p, one per row of the last axis.
 
-    Each row is scaled to probabilities, sampled with `shots` draws and
-    rescaled, preserving its sum sqrt(N).  Negative values (round-off, in
-    the twisted line sums of `_ray_loop`) count as zero.
+    Each row is scaled to probabilities, sampled with `shots` draws from
+    `rng` and rescaled, preserving its sum sqrt(N).  Negative values
+    (round-off, in the twisted line sums of `_shot_values`) count as zero.
     The probabilities are rounded to integer counts of 2^-32, the row's
     rounding error going to its largest bin, so numpy's running
     remainder subtracts them exactly: a conditional probability of 1/2,
@@ -282,6 +283,8 @@ def _draw(p, shots, rng):
     """
     if not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if rng is None:
+        raise ValueError("shot sampling needs a generator: pass rng with shots")
     N = p.shape[-1]
     p = np.maximum(p, 0.0)
     counts = np.rint(p / p.sum(axis=-1, keepdims=True) * 2**32)
@@ -290,17 +293,25 @@ def _draw(p, shots, rng):
     return rng.multinomial(shots, counts / 2**32) / shots * math.sqrt(N)
 
 
-def sample_marginal(dist, shots, rng):
-    """Multinomial shot-noise estimate of an s = 0 marginal.
+def _shot_values(vals, twist, shots, rng):
+    """Ray values recovered from shot estimates of the line sums of the ray values
+    `vals` times their `twist` (`_cells`), which are probabilities, untwisted."""
+    return _ray_invert(_draw(_dft(twist * vals).real, shots, rng)) * twist
 
-    The values are scaled to probabilities, sampled with `shots` draws
-    (an integer >= 1) and rescaled, preserving the sum sqrt(N).  `_draw`
-    holds the rule that rounds the probabilities before the draw.
+
+def sample_marginal(dist, shots, rng):
+    """Unbiased multinomial shot-noise estimate of an s = 0 marginal on any ray.
+
+    Its ray values are twisted, their line sums drawn with `shots` draws (an
+    integer >= 1) from `rng` as in `reconstruct_wigner`, then untwisted and
+    summed back: the mean is the marginal at any shot count, each sum sqrt(N).
     """
     _require_single(dist.values, 1, "sample_marginal")
     if abs(complex(dist.s)) > 1e-12:
         raise ValueError("shot sampling is defined for s = 0 marginals only")
-    return MarginalDistribution(dist.s, dist.axis, _draw(dist.values.real, shots, rng), dist.line)
+    twist = _cells(np.array([_ray(dist)]), dist.dim)[2][0]
+    values = _dft(_shot_values(_ray_invert(dist.values), twist, shots, rng)).real
+    return MarginalDistribution(dist.s, dist.axis, values, dist.line)
 
 
 def reconstruct_wigner(rho, shots=None, rng=None):
@@ -312,7 +323,7 @@ def reconstruct_wigner(rho, shots=None, rng=None):
     Fourier slice for the line sums, one inverse DFT for the rays and one
     2-D DFT back to phase space, O(R N^2) in all.  With `shots` set (an
     integer >= 1, with a generator `rng`), the line sums of the twisted
-    grid (`_twist`), which are probabilities, are replaced by seeded
+    grid (`_ray_cells`), which are probabilities, are replaced by seeded
     multinomial estimates, drawn ray by ray in order, and the values they
     recover are untwisted: an unbiased estimate.  Leading axes of rho are a
     batch; shots are then drawn state by state.
@@ -320,15 +331,24 @@ def reconstruct_wigner(rho, shots=None, rng=None):
     return PhaseSpaceFunction(0, _dft2(_ray_loop(rho, shots, rng)[-1]))
 
 
+def _cells(rays, N):
+    """Cells of each ray (za, zb) of `rays`: ray j meets (za*t, zb*t) at [rows[j, t + ell],
+    cols[j, t + ell]]; and the twist t = (-1)^(eta xi) there, on centered labels.  Along a
+    ray, t S(eta, xi) (phase exp(i pi eta xi (N + 1) / N)) is the powers of one unitary, so
+    twisted line sums are the probabilities of its eigenspaces: >= 0."""
+    ts, ell = labels(N), half_width(N)
+    rows = center_mod(np.outer(rays[:, 0], ts), N) + ell
+    cols = center_mod(np.outer(rays[:, 1], ts), N) + ell
+    return rows, cols, 1.0 - 2 * ((rows - ell) * (cols - ell) % 2)
+
+
 @_table_cache
 def _ray_cells(N):
-    """One ray per point of the projective line P^1(Z_N) as an (R, 2) array,
-    and the dual-plane cells they pass through: ray j meets (za*t, zb*t) at
-    [rows[j, t + ell], cols[j, t + ell]].  Per prime power q = p^a of N the
-    classes are (1, k), k mod q, then (p*j, 1), j mod q/p, joined by CRT:
-    R = N prod_{p | N} (1 + 1/p) rays, covering every dual cell.  At prime
-    N they are (1, 0), ..., (1, N-1), (0, 1); at N = 1, the cell (0, 0).
-    O(R N) per N.
+    """One ray per point of the projective line P^1(Z_N) as an (R, 2) array, then
+    the cells and the twist of each (`_cells`), one row per ray.  Per prime power
+    q = p^a of N the classes are (1, k), k mod q, then (p*j, 1), j mod q/p, joined
+    by CRT: R = N prod_{p | N} (1 + 1/p) rays, covering every dual cell.  At prime
+    N they are (1, 0), ..., (1, N-1), (0, 1); at N = 1, the cell (0, 0).  O(R N).
     """
     rays, n = np.zeros((1, 2), dtype=int), N
     for p in range(3, N + 1, 2):
@@ -339,21 +359,7 @@ def _ray_cells(N):
             e = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N / q
             local = [(1, k) for k in range(q)] + [(p * j, 1) for j in range(q // p)]
             rays = (rays[:, None] + e * np.array(local)).reshape(-1, 2) % N
-    ts, ell = labels(N), half_width(N)
-    rows = center_mod(np.outer(rays[:, 0], ts), N) + ell
-    cols = center_mod(np.outer(rays[:, 1], ts), N) + ell
-    return rays, rows, cols
-
-
-@_table_cache
-def _twist(N):
-    """t = (-1)^(eta xi) over centered labels at the cells (eta, xi) of every ray
-    of `_ray_cells`, one row per ray.  t S(eta, xi) carries exp(i pi eta xi (N + 1)
-    / N), so along a ray it is the powers of one unitary, and the line sums of
-    the twisted characteristic values are its eigenspace probabilities: >= 0."""
-    _, rows, cols = _ray_cells(N)
-    ell = half_width(N)
-    return 1.0 - 2 * ((rows - ell) * (cols - ell) % 2)
+    return (rays, *_cells(rays, N))
 
 
 def _ray_sums(Xi):
@@ -363,7 +369,7 @@ def _ray_sums(Xi):
     By the projection-slice theorem they are the 1-D DFT of Xi along each
     ray: one gather and one product.
     """
-    _, rows, cols = _ray_cells(Xi.shape[-1])
+    _, rows, cols, _ = _ray_cells(Xi.shape[-1])
     return _dft(Xi[..., rows, cols])
 
 
@@ -377,15 +383,9 @@ def _ray_loop(rho, shots, rng):
     recover are untwisted.  Leading axes of rho are a batch.
     """
     rho, N = _square(rho, "reconstruct_wigner")
-    if shots is not None and rng is None:
-        raise ValueError("shot sampling needs a generator: pass rng with shots")
     Xi0 = _traces(rho)
-    _, rows, cols = _ray_cells(N)
-    if shots is None:
-        vals = _ray_invert(_ray_sums(Xi0))
-    else:
-        t = _twist(N)
-        vals = _ray_invert(_draw(_dft(t * Xi0[..., rows, cols]).real, shots, rng)) * t
+    _, rows, cols, twist = _ray_cells(N)
+    vals = _ray_invert(_ray_sums(Xi0)) if shots is None else _shot_values(Xi0[..., rows, cols], twist, shots, rng)
     Xi = np.zeros(rho.shape, dtype=complex)
     # a cell of order below N (the origin on every ray) lies on several
     # rays and keeps the value of the last one written

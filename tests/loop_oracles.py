@@ -467,18 +467,13 @@ def ray_loop(rho, shots=None, rng=None):
     One Python iteration per ray of the prime-N plane, (1, k) for
     k = 0..N-1 and then (0, 1): a line sum, optionally a draw, and the
     ray inverse, each through the public per-line functions.  With shots
-    the line sums are those of the grid whose characteristic grid is
-    Xi^(0)(eta, xi) (-1)^(eta xi), and each ray's values are multiplied
-    back by (-1)^(eta xi) at its cells.
+    `sample_marginal` draws each ray's twisted line sums and untwists them.
     """
     rho = np.asarray(rho)
     N = rho.shape[0]
     ell = half_width(N)
     ks = labels(N)
-    F, sign = phase_fn(rho, 0), np.ones((N, N))
-    if shots is not None:
-        sign = (-1.0) ** np.outer(ks, ks)
-        F = PhaseSpaceFunction(0, _dft2(sign * char_fn(rho, 0).grid))
+    F = phase_fn(rho, 0)
 
     def measured(dist):
         return dist if shots is None else sample_marginal(dist, shots, rng)
@@ -487,7 +482,7 @@ def ray_loop(rho, shots=None, rng=None):
     rays = []
     for k in range(N):
         cells = ks + ell, center_mod(k * ks, N) + ell
-        vals = char_from_radon_q(measured(radon_q(F, 1, k)), 1, k, N) * sign[cells]
+        vals = char_from_radon_q(measured(radon_q(F, 1, k)), 1, k, N)
         Xi[cells] = vals
         rays.append(((1, k), vals))
     vals = char_from_radon_r(measured(radon_r(F, 0, 1)), 0, 1, N)

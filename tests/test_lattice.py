@@ -2,11 +2,13 @@
 integer-label check, and the one table cache of the package."""
 
 import importlib
+import pkgutil
 
 import mpmath
 import numpy as np
 import pytest
 
+import qps
 from qps.lattice import (
     check_dim,
     half_width,
@@ -20,6 +22,7 @@ from qps.lattice import (
     _dft_phases,
     _diagonals,
     _roots,
+    _table_cache,
 )
 
 
@@ -136,7 +139,7 @@ PER_N_TABLES = {
     "theta": ("_log_kernel", "kernel_table", "fock_coefficients"),
     "schwinger": ("u_matrix", "v_matrix"),
     "quasiprob": ("smoothing_table",),
-    "tomography": ("_ray_cells", "_twist"),
+    "tomography": ("_ray_cells",),
     "teleport": ("_bell_seed",),
 }
 # every table the package caches per order and dimension (s, N); `_depolarizer`
@@ -175,6 +178,40 @@ def test_every_table_cache_is_listed_and_hands_out_read_only_arrays():
                 table = getattr(schwinger, name)
                 out = table(2 * complex(s).real if name == "_depolarizer" else s, N)
                 assert isinstance(out, np.ndarray) and not out.flags.writeable, name
+
+
+# the grid writer's tables and sample keys: none, the format, or (N, format)
+WRITER_TABLES = {
+    "_digit_tables": [()],
+    "_const_slots": [()],
+    "_pow10_table": [()],
+    "_masks": [("csv",), ("json",)],
+    "_prefixes": [(N, fmt) for N in (1, 5) for fmt in ("csv", "json")],
+}
+
+
+def test_every_cache_in_qps_is_the_table_cache():
+    # the grid writer kept five caches of its own, of no bound or of 4 keys,
+    # each marking its own table read-only
+    marker = _table_cache(lambda: None).__wrapped__.__code__
+    bound = _dft_phases.cache_info().maxsize
+    found = {}
+    for info in pkgutil.iter_modules(qps.__path__):
+        module = importlib.import_module(f"qps.{info.name}")
+        for name, f in vars(module).items():
+            if hasattr(f, "cache_info") and f.__module__ == module.__name__:
+                found[info.name, name] = f
+    found.pop(("cli", "build_parser"))  # caches a parser, not a table
+    for key, f in found.items():
+        assert f.__wrapped__.__code__ is marker and f.cache_info().maxsize == bound, key
+    listed = {(mod, name) for tables in (PER_N_TABLES, PER_ORDER_TABLES)
+              for mod, names in tables.items() for name in names}
+    assert set(found) == listed | {("_gridtext", name) for name in WRITER_TABLES}
+    for name, keys in WRITER_TABLES.items():
+        for key in keys:
+            out = found["_gridtext", name](*key)
+            for a in out if isinstance(out, tuple) else (out,):
+                assert not a.flags.writeable, (name, key)
 
 
 def label_calls(x, rho):

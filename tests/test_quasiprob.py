@@ -23,6 +23,7 @@ from qps.quasiprob import (
     t_matrix_element,
     reconstruct_rho,
 )
+from qps.tomography import mod_inverse
 from loop_oracles import phase_fn_direct
 
 DIMS = (3, 5, 7)
@@ -189,8 +190,31 @@ def test_t_matrix_element_matches_kernel():
                 direct = F[:, m].conj() @ t_op(mu, nu, s, N) @ F[:, n]
                 val = t_matrix_element(m, n, mu, nu, s, N)
                 assert abs(val - direct) < 1e-10
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         t_matrix_element(0, N, 0, 0, 0, N)
+
+
+def test_number_basis_indices_are_checked_like_labels():
+    # 1.5 and 2.0 raised numpy's untyped IndexError, "1" a TypeError, index 7 of
+    # t_matrix_element an IndexError, and mod_inverse(1.5, 5) returned 1
+    N = 5
+    for call, name in [
+        (lambda: fock_state(1.5, N), "fock_state"),
+        (lambda: fock_projector("1", N), "fock_state"),
+        (lambda: t_matrix_element(1.5, 0, 0, 0, 0, N), "fock_state"),
+        (lambda: t_matrix_element(0, np.nan, 0, 0, 0, N), "fock_state"),
+        (lambda: mod_inverse(1.5, N), "mod_inverse"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} labels must be integers"):
+            call()
+    for call in (lambda: fock_state(-1, N), lambda: fock_state(5.0, N),
+                 lambda: t_matrix_element(7, 0, 0, 0, 0, N), lambda: t_matrix_element(0, -1, 0, 0, 0, N)):
+        with pytest.raises(ValueError, match=r"^number-state index must lie in 0\.\.4"):
+            call()
+    # integer-valued floats pass, as labels do
+    assert np.array_equal(fock_state(2.0, N), fock_state(2, N))
+    assert t_matrix_element(2.0, np.int64(1), 0, 0, 0, N) == t_matrix_element(2, 1, 0, 0, 0, N)
+    assert mod_inverse(2.0, N) == mod_inverse(2, N) == -2
 
 
 @pytest.mark.parametrize("N", DIMS)

@@ -74,7 +74,6 @@ from qps.tomography import (
     radon_r,
     char_from_radon_q,
     char_from_radon_r,
-    sample_marginal,
     SymplecticParams,
     symplectic_c,
     symplectic_n,
@@ -385,7 +384,7 @@ primes = st.sampled_from((3, 5, 7, 11, 13, 31))
 def test_ray_cells_are_the_projective_line(N):
     # one ray per class of primitive cells under unit multiples, N prod (1 + 1/p)
     # of them, and every dual cell on a ray; at prime N, (1, 0..N-1) then (0, 1)
-    rays, rows, cols = tomography._ray_cells(N)
+    rays, rows, cols, twist = tomography._ray_cells(N)
     cover = oracle.ray_cover(N)
     hit = [next(c for c in cover if (a, b) in c) for a, b in rays.tolist()]
     assert len(set(hit)) == len(hit) == len(cover)
@@ -394,6 +393,9 @@ def test_ray_cells_are_the_projective_line(N):
     covered = np.zeros((N, N), dtype=bool)
     covered[rows, cols] = True
     assert covered.all()
+    # the shot route's twist (-1)^(eta xi) at the centered labels of each cell
+    ell = half_width(N)
+    assert np.array_equal(twist, (-1.0) ** ((rows - ell) * (cols - ell)))
     # CRT keeps the affine representatives: (1, k) is a ray for every k mod N
     assert sorted(b for a, b in rays.tolist() if a == 1 % N) == list(range(N))
     if prime_divisors == [N]:
@@ -445,12 +447,12 @@ def test_reconstruct_wigner_with_shots_matches_ray_loop(N, pure):
 
 @SETTINGS
 @given(N=primes, seed=seeds, pure=st.booleans(), shots=st.integers(1, 10**6))
-def test_batched_draw_matches_sequential_sample_marginal(N, seed, pure, shots):
+def test_batched_draw_matches_sequential_draws(N, seed, pure, shots):
     # one multinomial call on the (N + 1, N) stack draws the rows in order
     sums = tomography._ray_sums(char_fn(state(N, seed, pure), 0).grid)
     batched = tomography._draw(sums.real, shots, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    one_by_one = [sample_marginal(MarginalDistribution(0j, "Q", row), shots, rng).values for row in sums]
+    one_by_one = [tomography._draw(row, shots, rng) for row in sums.real]
     assert np.array_equal(batched, one_by_one)
     assert np.abs(batched.sum(axis=1) - math.sqrt(N)).max() <= 1e-12
     # through the whole route: each sampled ray's origin value is its sum / N

@@ -426,6 +426,28 @@ def test_sample_marginal_rejects_bad_shot_counts(shots):
     assert abs(drawn.values.sum() - math.sqrt(N)) < 1e-12
 
 
+def test_sample_marginal_needs_a_generator():
+    # sample_marginal(Q, 10, None) raised AttributeError from None.multinomial
+    Q = marginal_q(phase_fn(fock_projector(1, 5), 0))
+    with pytest.raises(ValueError, match="rng"):
+        sample_marginal(Q, 10, None)
+
+
+@pytest.mark.parametrize("N", (7, 31, 45))
+def test_sample_marginal_is_unbiased_on_sheared_rays(N):
+    # clipping the plain line sums left the mean of fock:3 at N = 31 on ray
+    # (1, 3) 0.505 off at 10^4 and 10^6 shots, and a random pure state 0.356
+    M = 20
+    for rho in (fock_projector(3, N), random_density(N, np.random.default_rng(N), pure=True)):
+        F = phase_fn(rho, 0)
+        for za, zb in ((1, 3), (2, 5)):
+            Q = radon_q(F, za, zb)
+            for shots in (10**4, 10**6):
+                rng = np.random.default_rng(shots)
+                mean = np.mean([sample_marginal(Q, shots, rng).values for _ in range(M)], axis=0)
+                assert np.abs(mean - Q.values).max() <= 3 * math.sqrt(N / (M * shots)), (za, zb, shots)
+
+
 def test_reconstruct_wigner_shots_need_a_count_and_a_generator():
     rho = maximally_mixed(5)
     with pytest.raises(ValueError, match="rng"):
@@ -604,8 +626,8 @@ def test_twisted_line_sums_are_probabilities(N, seed, pure):
     # and the draw clipped them; those of the twisted grid are probabilities
     rng = np.random.default_rng(seed)
     for rho in (random_density(N, rng, pure=pure), fock_projector(int(rng.integers(N)), N)):
-        _, rows, cols = tomography._ray_cells(N)
-        sums = _dft(tomography._twist(N) * char_fn(rho, 0).grid[rows, cols])
+        _, rows, cols, twist = tomography._ray_cells(N)
+        sums = _dft(twist * char_fn(rho, 0).grid[rows, cols])
         assert sums.real.min() >= -1e-14
         assert np.abs(sums.sum(axis=-1) - math.sqrt(N)).max() <= 1e-12
 
