@@ -78,9 +78,7 @@ def parse_state(spec, N):
             rho = validate_density(np.array([[complex(re, im) for re, im in row] for row in rows]))
         else:
             raise UsageError(f"unknown state kind {kind!r}")
-    except UsageError:
-        raise
-    except OSError:
+    except (UsageError, OSError):
         raise
     except Exception as exc:
         raise UsageError(f"cannot parse state spec {spec!r}: {exc}") from exc
@@ -90,19 +88,11 @@ def parse_state(spec, N):
 
 
 def parse_order(text):
-    if "," in text:
-        re_, im = text.split(",")
-        s = complex(float(re_), float(im))
-    else:
-        s = complex(float(text))
+    re_, comma, im = text.partition(",")
     try:
-        return check_order(s)
+        return check_order(complex(float(re_), float(im) if comma else 0.0))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _order_str(s):
-    return f"{s.real:.15g},{s.imag:.15g}"
 
 
 def write_grid(grid, N, s, kind, out, fmt):
@@ -117,7 +107,7 @@ def write_grid(grid, N, s, kind, out, fmt):
     if fmt == "csv":
         parts = ["label1,label2,re,im\n", *body]
     else:
-        head = json.dumps({"dim": N, "s": _order_str(s), "kind": kind}, indent=1)[:-2]
+        head = json.dumps({"dim": N, "s": f"{s.real:.15g},{s.imag:.15g}", "kind": kind}, indent=1)[:-2]
         parts = [head + ',\n "data": [\n', *body, "\n ]\n}\n"]
     if out is None:
         sys.stdout.writelines(parts)
@@ -210,22 +200,10 @@ def _selftest_checks(N):
     ks = labels(N)
     rng = np.random.default_rng(20240824)
     rho = random_density(N, rng)
-    yield (
-        "resolution of identity",
-        np.abs(reconstruct_t(np.ones((N, N)), 0) - np.eye(N)).max(),
-        1e-10,
-    )
-    yield (
-        "unit kernel traces",
-        np.abs(decompose_t(np.eye(N), 0) - 1).max(),
-        1e-10,
-    )
+    yield ("resolution of identity", np.abs(reconstruct_t(np.ones((N, N)), 0) - np.eye(N)).max(), 1e-10)
+    yield ("unit kernel traces", np.abs(decompose_t(np.eye(N), 0) - 1).max(), 1e-10)
     delta = N * (ks[:, None] == 0) * (ks == 0)
-    yield (
-        "kernel orthogonality",
-        np.abs(t_overlap(0, 0, ks[:, None], ks, N) - delta).max(),
-        1e-10,
-    )
+    yield ("kernel orthogonality", np.abs(t_overlap(0, 0, ks[:, None], ks, N) - delta).max(), 1e-10)
     # delta / N is the unit grid at (0, 0), so this reads T^(-1)(0, 0), the vacuum every coherent state displaces
     yield ("coherent vacuum", np.abs(reconstruct_t(delta, -1) - fock_projector(0, N)).max(), 1e-10)
     wigner = phase_fn(rho, 0)
@@ -244,11 +222,7 @@ def _selftest_checks(N):
         1e-10,
     )
     O = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    yield (
-        "depolarizer",
-        np.abs(depolarize(O) - np.trace(O) * np.eye(N)).max(),
-        1e-10,
-    )
+    yield ("depolarizer", np.abs(depolarize(O) - np.trace(O) * np.eye(N)).max(), 1e-10)
     # every label pair of the dual plane in one readout call: O(N^3) time, O(N^2) memory
     Xi = math.sqrt(N) * char_fn(rho, 0).grid
     sz, sy = scattering_circuit(rho, ks[:, None], ks)

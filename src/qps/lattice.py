@@ -3,8 +3,9 @@
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
-`_table_cache` is the one table cache, `_frozen` the one place an array
-is made read-only, and `_integers` the one check that labels are integers.
+`_table_cache` is the one table cache, `_frozen` the one place an array is
+made read-only, `_integers` the one check of every integer argument and
+`_invalid` the one error for a rejected argument.
 The helpers at the end are the only readers of the phase tables and the
 one operand check: `_square` decides what an operand's shape must be,
 `_root` reads every phase exp(i*pi*m/N) from the one table of 2N-th
@@ -15,6 +16,7 @@ over every label pair (S(eta, xi) the symmetrized displacement of
 """
 
 import math
+import sys
 from functools import lru_cache, reduce, wraps
 
 import numpy as np
@@ -39,27 +41,50 @@ def _frozen(table):
 
 def _table_cache(build):
     """Decorator: `build`'s tables for its eight most recent keys (N, or (s, N)),
-    every array read-only.  Keys compare by value: 1 + 0j, 1 - 0j and 1 are one."""
-    return lru_cache(maxsize=8)(wraps(build)(lambda *key: _frozen(build(*key))))
+    every array read-only.  Orders compare by value: 1 + 0j, 1 - 0j and 1 are one.
+    A lone key, a dimension that a caller may pass straight in, compares by type
+    too, so True misses the table of 1.0 or np.int64(1) and meets `check_dim`."""
+    return lru_cache(maxsize=8, typed=build.__code__.co_argcount == 1)(wraps(build)(lambda *key: _frozen(build(*key))))
 
 
-def _integers(x, name):
-    """Integer label(s) x, or a ValueError naming `name`.  A Python or numpy integer
-    passes with no array built; integer-valued floats become ints."""
-    if isinstance(x, (int, np.integer)):
-        return x
+def _invalid(rule, x):
+    """ValueError "<entry> <rule>, got <x!r>".  <entry> is read off the stack, so no
+    check is handed its caller's name and no valid call pays for one: the outermost
+    public function, or class of a method, on the run of qps frames that raised,
+    which is what the caller called; "qps" if that is the CLI."""
+    entry, f = "qps", sys._getframe(1)
+    while f and f.f_globals.get("__package__") == "qps":
+        head = f.f_code.co_qualname.split(".")[0]
+        if head[0] not in "_<":
+            entry = "qps" if f.f_globals["__spec__"].name == "qps.cli" else head
+        f = f.f_back
+    return ValueError(f"{entry} {rule}, got {x!r}")
+
+
+def _integers(x, rule="labels must be integers"):
+    """Integer(s) x, a scalar as a Python int, or `_invalid(rule, x)` for a bool, a str or a
+    non-integer or non-finite value; 2.0 is read as 2.  A Python or numpy integer passes
+    by a type test, with no array built."""
+    if type(x) is int or isinstance(x, np.integer):
+        return int(x)
     a = np.asarray(x)
     if a.dtype.kind not in "iu" and not (a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.round(a)))):
-        raise ValueError(f"{name} labels must be integers, got {x!r}")
+        raise _invalid(rule, x)
     return a.astype(int, copy=False) if a.ndim else int(a)
 
 
+def _integer(x, rule="label must be an integer"):
+    """One integer x as a Python int (`_integers`), or `_invalid(rule, x)`."""
+    if isinstance(n := _integers(x, rule), int):
+        return n
+    raise _invalid(rule, x)
+
+
 def check_dim(N):
-    """Validate a Hilbert-space dimension: positive and odd."""
-    N = int(N)
-    if N < 1 or N % 2 == 0:
-        raise ValueError(f"dimension must be an odd positive integer, got {N}")
-    return N
+    """Validate a Hilbert-space dimension: one odd positive integer."""
+    if (n := _integer(N, "dimension must be an odd positive integer")) < 1 or n % 2 == 0:
+        raise _invalid("dimension must be an odd positive integer", N)
+    return n
 
 
 def half_width(N):
@@ -77,10 +102,7 @@ def center_mod(x, N):
     """Reduce integer(s) x into the centered interval [-ell, ell] mod N."""
     N = check_dim(N)
     ell = (N - 1) // 2
-    if isinstance(x, int):
-        return (x + ell) % N - ell
-    r = (_integers(x, "center_mod") + ell) % N - ell
-    return r if np.ndim(r) else int(r)
+    return (_integers(x) + ell) % N - ell
 
 
 def dagger(A):
@@ -112,22 +134,17 @@ def partial_trace(A, dims, keep):
     (d, d) array with d = prod(dims[k] for k in keep).
     """
     A = np.asarray(A)
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if A.shape != (total, total):
-        raise ValueError(
-            f"dims {dims} do not factor a {A.shape} matrix"
-        )
-    keep = sorted(set(int(k) for k in keep))
+    dims = [_integer(d, "subsystem dimensions must be integers") for d in dims]
+    if A.shape != (math.prod(dims),) * 2:
+        raise ValueError(f"dims {dims} do not factor a {A.shape} matrix")
+    keep = sorted({_integer(k, "subsystem indices must be integers") for k in keep})
     if not keep or keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep={keep} is not a nonempty subset of subsystems")
 
     t = A.reshape(dims + dims)
-    cur = list(dims)
     for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + len(cur))
-        cur.pop(i)
-    d = int(np.prod(cur))
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    d = math.prod(dims[k] for k in keep)
     return t.reshape(d, d)
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, _integers, _phases, _square, _dual_multiply, _traces, _table_cache
+from .lattice import check_dim, labels, _integer, _integers, _phases, _square, _dual_multiply, _traces, _table_cache
 from .theta import kernel_table, fock_coefficients
-from .schwinger import check_order, t_op, t_overlap, _kernel_power, _t_grid, _t_sum
+from .schwinger import check_order, t_op, t_overlap, _require_order, _kernel_power, _t_grid, _t_sum
 
 __all__ = [
     "FormalismViolation",
@@ -94,7 +94,7 @@ def maximally_mixed(N):
 def fock_state(n, N):
     """Coordinate-basis amplitudes of the n-th finite number state; n an integer in 0..N-1."""
     N = check_dim(N)
-    n = _integers(n, "fock_state")
+    n = _integer(n)
     if not 0 <= n < N:
         raise ValueError(f"number-state index must lie in 0..{N - 1}, got {n}")
     return fock_coefficients(N)[:, n].copy()
@@ -117,7 +117,7 @@ def coherent_state(mu, nu, N):
     The free global phase makes the largest-magnitude amplitude real positive.
     """
     N = check_dim(N)
-    mu, nu = _integers(mu, "coherent_state"), _integers(nu, "coherent_state")
+    mu, nu = _integers(mu), _integers(nu)
     psi = _phases(-nu, N) * np.roll(fock_state(0, N), mu)
     k = np.argmax(np.abs(psi))
     return psi * (abs(psi[k]) / psi[k])
@@ -167,20 +167,15 @@ def smoothing_table(N):
     return t_overlap(0, -1, ks[:, None], ks, N).real
 
 
-def _require_order(F, s, what):
-    if abs(complex(F.s) - s) > 1e-12:
-        raise ValueError(f"{what} expects an input at s = {s}, got s = {F.s}")
-
-
 def smooth_p_to_w(P):
     """One smoothing step: Glauber-Sudarshan grid to Wigner grid."""
-    _require_order(P, 1, "smooth_p_to_w")
+    _require_order(P.s, 1)
     return PhaseSpaceFunction(0, _dual_multiply(kernel_table(P.dim), P.grid))
 
 
 def smooth_w_to_h(W):
     """One smoothing step: Wigner grid to Husimi grid."""
-    _require_order(W, 0, "smooth_w_to_h")
+    _require_order(W.s, 0)
     return PhaseSpaceFunction(-1, _dual_multiply(kernel_table(W.dim), W.grid))
 
 
@@ -190,7 +185,7 @@ def smooth_p_to_h(P):
     The multiplier is K^2; in phase space the step correlates the grid
     with the coherent-state overlap probabilities |K|^2.
     """
-    _require_order(P, 1, "smooth_p_to_h")
+    _require_order(P.s, 1)
     return PhaseSpaceFunction(-1, _dual_multiply(kernel_table(P.dim) ** 2, P.grid))
 
 
@@ -220,7 +215,7 @@ def reconstruct_rho(F, tol=1e-8):
     rho = (1/N) sum F^(s)(mu, nu) T^(-s)(mu, nu); flags a non-unit trace.
     Leading axes of the grid are a batch, and every slice is checked.
     """
-    rho = _t_sum(F.grid, check_order(-complex(F.s)))
+    rho = _t_sum(F.grid, -check_order(F.s))
     trace = rho.trace(axis1=-2, axis2=-1)
     if abs(trace - 1.0).max() > tol:
         raise FormalismViolation(

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integers, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integers, _invalid, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
 from .theta import _log_kernel
 
 __all__ = [
@@ -44,14 +44,31 @@ __all__ = [
 ]
 
 
+def _order(s):
+    """s as a finite complex number, or a ValueError naming the entry point; a bool or a
+    str is no order."""
+    if isinstance(s, (str, bool, np.bool_)):
+        raise _invalid("ordering parameter must be a number", s)
+    if not cmath.isfinite(z := complex(s)):
+        raise _invalid("ordering parameter must be finite", s)
+    return z
+
+
 def check_order(s):
-    """Validate an ordering parameter: finite complex with |s| <= 1."""
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValueError(f"ordering parameter must be finite, got {s}")
-    if abs(s) > 1 + 1e-12:
-        raise ValueError(f"ordering parameter must satisfy |s| <= 1, got {s}")
-    return s
+    """Validate an ordering parameter: a finite number (`_order`) with |s| <= 1 + 1e-12."""
+    z = _order(s)
+    if abs(z) > 1 + 1e-12:
+        raise _invalid("ordering parameter must satisfy |s| <= 1", s)
+    return z
+
+
+def _require_order(s, *orders):
+    """The order s of a grid or marginal (`_order`) if it is one of `orders` to the 1e-12
+    slack of `check_order`, else a ValueError naming the entry point."""
+    z = _order(s)
+    if any(abs(z - t) <= 1e-12 for t in orders):
+        return z
+    raise _invalid(f"takes an input at s = {' or '.join(map(str, orders))}", s)
 
 
 @_table_cache
@@ -78,7 +95,7 @@ def s_op(eta, xi, N):
     N = check_dim(N)
     ell = half_width(N)
     ks = labels(N)
-    eta, xi = np.broadcast_arrays(_integers(eta, "s_op"), _integers(xi, "s_op"))
+    eta, xi = np.broadcast_arrays(_integers(eta), _integers(xi))
     eta, xi = eta[..., None], xi[..., None]
     S = np.zeros(eta.shape[:-1] + (N, N), dtype=complex)
     # a real division: numpy's complex one multiplies by 1/N, a last-bit change
@@ -101,14 +118,13 @@ def _kernel_power(s, N):
 
     One cached read-only table per order: equal orders are one key
     (1 + 0j == 1 - 0j == 1), and the table is formed at s with its zero
-    parts made positive, so every hit has the bytes of a miss.  Its largest
-    modulus is exp(Re(s) * (-min log K)); an exponent above log(max double)
-    raises `OverflowError` rather than returning inf, on every call, since
-    a raising call is not cached.
+    parts made positive, so every hit has the bytes of a miss.  Every caller
+    passes a finite order (`_order`).  Its largest modulus is
+    exp(Re(s) * (-min log K)); an exponent above log(max double) raises
+    `OverflowError` rather than returning inf, on every call, since a
+    raising call is not cached.
     """
     s = complex(s) + 0
-    if not cmath.isfinite(s):
-        raise ValueError(f"K^(-s) needs a finite order, got s={s}")
     exponent = s.real * -_log_kernel(N).min()
     if exponent > LOG_MAX:
         raise OverflowError(
@@ -161,7 +177,7 @@ def t_op(mu, nu, s, N):
     """
     N = check_dim(N)
     ell = (N - 1) // 2
-    mu, nu = _integers(mu, "t_op"), _integers(nu, "t_op")
+    mu, nu = _integers(mu), _integers(nu)
     idx = _diagonals(N)[1][(mu + ell) % N]  # row kappa + ell holds index (kappa - mu) + ell
     T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
     # the phase row of -nu is p, the row of nu is conj(p)
@@ -176,9 +192,7 @@ def t_overlap(t, s, dmu, dnu, N):
     the whole offset square and read at the reduced offsets.  `dmu` and
     `dnu` may be broadcastable integer arrays; scalars give a complex.
     """
-    t = check_order(t)
-    s = check_order(s)
-    N = check_dim(N)
+    t, s, N = check_order(t), check_order(s), check_dim(N)
     ell = half_width(N)
     grid = np.sqrt(N) * _idft2(_kernel_power(t + s, N))
     out = grid[center_mod(dmu, N) + ell, center_mod(dnu, N) + ell]
@@ -267,5 +281,5 @@ def depolarize(O, omega=0.0):
     K^(-2 Re s) are exactly 1 at s = i*omega.  Leading axes of O are a batch.
     """
     O, N = _square(O, "depolarize")
-    s = check_order(1j * omega)
+    s = check_order(1j * _order(omega))
     return _scatter(_traces(O)[..., ::-1, ::-1] * _depolarizer(2 * s.real, N))

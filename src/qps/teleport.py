@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _square, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
-from .schwinger import check_order, t_op, _kernel_power, _t_sum
+from .lattice import check_dim, half_width, labels, center_mod, _integer, _square, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
+from .schwinger import check_order, t_op, _order, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
 __all__ = [
@@ -110,8 +110,7 @@ def bipartite_phase_fn(state, s1, s2):
     if N * N != D:
         raise ValueError(f"operator dimension {D} is not a perfect square")
     N = check_dim(N)
-    s1 = check_order(s1)
-    s2 = check_order(s2)
+    s1, s2 = check_order(s1), check_order(s2)
     rows, cols, front = _diagonals(N)
     c = cols.T  # c[kappa + ell, xi + ell] indexes kappa - xi
     # X[k1, k2, xi1, xi2] = R[k1, k2, k1 - xi1, k2 - xi2] with R[i1, i2, j1, j2] the operator
@@ -136,7 +135,6 @@ def upsilon_coeffs(omega, omega_p, s1, s2, N):
     itself carries the opposite orders (-s1, -s2) through its trace
     definition.
     """
-    N = check_dim(N)
     op = np.outer(bell_state(omega, N), bell_state(omega_p, N).conj())
     return bipartite_phase_fn(op, -check_order(s1), -check_order(s2)).grid
 
@@ -188,10 +186,10 @@ def r_kernel(alpha, beta, ds, N):
     """
     N = check_dim(N)
     ks, ell = labels(N), half_width(N)
-    # K is even in each label, so the sum is _idft2 of K^ds at (a, b)
-    grid = _idft2(_kernel_power(-complex(ds), N)) * (1 / np.sqrt(N))
-    a = center_mod(np.subtract.outer(ks, ks) + alpha, N) + ell  # [m1, m3]
-    b = center_mod(np.subtract.outer(ks, ks) - beta, N) + ell  # [n1, n3]
+    # K is even in each label, so the sum is _idft2 of K^ds at (a, b); |ds| may reach 2
+    grid = _idft2(_kernel_power(-_order(ds), N)) * (1 / np.sqrt(N))
+    a = center_mod(np.subtract.outer(ks, ks) + _integer(alpha), N) + ell  # [m1, m3]
+    b = center_mod(np.subtract.outer(ks, ks) - _integer(beta), N) + ell  # [n1, n3]
     return grid[a[:, None, :, None], b[None, :, None, :]]
 
 
@@ -203,10 +201,10 @@ def lambda_coeffs(F1, alpha, beta, s3):
     contraction is one multiplier, K^(s3 - s1) exp(2 pi i (alpha eta -
     beta xi) / N): O(N^3).
     """
-    s1 = -complex(F1.s)
+    s1 = -check_order(F1.s)
     N = F1.dim
-    shift = np.outer(_phases(-alpha, N), _phases(beta, N))
-    return _dual_multiply(_kernel_power(s1 - complex(s3), N) * shift, F1.grid)
+    shift = np.outer(_phases(-_integer(alpha), N), _phases(_integer(beta), N))
+    return _dual_multiply(_kernel_power(s1 - check_order(s3), N) * shift, F1.grid)
 
 
 def teleport_via_coeffs(rho1, alpha, beta, s1, s3):
@@ -217,7 +215,6 @@ def teleport_via_coeffs(rho1, alpha, beta, s1, s3):
     teleport() for any admissible (s1, s3).
     """
     rho1 = validate_density(_square(rho1, "teleport_via_coeffs")[0])
-    s1 = check_order(s1)
-    s3 = check_order(s3)
+    s1, s3 = check_order(s1), check_order(s3)
     F1 = phase_fn(rho1, -s1)
     return _t_sum(lambda_coeffs(F1, alpha, beta, s3), s3)

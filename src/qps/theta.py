@@ -66,7 +66,7 @@ def phase_phi(eta, xi, N):
     displacement operator at (eta, xi) to the one at the reduced labels;
     it vanishes for in-range labels.
     """
-    N = check_dim(N)
+    N, eta, xi = check_dim(N), _integers(eta), _integers(xi)
     i_eta = (eta - center_mod(eta, N)) // N
     i_xi = (xi - center_mod(xi, N)) // N
     return N * i_eta * i_xi - eta * i_xi - xi * i_eta
@@ -107,8 +107,7 @@ def kernel_value(eta, xi, N):
     """Kernel K(eta, xi) at raw integer labels: the quasi-periodic sign (-1)**phase_phi(eta, xi, N)
     times the table entry at the reduced labels.  `eta` and `xi` may be
     broadcastable integer arrays; scalars give a float."""
-    N = check_dim(N)
-    eta, xi, ell = _integers(eta, "kernel_value"), _integers(xi, "kernel_value"), half_width(N)
+    N, ell = check_dim(N), half_width(N)
     sign = 1 - 2 * (phase_phi(eta, xi, N) % 2)
     val = sign * kernel_table(N)[center_mod(eta, N) + ell, center_mod(xi, N) + ell]
     return val if val.ndim else float(val)
@@ -136,10 +135,10 @@ def fock_coefficients(N):
     number state, built from a sum of the Hermite function psi_n over the
     integer winding index and normalized to unit column norm.  Columns
     are exactly N-periodic in kappa.  The sum runs a Gaussian tail below
-    1e-16 past the last turning point sqrt(2N - 1), so columns n < N/2
-    are orthonormal to round-off.  Above about n = N/4 at small N the
-    periodized Hermite functions themselves are not quite orthogonal
-    (Mehta, J. Math. Phys. 28, 781 (1987)): 6.8e-8 at N = 61 over n < 30.
+    1e-16 past the last turning point sqrt(2N - 1).  The periodized Hermite
+    functions themselves (Mehta, J. Math. Phys. 28, 781 (1987)) are not
+    quite orthogonal past about n = N/4: over n < N // 2 they reach 7.1e-7
+    at N = 31, 4.0e-10 at N = 61 and 2.6e-15 at N = 251.
     """
     N = check_dim(N)
     kappas = labels(N)

@@ -11,14 +11,14 @@ line sums, which are probabilities (`_ray_cells`, `_shot_values`).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integers, _square, _root, _dft, _idft, _dft2, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integer, _integers, _invalid, _square, _root, _dft, _idft, _dft2, _traces, _table_cache
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
+from .schwinger import _require_order
 
 __all__ = [
     "MarginalDistribution",
@@ -69,7 +69,8 @@ def _require_single(array, ndim, name):
 
 def mod_inverse(a, N):
     """Multiplicative inverse of a mod N, as a centered label."""
-    a = int(_integers(a, "mod_inverse")) % N
+    N = check_dim(N)
+    a = _integer(a) % N
     if math.gcd(a, N) != 1:
         raise ValueError(f"{a} has no inverse mod {N}")
     return center_mod(pow(a, -1, N), N)
@@ -87,6 +88,7 @@ class SymplecticParams:
 
     def __post_init__(self):
         N = check_dim(self.N)
+        object.__setattr__(self, "N", N)
         for name in ("z1", "z2", "z3", "z4"):
             object.__setattr__(self, name, center_mod(getattr(self, name), N))
         if (self.z1 * self.z4 - self.z2 * self.z3 - 1) % N != 0:
@@ -143,10 +145,7 @@ def smooth_marginal(dist):
     for R when the marginal is axis-aligned.
     """
     _require_single(dist.values, 1, "smooth_marginal")
-    N = dist.dim
-    s = complex(dist.s)
-    if abs(s - 1) > 1e-12 and abs(s) > 1e-12:
-        raise ValueError(f"marginal smoothing is defined at s = 1 or 0, got {s}")
+    N, s = dist.dim, _require_order(dist.s, 1, 0)
     za, zb = _ray(dist)
     ts, ell = labels(N), half_width(N)
     K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
@@ -216,14 +215,14 @@ def symplectic_j(params):
 def _line_sums(F, za, zb, axis):
     """sum of F over each line za*mu' + zb*nu' = label, / sqrt(N), by one bincount."""
     _require_single(F.grid, 2, "radon_" + axis.lower())
-    N = F.dim
+    N, za, zb = F.dim, _integer(za), _integer(zb)
     if center_mod(za, N) == 0 and center_mod(zb, N) == 0:
         raise ValueError(f"degenerate line: ({za}, {zb}) = (0, 0) mod N")
     ks = labels(N)
     line = (center_mod(np.add.outer(za * ks, zb * ks), N) + half_width(N)).ravel()
     grid = F.grid.ravel()
     values = np.bincount(line, grid.real, N) + 1j * np.bincount(line, grid.imag, N)
-    return MarginalDistribution(F.s, axis, values / np.sqrt(N), (int(za), int(zb)))
+    return MarginalDistribution(F.s, axis, values / np.sqrt(N), (za, zb))
 
 
 def radon_q(F, z1, z3):
@@ -251,8 +250,10 @@ def _ray_invert(values):
 def _char_from_radon(dist, axis, za, zb, N):
     if dist.axis != axis:
         raise ValueError(f"expected a {axis}-type marginal")
+    if check_dim(N) != dist.dim:
+        raise _invalid(f"dimension must be the marginal's, {dist.dim}", N)
     line = _ray(dist)
-    if (za - line[0]) % N or (zb - line[1]) % N:
+    if (_integer(za) - line[0]) % N or (_integer(zb) - line[1]) % N:
         raise ValueError(f"ray ({za}, {zb}) is not the marginal's line {line} mod N = {N}")
     return _ray_invert(dist.values)
 
@@ -281,8 +282,8 @@ def _draw(p, shots, rng):
     it crosses a rounding boundary, a chance below 2^-18 per row.  numpy
     draws the rows in order, as one call per row would.
     """
-    if not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if (shots := _integer(shots, "shots must be an integer >= 1")) < 1:
+        raise _invalid("shots must be an integer >= 1", shots)
     if rng is None:
         raise ValueError("shot sampling needs a generator: pass rng with shots")
     N = p.shape[-1]
@@ -307,8 +308,7 @@ def sample_marginal(dist, shots, rng):
     summed back: the mean is the marginal at any shot count, each sum sqrt(N).
     """
     _require_single(dist.values, 1, "sample_marginal")
-    if abs(complex(dist.s)) > 1e-12:
-        raise ValueError("shot sampling is defined for s = 0 marginals only")
+    _require_order(dist.s, 0)
     twist = _cells(np.array([_ray(dist)]), dist.dim)[2][0]
     values = _dft(_shot_values(_ray_invert(dist.values), twist, shots, rng)).real
     return MarginalDistribution(dist.s, dist.axis, values, dist.line)
@@ -447,7 +447,7 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     if unitary is None:
         if eta is None or xi is None:
             raise ValueError("either (eta, xi) or an explicit unitary is required")
-        tr_u, tr_ud = _label_traces(rho, _integers(eta, "scattering_circuit"), _integers(xi, "scattering_circuit"))
+        tr_u, tr_ud = _label_traces(rho, _integers(eta), _integers(xi))
     else:
         U = np.asarray(unitary)
         if U.shape[-2:] != rho.shape:

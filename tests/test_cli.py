@@ -136,7 +136,7 @@ def test_grid_non_finite_order_exits_2(capsys, order):
     # a NaN order printed nan rows and exited 0
     code, out, err = run(capsys, "grid", "--dim", "3", "--what", "phase", "--state", "fock:1", f"--s={order}")
     assert code == 2 and out == ""
-    assert err.startswith("error: ordering parameter must be finite")
+    assert err.startswith("error: qps ordering parameter must be finite")
 
 
 def test_grid_io_error_exit_3(capsys):

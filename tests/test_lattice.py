@@ -215,7 +215,7 @@ def test_every_cache_in_qps_is_the_table_cache():
 
 
 def label_calls(x, rho):
-    """Every function that takes integer labels, called with label x, and the name its check gives."""
+    """Every function that takes integer labels, called with label x, and its name, which the check gives."""
     from qps.quasiprob import coherent_state, t_matrix_element
     from qps.schwinger import t_op
     from qps.teleport import BellLabel, bell_state, teleport
@@ -224,13 +224,13 @@ def label_calls(x, rho):
         (lambda: coherent_state(x, 0, 5), "coherent_state"),
         (lambda: coherent_state(0, x, 5), "coherent_state"),
         (lambda: center_mod(x, 5), "center_mod"),
-        (lambda: bell_state(BellLabel(x, 0), 5), "center_mod"),
-        (lambda: teleport(rho, x, 0), "center_mod"),
+        (lambda: bell_state(BellLabel(x, 0), 5), "bell_state"),
+        (lambda: teleport(rho, x, 0), "teleport"),
         (lambda: scattering_circuit(rho, x, 0), "scattering_circuit"),
         (lambda: scattering_circuit(rho, 0, np.array([1, x])), "scattering_circuit"),
         (lambda: t_op(x, 0, 0, 5), "t_op"),
         (lambda: t_op(0, np.array([1, x]), 0, 5), "t_op"),
-        (lambda: t_matrix_element(0, 0, x, 0, 0, 5), "t_op"),
+        (lambda: t_matrix_element(0, 0, x, 0, 0, 5), "t_matrix_element"),
     ]
 
 

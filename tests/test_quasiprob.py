@@ -200,12 +200,12 @@ def test_number_basis_indices_are_checked_like_labels():
     N = 5
     for call, name in [
         (lambda: fock_state(1.5, N), "fock_state"),
-        (lambda: fock_projector("1", N), "fock_state"),
-        (lambda: t_matrix_element(1.5, 0, 0, 0, 0, N), "fock_state"),
-        (lambda: t_matrix_element(0, np.nan, 0, 0, 0, N), "fock_state"),
+        (lambda: fock_projector("1", N), "fock_projector"),
+        (lambda: t_matrix_element(1.5, 0, 0, 0, 0, N), "t_matrix_element"),
+        (lambda: t_matrix_element(0, np.nan, 0, 0, 0, N), "t_matrix_element"),
         (lambda: mod_inverse(1.5, N), "mod_inverse"),
     ]:
-        with pytest.raises(ValueError, match=f"^{name} labels must be integers"):
+        with pytest.raises(ValueError, match=f"^{name} label must be an integer"):
             call()
     for call in (lambda: fock_state(-1, N), lambda: fock_state(5.0, N),
                  lambda: t_matrix_element(7, 0, 0, 0, 0, N), lambda: t_matrix_element(0, -1, 0, 0, 0, N)):

@@ -315,6 +315,18 @@ def test_char_from_radon_rejects_a_mismatched_ray():
     assert np.array_equal(char_from_radon_q(q, 6, -4, N), char_from_radon_q(q, 1, 1, N))
 
 
+def test_char_from_radon_rejects_a_dimension_that_is_not_the_marginals():
+    # the ray was checked mod the caller's N, which was then ignored: on a (1, 2)
+    # marginal at N = 5, the ray (1, 9) passed at N = 7, though 9 is 4 mod 5
+    F = phase_fn(random_density(5, np.random.default_rng(41)), 0)
+    q, r = radon_q(F, 1, 2), radon_r(F, 1, 2)
+    for call in (lambda: char_from_radon_q(q, 1, 9, 7), lambda: char_from_radon_r(r, 1, 2, 7),
+                 lambda: char_from_radon_q(q, 1, 2, 3)):
+        with pytest.raises(ValueError, match=r"^char_from_radon_[qr] dimension must be the marginal's, 5, got [37]$"):
+            call()
+    assert np.array_equal(char_from_radon_q(q, 1, 7, 5), char_from_radon_q(q, 1, 2, 5))
+
+
 @pytest.mark.parametrize("s", (1, 0.5, -1, 0.5j))
 def test_char_from_radon_at_nonzero_order(s):
     # the line sums of F^(s) already carry K^(-s) on the sheared rays too,
@@ -415,9 +427,10 @@ def test_sample_marginal_seeded_and_normalized():
         sample_marginal(marginal_q(phase_fn(fock_projector(1, N), -1)), 10, None)
 
 
-@pytest.mark.parametrize("shots", (2.5, 100.0, 0, -3, "100", None))
+@pytest.mark.parametrize("shots", (2.5, True, 0, -3, "100", None))
 def test_sample_marginal_rejects_bad_shot_counts(shots):
-    # 2.5 used to draw 2 shots and divide by 2.5, so the ray summed to 0.8 sqrt(N)
+    # 2.5 used to draw 2 shots and divide by 2.5, so the ray summed to 0.8 sqrt(N);
+    # True drew 1 shot.  An integral float such as 100.0 is a count, like 100
     N = 5
     Q = marginal_q(phase_fn(fock_projector(1, N), 0))
     with pytest.raises(ValueError, match="shots"):
