@@ -5,14 +5,14 @@ kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention.
 `_table_cache` is the one table cache, `_frozen` the one place an array is
 made read-only, `_integers` the one check of every integer argument and
-`_invalid` the one error for a rejected argument.
+`_invalid` the package's one ValueError, built for every rejected argument.
 The helpers at the end are the only readers of the phase tables and the
-one operand check: `_square` decides what an operand's shape must be,
-`_root` reads every phase exp(i*pi*m/N) from the one table of 2N-th
-roots `_roots`, `_dft`/`_idft`, `_phases` and `_dft2`/`_idft2` hold the
-one Fourier convention, and `_traces` is the one gather of Tr[S(eta, xi) O]
-over every label pair (S(eta, xi) the symmetrized displacement of
-`schwinger`).
+one operand check: `_square` decides what an operand's shape must be (and
+`_matrix` that it is one matrix), `_root` reads every phase exp(i*pi*m/N)
+from the one table of 2N-th roots `_roots`, `_dft`/`_idft`, `_phases` and
+`_dft2`/`_idft2` hold the one Fourier convention, and `_traces` is the one
+gather of Tr[S(eta, xi) O] over every label pair (S(eta, xi) the
+symmetrized displacement of `schwinger`).
 """
 
 import math
@@ -43,18 +43,27 @@ def _table_cache(build):
     """Decorator: `build`'s tables for its eight most recent keys (N, or (s, N)),
     every array read-only.  Orders compare by value: 1 + 0j, 1 - 0j and 1 are one.
     A lone key, a dimension that a caller may pass straight in, compares by type
-    too, so True misses the table of 1.0 or np.int64(1) and meets `check_dim`."""
-    return lru_cache(maxsize=8, typed=build.__code__.co_argcount == 1)(wraps(build)(lambda *key: _frozen(build(*key))))
+    too, so True misses the table of 1.0 or np.int64(1) and meets `check_dim`.
+    A public table takes an array N, which no cache can hash, by its value if
+    it is 0-d, else straight to `build`'s own check."""
+    cached = lru_cache(maxsize=8, typed=(lone := build.__code__.co_argcount == 1))(wraps(build)(lambda *key: _frozen(build(*key))))
+    if not lone or build.__name__[0] == "_":
+        return cached
+    table = wraps(build)(lambda N: cached(N) if type(N) is not np.ndarray else cached(N.item()) if N.ndim == 0 else build(N))
+    table.__wrapped__, table.cache_info, table.cache_clear = cached.__wrapped__, cached.cache_info, cached.cache_clear
+    return table
 
 
 def _invalid(rule, x):
-    """ValueError "<entry> <rule>, got <x!r>".  <entry> is read off the stack, so no
-    check is handed its caller's name and no valid call pays for one: the outermost
-    public function, or class of a method, on the run of qps frames that raised,
-    which is what the caller called; "qps" if that is the CLI."""
+    """ValueError "<entry> <rule>, got <x!r>", the package's one ValueError.  <entry> is
+    read off the stack, so no check is handed its caller's name and no valid call pays
+    for one: the outermost public function, or class of a method (the class of its
+    `self`, so a subclass names itself), on the run of qps frames that raised, which is
+    what the caller called; "qps" if that is the CLI."""
     entry, f = "qps", sys._getframe(1)
     while f and f.f_globals.get("__package__") == "qps":
-        head = f.f_code.co_qualname.split(".")[0]
+        code = f.f_code
+        head = type(f.f_locals["self"]).__name__ if code.co_varnames[:1] == ("self",) else code.co_qualname.split(".")[0]
         if head[0] not in "_<":
             entry = "qps" if f.f_globals["__spec__"].name == "qps.cli" else head
         f = f.f_back
@@ -113,7 +122,7 @@ def dagger(A):
 def tensor(*ops):
     """Kronecker product of one or more matrices, left to right."""
     if not ops:
-        raise ValueError("tensor() needs at least one operand")
+        raise _invalid("needs at least one operand", ops)
     return reduce(np.kron, [np.asarray(op) for op in ops])
 
 
@@ -136,10 +145,10 @@ def partial_trace(A, dims, keep):
     A = np.asarray(A)
     dims = [_integer(d, "subsystem dimensions must be integers") for d in dims]
     if A.shape != (math.prod(dims),) * 2:
-        raise ValueError(f"dims {dims} do not factor a {A.shape} matrix")
+        raise _invalid(f"subsystem dimensions {dims} must factor the matrix's shape", A.shape)
     keep = sorted({_integer(k, "subsystem indices must be integers") for k in keep})
     if not keep or keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError(f"keep={keep} is not a nonempty subset of subsystems")
+        raise _invalid(f"keep must be a nonempty subset of the {len(dims)} subsystems", keep)
 
     t = A.reshape(dims + dims)
     for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
@@ -181,16 +190,21 @@ def _conj_phases(N):
     return _dft_phases(N).conj()
 
 
-def _square(A, name):
-    """A as an array and its N, or a ValueError naming `name` and the shape
-    unless the last two axes are N x N with N odd.  Leading axes stay a batch."""
+def _square(A):
+    """A as an array and its N, or `_invalid` with its shape unless the last two
+    axes are N x N with N odd.  Leading axes stay a batch."""
     A = np.asarray(A)
-    shape = A.shape
-    if len(shape) < 2 or shape[-2] != shape[-1]:
-        raise ValueError(f"{name} takes square matrices, got shape {shape}")
-    if shape[-1] % 2 == 0:
-        raise ValueError(f"{name} takes square matrices of odd size N, got shape {shape}")
-    return A, shape[-1]
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1] or A.shape[-1] % 2 == 0:
+        raise _invalid("takes square matrices of odd size N", A.shape)
+    return A, A.shape[-1]
+
+
+def _matrix(A):
+    """One N x N matrix A with N odd (`_square`) and its N, or `_invalid` for a stack."""
+    A, N = _square(A)
+    if A.ndim > 2:
+        raise _invalid("takes one N x N matrix", A.shape)
+    return A, N
 
 
 def _phases(k, N):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, _integer, _integers, _phases, _square, _dual_multiply, _traces, _table_cache
+from .lattice import check_dim, labels, _integer, _integers, _invalid, _phases, _square, _matrix, _dual_multiply, _traces, _table_cache
 from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, _require_order, _kernel_power, _t_grid, _t_sum
 
@@ -51,7 +51,7 @@ class _LabelGrid:
     grid: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", _square(self.grid, type(self).__name__)[0])
+        object.__setattr__(self, "grid", _square(self.grid)[0])
 
     @property
     def dim(self):
@@ -73,16 +73,14 @@ class CharacteristicFunction(_LabelGrid):
 
 
 def validate_density(rho, tol=1e-10):
-    """Check hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-12:
-        raise ValueError("density matrix is not Hermitian")
+    """Check one N x N matrix, N odd (`_matrix`), for hermiticity, unit trace and positivity."""
+    rho = _matrix(np.asarray(rho, dtype=complex))[0]
+    if (err := np.abs(rho - rho.conj().T).max()) > 1e-12:
+        raise _invalid("density matrix must be Hermitian, max |rho - rho^dag| <= 1e-12", float(err))
     if abs(np.trace(rho) - 1.0) > 1e-12:
-        raise ValueError(f"density matrix trace is {np.trace(rho)}, not 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("density matrix has a negative eigenvalue")
+        raise _invalid("density matrix must have trace 1", complex(np.trace(rho)))
+    if (least := np.linalg.eigvalsh(rho).min()) < -tol:
+        raise _invalid(f"density matrix eigenvalues must be >= -{tol}", float(least))
     return rho
 
 
@@ -96,7 +94,7 @@ def fock_state(n, N):
     N = check_dim(N)
     n = _integer(n)
     if not 0 <= n < N:
-        raise ValueError(f"number-state index must lie in 0..{N - 1}, got {n}")
+        raise _invalid(f"number-state index must lie in 0..{N - 1}", n)
     return fock_coefficients(N)[:, n].copy()
 
 
@@ -140,7 +138,7 @@ def char_fn(rho, s):
 
     Leading axes of rho are a batch.
     """
-    rho, N = _square(rho, "char_fn")
+    rho, N = _square(rho)
     s = check_order(s)
     return CharacteristicFunction(s, _kernel_power(s, N) * _traces(rho))
 
@@ -150,7 +148,7 @@ def phase_fn(rho, s):
 
     Leading axes of rho are a batch.
     """
-    rho, _ = _square(rho, "phase_fn")
+    rho, _ = _square(rho)
     s = check_order(s)
     return PhaseSpaceFunction(s, _t_grid(rho, -s))
 
@@ -194,10 +192,10 @@ def expectation(O, rho, s):
 
     Leading axes of O and rho are a batch, and the result is then an array.
     """
-    O, N = _square(O, "expectation")
-    rho, M = _square(rho, "expectation")
+    O, N = _square(O)
+    rho, M = _square(rho)
     if M != N:
-        raise ValueError(f"expectation takes operands of one size N, got shapes {O.shape} and {rho.shape}")
+        raise _invalid("takes operands of one size N", (O.shape, rho.shape))
     s = check_order(s)
     # O^(-s)(mu, nu) against F^(s)(mu, nu)
     out = np.sum(_t_grid(O, s) * _t_grid(rho, -s), axis=(-2, -1)) / N

@@ -225,7 +225,7 @@ def decompose_schwinger(O):
     Leading axes of O are a batch.
     """
     # S(eta, xi)^dag = S(-eta, -xi): negate both labels
-    return _traces(_square(O, "decompose_schwinger")[0])[..., ::-1, ::-1]
+    return _traces(_square(O)[0])[..., ::-1, ::-1]
 
 
 def reconstruct_schwinger(C):
@@ -233,7 +233,7 @@ def reconstruct_schwinger(C):
 
     Leading axes of C are a batch.
     """
-    return _scatter(_square(C, "reconstruct_schwinger")[0])
+    return _scatter(_square(C)[0])
 
 
 def decompose_t(O, s):
@@ -241,7 +241,7 @@ def decompose_t(O, s):
 
     Leading axes of O are a batch.
     """
-    return _t_grid(_square(O, "decompose_t")[0], check_order(s))
+    return _t_grid(_square(O)[0], check_order(s))
 
 
 def reconstruct_t(grid, s):
@@ -249,7 +249,7 @@ def reconstruct_t(grid, s):
 
     Leading axes of grid are a batch.
     """
-    return _t_sum(_square(grid, "reconstruct_t")[0], check_order(s))
+    return _t_sum(_square(grid)[0], check_order(s))
 
 
 def _conjugation_multiplier(w):
@@ -280,6 +280,6 @@ def depolarize(O, omega=0.0):
     plain symmetrized-basis depolarizer.  The weights |K^(-s)|^2 =
     K^(-2 Re s) are exactly 1 at s = i*omega.  Leading axes of O are a batch.
     """
-    O, N = _square(O, "depolarize")
+    O, N = _square(O)
     s = check_order(1j * _order(omega))
     return _scatter(_traces(O)[..., ::-1, ::-1] * _depolarizer(2 * s.real, N))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integer, _square, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integer, _invalid, _matrix, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
 from .schwinger import check_order, t_op, _order, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
@@ -45,7 +45,7 @@ class BellLabel:
     omega2: int
 
     def reduced(self, N):
-        return BellLabel(center_mod(self.omega1, N), center_mod(self.omega2, N))
+        return BellLabel(*(center_mod(_integer(w, "labels must be integers"), N) for w in (self.omega1, self.omega2)))
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,9 @@ def bipartite_phase_fn(state, s1, s2):
     mode.  O(N^5), with no N x N slice handled on its own.
     """
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
-    elif state.ndim != 2 or state.shape[0] != state.shape[1]:
-        raise ValueError(f"expected a state vector or a square operator, got shape {state.shape}")
-    D = state.shape[0]
-    N = math.isqrt(D)
-    if N * N != D:
-        raise ValueError(f"operator dimension {D} is not a perfect square")
-    N = check_dim(N)
+    state, D = _matrix(np.outer(state, state.conj()) if state.ndim == 1 else state)
+    if (N := math.isqrt(D)) ** 2 != D:
+        raise _invalid("operator dimension must be a perfect square N^2", D)
     s1, s2 = check_order(s1), check_order(s2)
     rows, cols, front = _diagonals(N)
     c = cols.T  # c[kappa + ell, xi + ell] indexes kappa - xi
@@ -167,8 +161,7 @@ def teleport(rho1, alpha, beta):
     state rho_3R together with the outcome probability p, which equals 1/N^2
     for every input.
     """
-    rho1, N = _square(rho1, "teleport")
-    rho1 = validate_density(rho1)
+    N = len(rho1 := validate_density(rho1))
     # <Psi_{alpha,beta}|_12 (|psi>_1 x |Psi_{0,0}>_23) = M^T |psi> in matrix form
     Psi = bell_state(BellLabel(alpha, beta), N).reshape(N, N)
     M = Psi.conj() @ _bell_seed(N).reshape(N, N)
@@ -214,7 +207,7 @@ def teleport_via_coeffs(rho1, alpha, beta, s1, s3):
     from the sender's F^(-s1).  Agrees with the projection path of
     teleport() for any admissible (s1, s3).
     """
-    rho1 = validate_density(_square(rho1, "teleport_via_coeffs")[0])
+    rho1 = validate_density(rho1)
     s1, s3 = check_order(s1), check_order(s3)
     F1 = phase_fn(rho1, -s1)
     return _t_sum(lambda_coeffs(F1, alpha, beta, s3), s3)

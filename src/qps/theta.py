@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integers, _root, _traces, _frozen, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integers, _invalid, _root, _traces, _frozen, _table_cache
 
 __all__ = [
     "theta",
@@ -46,11 +46,11 @@ def theta(kind, z, a, tol=TRUNCATION):
     `z` may be an array, evaluated elementwise; a scalar gives a float.
     """
     if a <= 0:
-        raise ValueError(f"lattice parameter a must be positive, got {a}")
+        raise _invalid("lattice parameter a must be positive", a)
     if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+        raise _invalid("tolerance must be positive", tol)
     if kind not in (2, 3, 4):
-        raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
+        raise _invalid("kind must be 2, 3 or 4", kind)
     # k = n + 1/2 (theta2) or n >= 1, up to the first k whose amplitude 2 q^(k^2) is below tol
     k = np.arange(0.5 if kind == 2 else 1.0, math.sqrt(max(0.0, math.log(2 / tol)) / (math.pi * a)) + 1.5)
     amps = 2.0 * math.exp(-math.pi * a) ** (k * k) * (1 - 2 * (k % 2) if kind == 4 else 1)
@@ -100,7 +100,7 @@ def _log_kernel(N):
 def kernel_table(N):
     """Cached read-only K[eta + ell, xi + ell] = exp(log K); corners below the
     smallest double (from N ~ 950 on) are 0, and the log table keeps them."""
-    return np.exp(_log_kernel(N))
+    return np.exp(_log_kernel(check_dim(N)))
 
 
 def kernel_value(eta, xi, N):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integer, _integers, _invalid, _square, _root, _dft, _idft, _dft2, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _integer, _integers, _invalid, _square, _matrix, _root, _dft, _idft, _dft2, _traces, _table_cache
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
 from .schwinger import _require_order
@@ -43,11 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarginalDistribution:
-    """Length-N marginal over one centered label, tagged with its order s.
+    """Length-N marginal over one centered label, tagged with its order s; checked when built.
 
-    `axis` is "Q" (coordinate-like) or "R" (momentum-like); `line` holds
-    the integer pair selecting the summation line, None for the plain
-    axis-aligned marginal.
+    `axis` is "Q" (coordinate-like) or "R" (momentum-like), and the last
+    axis of `values` has odd length N; leading axes are a batch.  `line`
+    is the integer pair (za, zb) of the summation lines za*mu + zb*nu =
+    label, not (0, 0) mod N; left out, it is (1, 0) for Q and (0, 1) for R.
     """
 
     s: complex
@@ -55,16 +56,25 @@ class MarginalDistribution:
     values: np.ndarray
     line: tuple | None = None
 
+    def __post_init__(self):
+        values, rule = np.asarray(self.values), "line must be two integers, not (0, 0) mod N"
+        if values.ndim < 1 or (N := values.shape[-1]) % 2 == 0:
+            raise _invalid("takes values whose last axis has odd length N", values.shape)
+        if not isinstance(self.axis, str) or self.axis not in ("Q", "R"):
+            raise _invalid('axis must be "Q" or "R"', self.axis)
+        line = (1, 0) if self.axis == "Q" else (0, 1)
+        if self.line is not None:
+            z = _integers(self.line, rule)
+            line = tuple(z.tolist()) if np.shape(z) == (2,) else ()
+            # (za, zb) is (0, 0) mod N when gcd(za, zb, N) = N; at N = 1 the one point is on every line
+            if len(line) != 2 or math.gcd(*line, N) == N > 1:
+                raise _invalid(rule, self.line)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "line", line)
+
     @property
     def dim(self):
         return self.values.shape[-1]
-
-
-def _require_single(array, ndim, name):
-    """Reject a stack: `name` takes one grid (ndim 2) or one marginal (ndim 1)."""
-    if np.ndim(array) != ndim:
-        what = "N x N grid" if ndim == 2 else "length-N marginal"
-        raise ValueError(f"{name} takes one {what}, got shape {np.shape(array)}")
 
 
 def mod_inverse(a, N):
@@ -72,7 +82,7 @@ def mod_inverse(a, N):
     N = check_dim(N)
     a = _integer(a) % N
     if math.gcd(a, N) != 1:
-        raise ValueError(f"{a} has no inverse mod {N}")
+        raise _invalid(f"label must have an inverse mod {N}", a)
     return center_mod(pow(a, -1, N), N)
 
 
@@ -92,10 +102,7 @@ class SymplecticParams:
         for name in ("z1", "z2", "z3", "z4"):
             object.__setattr__(self, name, center_mod(getattr(self, name), N))
         if (self.z1 * self.z4 - self.z2 * self.z3 - 1) % N != 0:
-            raise ValueError(
-                f"({self.z1},{self.z2},{self.z3},{self.z4}) has determinant "
-                f"!= 1 mod {N}"
-            )
+            raise _invalid(f"determinant z1 z4 - z2 z3 must be 1 mod {N}", (self.z1, self.z2, self.z3, self.z4))
         # both inverses below must exist for the generator decomposition
         mod_inverse(self.z4, N)
         mod_inverse(1 + self.z2 * self.z3, N)
@@ -131,22 +138,15 @@ def marginal_r(F):
     return MarginalDistribution(F.s, "R", F.grid.sum(axis=-2) / np.sqrt(F.dim))
 
 
-def _ray(dist):
-    """The marginal's ray: `dist.line`, or (1, 0) for Q and (0, 1) for R when axis-aligned."""
-    return dist.line or ((1, 0) if dist.axis == "Q" else (0, 1))
-
-
 def smooth_marginal(dist):
     """One step down the marginal hierarchy (s -> s - 1) on any summation line.
 
     Line sums are a Fourier slice of the characteristic function, so the
-    step is the ray inverse, a product by K on the ray (za*t, zb*t) and
-    the forward DFT.  The ray is `dist.line`, or (1, 0) for Q and (0, 1)
-    for R when the marginal is axis-aligned.
+    step is the ray inverse, a product by K on the ray (za*t, zb*t) =
+    `dist.line` and the forward DFT.  Leading axes of the values are a batch.
     """
-    _require_single(dist.values, 1, "smooth_marginal")
     N, s = dist.dim, _require_order(dist.s, 1, 0)
-    za, zb = _ray(dist)
+    za, zb = dist.line
     ts, ell = labels(N), half_width(N)
     K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
     out = _dft(K * _ray_invert(dist.values))
@@ -213,11 +213,8 @@ def symplectic_j(params):
 
 
 def _line_sums(F, za, zb, axis):
-    """sum of F over each line za*mu' + zb*nu' = label, / sqrt(N), by one bincount."""
-    _require_single(F.grid, 2, "radon_" + axis.lower())
-    N, za, zb = F.dim, _integer(za), _integer(zb)
-    if center_mod(za, N) == 0 and center_mod(zb, N) == 0:
-        raise ValueError(f"degenerate line: ({za}, {zb}) = (0, 0) mod N")
+    """sum of one grid F over each line za*mu' + zb*nu' = label, / sqrt(N), by one bincount."""
+    N, za, zb = _matrix(F.grid)[1], _integer(za), _integer(zb)
     ks = labels(N)
     line = (center_mod(np.add.outer(za * ks, zb * ks), N) + half_width(N)).ravel()
     grid = F.grid.ravel()
@@ -249,12 +246,11 @@ def _ray_invert(values):
 
 def _char_from_radon(dist, axis, za, zb, N):
     if dist.axis != axis:
-        raise ValueError(f"expected a {axis}-type marginal")
+        raise _invalid(f"takes a {axis} marginal", dist.axis)
     if check_dim(N) != dist.dim:
         raise _invalid(f"dimension must be the marginal's, {dist.dim}", N)
-    line = _ray(dist)
-    if (_integer(za) - line[0]) % N or (_integer(zb) - line[1]) % N:
-        raise ValueError(f"ray ({za}, {zb}) is not the marginal's line {line} mod N = {N}")
+    if (_integer(za) - dist.line[0]) % N or (_integer(zb) - dist.line[1]) % N:
+        raise _invalid(f"ray must be the marginal's line {dist.line} mod N = {N}", (za, zb))
     return _ray_invert(dist.values)
 
 
@@ -285,7 +281,7 @@ def _draw(p, shots, rng):
     if (shots := _integer(shots, "shots must be an integer >= 1")) < 1:
         raise _invalid("shots must be an integer >= 1", shots)
     if rng is None:
-        raise ValueError("shot sampling needs a generator: pass rng with shots")
+        raise _invalid("shots need a generator rng", rng)
     N = p.shape[-1]
     p = np.maximum(p, 0.0)
     counts = np.rint(p / p.sum(axis=-1, keepdims=True) * 2**32)
@@ -306,10 +302,10 @@ def sample_marginal(dist, shots, rng):
     Its ray values are twisted, their line sums drawn with `shots` draws (an
     integer >= 1) from `rng` as in `reconstruct_wigner`, then untwisted and
     summed back: the mean is the marginal at any shot count, each sum sqrt(N).
+    Leading axes of the values are a batch, drawn row by row in order.
     """
-    _require_single(dist.values, 1, "sample_marginal")
     _require_order(dist.s, 0)
-    twist = _cells(np.array([_ray(dist)]), dist.dim)[2][0]
+    twist = _cells(np.array([dist.line]), dist.dim)[2][0]
     values = _dft(_shot_values(_ray_invert(dist.values), twist, shots, rng)).real
     return MarginalDistribution(dist.s, dist.axis, values, dist.line)
 
@@ -382,7 +378,7 @@ def _ray_loop(rho, shots, rng):
     reconstruction.  Shots draw the twisted line sums, and the values they
     recover are untwisted.  Leading axes of rho are a batch.
     """
-    rho, N = _square(rho, "reconstruct_wigner")
+    rho, N = _square(rho)
     Xi0 = _traces(rho)
     _, rows, cols, twist = _ray_cells(N)
     vals = _ray_invert(_ray_sums(Xi0)) if shots is None else _shot_values(Xi0[..., rows, cols], twist, shots, rng)
@@ -440,18 +436,17 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     `unitary`, or the broadcast shape of array labels `eta`, `xi`, are a
     batch, and the pair is then two arrays; the labels `ks[:, None]` and
     `ks` read the whole dual plane in O(N^3) time and O(N^2) memory.
-    `rho` is one N x N matrix with N odd: a stack raises ValueError.
+    `rho` is one N x N matrix with N odd (`_matrix`): a stack raises ValueError.
     """
-    _require_single(rho, 2, "scattering_circuit")
-    rho, _ = _square(rho, "scattering_circuit")
+    rho = _matrix(rho)[0]
     if unitary is None:
         if eta is None or xi is None:
-            raise ValueError("either (eta, xi) or an explicit unitary is required")
+            raise _invalid("takes labels (eta, xi) or a unitary", (eta, xi))
         tr_u, tr_ud = _label_traces(rho, _integers(eta), _integers(xi))
     else:
         U = np.asarray(unitary)
         if U.shape[-2:] != rho.shape:
-            raise ValueError(f"scattering_circuit takes a unitary of rho's shape {rho.shape}, got shape {U.shape}")
+            raise _invalid(f"takes a unitary of rho's shape {rho.shape}", U.shape)
         tr_u = np.sum(U * rho.T, axis=(-2, -1))  # Tr rho U
         tr_ud = np.sum(U.conj() * rho, axis=(-2, -1))  # Tr rho U^dag
     out_z = ((tr_u + tr_ud) / 2).real

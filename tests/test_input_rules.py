@@ -4,7 +4,9 @@ Each entry point that takes an integer label, a dimension, a shot count, a
 subsystem index or an order is called with a bad value of that argument and
 must raise a ValueError that starts with its own name.  The same call with a
 good value must give the same bytes whether the value is a Python int, a numpy
-int, a 0-d integer array or an integral float.
+int, a 0-d integer array or an integral float.  Each entry point that takes an
+operator, a grid or a marginal is called with a bad operand, which must raise a
+ValueError that starts with its own name in the same way.
 """
 
 from dataclasses import astuple
@@ -16,15 +18,15 @@ from qps.lattice import check_dim, half_width, labels, center_mod, partial_trace
 from qps.theta import phase_phi, kernel_table, kernel_value, smoothing_1d, fock_coefficients, gamma_table
 from qps.schwinger import (
     check_order, u_matrix, v_matrix, s_op, s_op_ordered, t_op, t_family, t_overlap,
-    decompose_t, reconstruct_t, depolarize,
+    decompose_schwinger, reconstruct_schwinger, decompose_t, reconstruct_t, depolarize,
 )
 from qps.quasiprob import (
-    PhaseSpaceFunction, smooth_p_to_w, smooth_w_to_h, reconstruct_rho, maximally_mixed, fock_state, fock_projector, coherent_projector, coherent_state, random_density,
-    char_fn, phase_fn, smoothing_table, expectation, t_matrix_element,
+    PhaseSpaceFunction, CharacteristicFunction, smooth_p_to_w, smooth_w_to_h, reconstruct_rho, maximally_mixed, fock_state, fock_projector, coherent_projector, coherent_state, random_density,
+    validate_density, char_fn, phase_fn, smoothing_table, expectation, t_matrix_element,
 )
 from qps.tomography import (
-    SymplecticParams, mod_inverse, radon_q, radon_r, char_from_radon_q, char_from_radon_r,
-    reconstruct_wigner, sample_marginal, scattering_circuit, marginal_q, symplectic_j, smooth_marginal,
+    MarginalDistribution, SymplecticParams, mod_inverse, radon_q, radon_r, char_from_radon_q, char_from_radon_r,
+    reconstruct_wigner, sample_marginal, scattering_circuit, marginal_q, marginal_r, symplectic_j, smooth_marginal,
 )
 from qps.teleport import (
     BellLabel, bell_state, bell_projector, bipartite_phase_fn, upsilon_coeffs, theta_coeffs,
@@ -168,22 +170,25 @@ def test_bad_inputs_raise_a_value_error_naming_the_entry_point(name, arg, good, 
             call(bad)
 
 
-# the public tables that are their own cache: a 0-d array cannot be a cache key
+# the public tables that are their own cache
 CACHED = (kernel_table, fock_coefficients, smoothing_table, u_matrix, v_matrix)
 
 
 @pytest.mark.parametrize("name, arg, good, call", ENTRIES, ids=IDS)
 def test_every_integer_form_gives_the_same_bytes(name, arg, good, call):
     ref = as_bytes(call(good))
-    forms = (np.int64(good), float(good)) if call in CACHED else (np.int64(good), np.array(good), float(good))
-    for form in forms:
+    for form in (np.int64(good), np.array(good), float(good)):
         assert as_bytes(call(form)) == ref, (name, arg, repr(form))
 
 
-@pytest.mark.xfail(raises=TypeError, strict=True, reason="an lru_cache key must hash, and a 0-d array does not")
 @pytest.mark.parametrize("table", CACHED, ids=[table.__name__ for table in CACHED])
 def test_a_cached_table_takes_a_zero_d_array(table):
+    # a 0-d array cannot be a cache key: the table raised TypeError before its own check
     assert as_bytes(table(np.array(5))) == as_bytes(table(5))
+    for bad in (np.array(True), np.array(5.5), np.array([5, 7])):
+        with pytest.raises(ValueError, match=f"^{table.__name__} dimension"):
+            table(bad)
+    assert hasattr(table, "cache_clear") and table.__wrapped__(5).tobytes() == table(5).tobytes()
 
 
 def test_a_bool_misses_the_cached_table_of_one():
@@ -236,3 +241,100 @@ def test_the_cases_that_once_passed():
             call()
     # an integral float is a shot count, as it is a label
     assert np.array_equal(reconstruct_wigner(RHO, 2.0, rng()).grid, reconstruct_wigner(RHO, 2, rng()).grid)
+
+
+# bad operands: not square, of even N, and a stack of two states
+NON_SQUARE, EVEN, STACK = np.zeros((3, 5)), np.eye(4) / 4, np.stack([RHO, RHO])
+BATCH, ONE = (NON_SQUARE, EVEN), (NON_SQUARE, EVEN, STACK)
+
+# (name in the error, call at the operand, bad operands); a route that takes
+# a stack as a batch gets no stack, and a grid or marginal object is checked
+# when it is built, so the routes that take one reject only what it allows
+OPERANDS = [
+    ("decompose_schwinger", decompose_schwinger, BATCH),
+    ("reconstruct_schwinger", reconstruct_schwinger, BATCH),
+    ("decompose_t", lambda X: decompose_t(X, 0), BATCH),
+    ("reconstruct_t", lambda X: reconstruct_t(X, 0), BATCH),
+    ("depolarize", depolarize, BATCH),
+    ("PhaseSpaceFunction", lambda X: PhaseSpaceFunction(0, X), BATCH),
+    ("CharacteristicFunction", lambda X: CharacteristicFunction(0, X), BATCH),
+    ("char_fn", lambda X: char_fn(X, 0), BATCH),
+    ("phase_fn", lambda X: phase_fn(X, 0), BATCH),
+    ("expectation", lambda X: expectation(X, RHO, 0), BATCH),
+    ("expectation", lambda X: expectation(OP, X, 0), BATCH),
+    ("reconstruct_wigner", reconstruct_wigner, BATCH),
+    ("validate_density", validate_density, ONE),
+    ("scattering_circuit", lambda X: scattering_circuit(X, 1, 2), ONE),
+    ("scattering_circuit", lambda X: scattering_circuit(X, unitary=np.eye(5)), ONE),
+    ("radon_q", lambda X: radon_q(PhaseSpaceFunction(0, X), 1, 2), (STACK,)),
+    ("radon_r", lambda X: radon_r(PhaseSpaceFunction(0, X), 1, 2), (STACK,)),
+    ("bipartite_phase_fn", lambda X: bipartite_phase_fn(X, 0, 0), ONE + (np.zeros((2, 25, 25)),)),
+    ("teleport", lambda X: teleport(X, 1, 2), ONE),
+    ("teleport_via_coeffs", lambda X: teleport_via_coeffs(X, 1, 2, 0, 0), ONE),
+    # a marginal's values: none, of even length, of even length in a stack
+    ("MarginalDistribution", lambda X: MarginalDistribution(0, "Q", X), (np.array(1.0), np.ones(4), np.ones((2, 4)))),
+]
+
+
+@pytest.mark.parametrize("name, call, bads", OPERANDS, ids=[name for name, _, _ in OPERANDS])
+def test_bad_operands_raise_a_value_error_naming_the_entry_point(name, call, bads):
+    for bad in bads:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call(bad)
+
+
+def test_the_operand_cases_that_once_passed_or_named_no_entry():
+    q = marginal_q(F).values
+    cases = [
+        # degenerate lines: smooth_marginal returned N numbers and sample_marginal drew on them
+        (lambda: smooth_marginal(MarginalDistribution(1, "Q", q, (0, 0))), "MarginalDistribution line must be"),
+        (lambda: smooth_marginal(MarginalDistribution(1, "Q", q, (0, 5))), "MarginalDistribution line must be"),
+        (lambda: sample_marginal(MarginalDistribution(0, "Q", q, (0, 0)), 3, rng()), "MarginalDistribution line must be"),
+        (lambda: radon_q(F, 0, 5), "radon_q line must be"),
+        (lambda: MarginalDistribution(0, "Q", q, (1, 2, 3)), "MarginalDistribution line must be"),
+        (lambda: MarginalDistribution(0, "Q", q, (1.5, 2)), "MarginalDistribution line must be"),
+        # any axis but "Q" was smoothed as R
+        (lambda: MarginalDistribution(1, "X", q), 'MarginalDistribution axis must be "Q" or "R"'),
+        (lambda: teleport(STACK, 0, 0), "teleport takes one N x N matrix"),
+        (lambda: bipartite_phase_fn(np.zeros((2, 25, 25)), 0, 0), "bipartite_phase_fn takes one N x N matrix"),
+        # numpy's truth-value error
+        (lambda: teleport(RHO, np.array([1, 2]), 0), "teleport labels must be integers"),
+        (lambda: PhaseSpaceFunction(0, np.ones((4, 4))), "PhaseSpaceFunction takes square matrices"),
+        (lambda: CharacteristicFunction(0, np.ones((3, 4))), "CharacteristicFunction takes square matrices"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
+
+
+def test_a_marginal_line_is_always_set():
+    assert marginal_q(F).line == (1, 0) and marginal_r(F).line == (0, 1)
+    assert MarginalDistribution(0, "R", np.ones(5)).line == (0, 1)
+    # any integer form, read as Python ints; at N = 1 the one point is on every line
+    assert MarginalDistribution(0, "Q", np.ones(5), np.array([2, 1])).line == (2, 1)
+    assert type(MarginalDistribution(0, "Q", np.ones(5), (np.int64(2), 1.0)).line[1]) is int
+    assert radon_q(phase_fn(np.eye(1), 0), 1, 0).values.shape == (1,)
+
+
+def test_stacked_marginals_equal_per_row_calls():
+    # both routes work along the last axis, so leading axes are a batch
+    N, B = 7, 3
+    states = np.stack([random_density(N, np.random.default_rng(b)) for b in range(B)])
+    F1 = phase_fn(states, 1)
+    sheared = MarginalDistribution(1, "Q", np.stack([radon_q(PhaseSpaceFunction(1, g), 2, 3).values for g in F1.grid]), (2, 3))
+    for stack in (marginal_q(F1), marginal_r(F1), sheared):
+        out = smooth_marginal(stack)
+        assert out.values.shape == (B, N) and out.line == stack.line
+        for b in range(B):
+            row = smooth_marginal(MarginalDistribution(stack.s, stack.axis, stack.values[b], stack.line))
+            assert np.abs(out.values[b] - row.values).max() <= 1e-15
+    F0 = phase_fn(states, 0)
+    for line in ((1, 0), (2, 3)):
+        stack = MarginalDistribution(0, "Q", np.stack([radon_q(PhaseSpaceFunction(0, g), *line).values for g in F0.grid]), line)
+        gen_stack, gen_rows = rng(), rng()
+        drawn = sample_marginal(stack, 1000, gen_stack)
+        for b in range(B):
+            row = sample_marginal(MarginalDistribution(0, "Q", stack.values[b], line), 1000, gen_rows)
+            assert np.abs(drawn.values[b] - row.values).max() <= 1e-15
+        # the same draws, in the same order
+        assert gen_stack.bit_generator.state == gen_rows.bit_generator.state

@@ -38,14 +38,15 @@ def state_families(N, rng):
 
 
 def test_validate_density_rejections():
-    with pytest.raises(ValueError):
+    # 3 x 3, so that each case fails for its own reason, not for an even size
+    with pytest.raises(ValueError, match="^validate_density takes square matrices"):
         validate_density(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        validate_density(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^validate_density density matrix must be Hermitian"):
+        validate_density(np.array([[0.5, 0.1j, 0], [0.1j, 0.5, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError, match="^validate_density density matrix must have trace 1"):
         validate_density(np.eye(3))
-    with pytest.raises(ValueError):
-        validate_density(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="^validate_density density matrix eigenvalues must be >= "):
+        validate_density(np.diag([1.5, -0.5, 0]))
 
 
 @pytest.mark.parametrize("N", DIMS)
@@ -174,7 +175,7 @@ def test_expectation_matches_trace(s):
 
 def test_expectation_rejects_operands_of_different_size():
     # numpy's broadcast error named neither the function nor the mismatch
-    with pytest.raises(ValueError, match=r"expectation takes operands of one size N, got shapes \(3, 3\) and \(5, 5\)"):
+    with pytest.raises(ValueError, match=r"^expectation takes operands of one size N, got \(\(3, 3\), \(5, 5\)\)$"):
         expectation(np.eye(3), np.eye(5) / 5, 0)
 
 
@@ -207,9 +208,10 @@ def test_number_basis_indices_are_checked_like_labels():
     ]:
         with pytest.raises(ValueError, match=f"^{name} label must be an integer"):
             call()
-    for call in (lambda: fock_state(-1, N), lambda: fock_state(5.0, N),
-                 lambda: t_matrix_element(7, 0, 0, 0, 0, N), lambda: t_matrix_element(0, -1, 0, 0, 0, N)):
-        with pytest.raises(ValueError, match=r"^number-state index must lie in 0\.\.4"):
+    for call, name in [(lambda: fock_state(-1, N), "fock_state"), (lambda: fock_state(5.0, N), "fock_state"),
+                       (lambda: t_matrix_element(7, 0, 0, 0, 0, N), "t_matrix_element"),
+                       (lambda: t_matrix_element(0, -1, 0, 0, 0, N), "t_matrix_element")]:
+        with pytest.raises(ValueError, match=rf"^{name} number-state index must lie in 0\.\.4"):
             call()
     # integer-valued floats pass, as labels do
     assert np.array_equal(fock_state(2.0, N), fock_state(2, N))

@@ -92,23 +92,25 @@ def test_bipartite_phase_fn_factorizes_and_normalizes():
 def test_bipartite_phase_fn_rejects_non_square_and_stacked_operators(shape):
     # a stack used to be read as an operator of dimension shape[0], and a
     # non-square matrix failed inside numpy's reshape
-    with pytest.raises(ValueError, match=r"square operator, got shape " + re.escape(str(shape))):
+    with pytest.raises(ValueError, match=r"^bipartite_phase_fn takes (square matrices of odd size N|one N x N matrix), got " + re.escape(str(shape)) + "$"):
         bipartite_phase_fn(np.zeros(shape, dtype=complex), 0, 0)
 
 
 @pytest.mark.parametrize("D", [2, 5, 8, 10])
 def test_bipartite_phase_fn_rejects_non_square_dimension(D):
-    with pytest.raises(ValueError, match=f"operator dimension {D} is not a perfect square"):
+    # an even D fails first on its size, as every operand of even N does
+    rule = f"operator dimension must be a perfect square N^2, got {D}" if D % 2 else f"takes square matrices of odd size N, got {(D, D)}"
+    with pytest.raises(ValueError, match=re.escape(f"bipartite_phase_fn {rule}")):
         bipartite_phase_fn(np.eye(D) / D, 0, 0)
-    with pytest.raises(ValueError, match=f"operator dimension {D} is not a perfect square"):
+    with pytest.raises(ValueError, match=re.escape(f"bipartite_phase_fn {rule}")):
         bipartite_phase_fn(np.ones(D) / np.sqrt(D), 0, 0)
 
 
 def test_teleport_rejects_even_dimension_under_its_own_name():
     rho = np.eye(4) / 4
-    with pytest.raises(ValueError, match=r"^teleport takes square matrices of odd size N, got shape \(4, 4\)"):
+    with pytest.raises(ValueError, match=r"^teleport takes square matrices of odd size N, got \(4, 4\)$"):
         teleport(rho, 0, 0)
-    with pytest.raises(ValueError, match=r"^teleport_via_coeffs takes square matrices of odd size N, got shape \(4, 4\)"):
+    with pytest.raises(ValueError, match=r"^teleport_via_coeffs takes square matrices of odd size N, got \(4, 4\)$"):
         teleport_via_coeffs(rho, 0, 0, 0, 0)
 
 

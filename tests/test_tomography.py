@@ -105,15 +105,10 @@ def test_marginals_of_a_stack_match_per_state_calls(N):
 def test_single_grid_routes_reject_a_stack_by_shape():
     rng = np.random.default_rng(5)
     F = phase_fn(np.stack([random_density(3, rng) for _ in range(4)]), 0)
-    Q = marginal_q(F)
-    with pytest.raises(ValueError, match=r"radon_q takes one N x N grid, got shape \(4, 3, 3\)"):
+    with pytest.raises(ValueError, match=r"^radon_q takes one N x N matrix, got \(4, 3, 3\)$"):
         radon_q(F, 1, 1)
-    with pytest.raises(ValueError, match=r"radon_r takes one N x N grid, got shape \(4, 3, 3\)"):
+    with pytest.raises(ValueError, match=r"^radon_r takes one N x N matrix, got \(4, 3, 3\)$"):
         radon_r(F, 0, 1)
-    with pytest.raises(ValueError, match=r"smooth_marginal takes one length-N marginal, got shape \(4, 3\)"):
-        smooth_marginal(Q)
-    with pytest.raises(ValueError, match=r"sample_marginal takes one length-N marginal, got shape \(4, 3\)"):
-        sample_marginal(Q, 10, rng)
 
 
 def test_marginal_sum_and_positivity_at_s0():
@@ -303,12 +298,12 @@ def test_char_from_radon_rejects_a_mismatched_ray():
     N = 5
     F = phase_fn(random_density(N, np.random.default_rng(40)), 0)
     q = radon_q(F, 1, 1)
-    with pytest.raises(ValueError, match="not the marginal's line"):
+    with pytest.raises(ValueError, match="must be the marginal's line"):
         char_from_radon_q(q, 1, 2, N)
-    with pytest.raises(ValueError, match="not the marginal's line"):
+    with pytest.raises(ValueError, match="must be the marginal's line"):
         char_from_radon_r(radon_r(F, 0, 1), 1, 1, N)
     # an axis-aligned marginal has the ray (1, 0) for Q and (0, 1) for R
-    with pytest.raises(ValueError, match="not the marginal's line"):
+    with pytest.raises(ValueError, match="must be the marginal's line"):
         char_from_radon_q(marginal_q(F), 0, 1, N)
     assert np.array_equal(char_from_radon_r(marginal_r(F), 0, 1, N), char_from_radon_r(radon_r(F, 0, 1), 0, 1, N))
     # the ray is compared mod N
@@ -411,7 +406,7 @@ def test_reconstruct_wigner_rejects_non_square_input(shape):
     # every route reads N through one check, so none reaches a gather with
     # a non-square or even operand: the error names the route and the shape
     for name, route in SQUARE_OPERAND_ROUTES.items():
-        with pytest.raises(ValueError, match=rf"^{name} takes square matrices.*, got shape {re.escape(str(shape))}$"):
+        with pytest.raises(ValueError, match=rf"^{name} takes square matrices.*, got {re.escape(str(shape))}$"):
             route(np.zeros(shape))
 
 
@@ -587,11 +582,11 @@ def test_scattering_circuit_takes_one_square_rho():
     rng = np.random.default_rng(4)
     for n in (3, 5):
         stack = np.stack([random_density(3, rng) for _ in range(n)])
-        with pytest.raises(ValueError, match=rf"scattering_circuit takes one N x N grid, got shape \({n}, 3, 3\)"):
+        with pytest.raises(ValueError, match=rf"^scattering_circuit takes one N x N matrix, got \({n}, 3, 3\)$"):
             scattering_circuit(stack, 1, 1)
         with pytest.raises(ValueError, match="scattering_circuit takes one"):
             scattering_circuit(stack, unitary=np.eye(3))
-    with pytest.raises(ValueError, match=r"scattering_circuit takes square matrices, got shape \(3, 5\)"):
+    with pytest.raises(ValueError, match=r"^scattering_circuit takes square matrices of odd size N, got \(3, 5\)$"):
         scattering_circuit(np.zeros((3, 5)), 1, 1)
 
 
@@ -599,7 +594,7 @@ def test_scattering_circuit_rejects_a_unitary_of_another_size():
     # numpy once raised "operands could not be broadcast together" here
     rho = random_density(5, np.random.default_rng(6))
     for U in (np.eye(3), np.zeros((2, 3, 3)), np.eye(5)[:, :3]):
-        with pytest.raises(ValueError, match=rf"scattering_circuit .*\(5, 5\), got shape {re.escape(str(U.shape))}"):
+        with pytest.raises(ValueError, match=rf"scattering_circuit .*\(5, 5\), got {re.escape(str(U.shape))}"):
             scattering_circuit(rho, unitary=U)
     # leading axes of the unitary stay a batch
     sz, sy = scattering_circuit(rho, unitary=np.stack([np.eye(5), -np.eye(5)]))
