@@ -122,6 +122,8 @@ WHAT_ORDERS = {"glauber": 1 + 0j, "wigner": 0j, "husimi": -1 + 0j}
 def cmd_grid(args):
     N = check_dim(args.dim)
     what = args.what
+    if args.s is not None and what not in ("phase", "char"):
+        raise UsageError(f"--s applies to --what phase or char only, got --what {what}")
     if what == "kernel":
         grid, s, kind = kernel_table(N).astype(complex), 0j, "kernel"
     else:
@@ -132,10 +134,10 @@ def cmd_grid(args):
             s = WHAT_ORDERS[what]
             grid, kind = phase_fn(rho, s).grid, "phase_fn"
         elif what == "phase":
-            s = parse_order(args.s)
+            s = parse_order("0" if args.s is None else args.s)
             grid, kind = phase_fn(rho, s).grid, "phase_fn"
         elif what == "char":
-            s = parse_order(args.s)
+            s = parse_order("0" if args.s is None else args.s)
             grid, kind = char_fn(rho, s).grid, "char_fn"
         else:
             raise UsageError(f"unknown --what {what!r}")
@@ -260,7 +262,7 @@ def build_parser():
         choices=["kernel", "wigner", "husimi", "glauber", "phase", "char"],
     )
     g.add_argument("--state", default=None)
-    g.add_argument("--s", default="0", help='ordering parameter, "re" or "re,im"')
+    g.add_argument("--s", default=None, help='ordering parameter of --what phase or char, "re" or "re,im" (default 0)')
     g.add_argument("--out", default=None)
     g.add_argument("--format", default="csv", choices=["csv", "json"])
 

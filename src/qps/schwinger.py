@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod, _integers, _invalid, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
-from .theta import _log_kernel
+from .theta import _kernel_orbits
 
 __all__ = [
     "check_order",
@@ -114,24 +114,29 @@ LOG_MAX = float(np.log(np.finfo(float).max))
 
 @_table_cache
 def _kernel_power(s, N):
-    """K^(-s) = exp(-s log K) on the cached log table, the only place K^(-s) is formed.
+    """K^(-s) = exp(-s log K), the only place K^(-s) is formed: one exp per distinct
+    value of log K and one gather through their index (`theta._kernel_orbits`).
+    Cells of equal log K get the exp of the same input, so every table has the
+    bytes of exp(-s log K) taken cell by cell.
 
     One cached read-only table per order: equal orders are one key
     (1 + 0j == 1 - 0j == 1), and the table is formed at s with its zero
     parts made positive, so every hit has the bytes of a miss.  Every caller
-    passes a finite order (`_order`).  Its largest modulus is
-    exp(Re(s) * (-min log K)); an exponent above log(max double) raises
+    passes a finite order (`_order`).  Since log K <= 0, with 0 at the
+    origin, its largest modulus is exp(Re(s) * (-min log K)) for Re(s) >= 0
+    and 1 for Re(s) < 0; an exponent above log(max double) raises
     `OverflowError` rather than returning inf, on every call, since a
     raising call is not cached.
     """
     s = complex(s) + 0
-    exponent = s.real * -_log_kernel(N).min()
+    values, index = _kernel_orbits(N)
+    exponent = s.real * -values[0]
     if exponent > LOG_MAX:
         raise OverflowError(
             f"K^(-s) overflows at N={N}, s={s}: Re(s) * (-min log K) = {exponent:.6g}"
             f" exceeds log(max double) = {LOG_MAX:.6g}"
         )
-    return np.exp(-s * _log_kernel(N))
+    return np.take(np.exp(-s * values), index)
 
 
 def s_op_ordered(eta, xi, s, N):

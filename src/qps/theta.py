@@ -5,9 +5,10 @@ at nome exp(-pi/(2N)), whose series cancels near the minimum of K.  The
 Jacobi imaginary transformation (DLMF 20.7) turns each value into a sum
 of positive Gaussians g(x) = exp(-pi x^2/(2N)): theta3(pi x/(2N)) =
 sqrt(2N) sum over even k of g(x - kN), and theta4 the same over odd k.
-One cached table of log K is built from those sums, and K, every power
-K^(-s), the raw-label kernel and the 1-D smoothing weights read it or
-the same sums.  Also here: the integer phase correction for label
+One cached table of log K is built from those sums, and K, the raw-label
+kernel and the 1-D smoothing weights read it or the same sums; every
+power K^(-s) reads its distinct values and their index
+(`_kernel_orbits`).  Also here: the integer phase correction for label
 wraparound and the finite number-basis tables.
 """
 
@@ -94,6 +95,19 @@ def _log_kernel(N):
         raise ArithmeticError(f"kernel Gaussian sum is not finite and positive at N={N}")
     ell = half_width(N)
     return np.log(B / B[ell, ell]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
+
+
+@_table_cache
+def _kernel_orbits(N):
+    """Cached read-only (values, index): the distinct values of `_log_kernel(N)` in
+    ascending order, so values[0] is its minimum, and the int32 N x N index with
+    values[index] == `_log_kernel(N)` bit for bit.  A function of log K is then one
+    evaluation per distinct value and one gather: 467 values of 3,721 at N = 61,
+    81,080 of 1,002,001 at N = 1001."""
+    N = check_dim(N)
+    values, index = np.unique(_log_kernel(N), return_inverse=True)
+    # numpy's inverse is flat in some releases and shaped like the input in others
+    return values, index.reshape(N, N).astype(np.int32)
 
 
 @_table_cache

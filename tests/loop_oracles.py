@@ -7,7 +7,8 @@ theta-series double loop of the marginal smoothing, the scalar DFT
 sum of the Radon ray inversion, the einsum-built T^(s) family with the
 direct kernel traces against it, the family read off an N^2 x N^2
 identity of unit grids (the library's route before the displacement
-law), the symplectic generators C, N and M accumulated one basis
+law), K^(-s) as one exp per cell of the log table (the library's route
+before the table of distinct log K values), the symplectic generators C, N and M accumulated one basis
 element at a time and J as their dense product, the depolarizer's
 conjugation loop, and
 the teleportation layer on dense operators: Kronecker-built Bell states,
@@ -52,7 +53,7 @@ from qps.lattice import (
     _dft2,
     _traces,
 )
-from qps.theta import kernel_table as cached_kernel_table, gamma_table as _gamma_table
+from qps.theta import kernel_table as cached_kernel_table, gamma_table as _gamma_table, _log_kernel
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op, _kernel_power
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density, char_fn, phase_fn
@@ -252,6 +253,11 @@ def t_family(s, N):
     Cached per (s, N); the returned array is read-only.
     """
     return _t_family(check_order(s), check_dim(N))
+
+
+def kernel_power(s, N):
+    """K^(-s) = exp(-s log K) taken cell by cell over the log table, at s with its zero parts made positive."""
+    return np.exp(-(complex(s) + 0) * _log_kernel(N))
 
 
 def t_family_units(s, N):

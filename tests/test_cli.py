@@ -131,6 +131,24 @@ def test_grid_bad_flags_exit_2(capsys):
     assert run(capsys, "grid", "--dim", "5", "--what", "wigner")[0] == 2
 
 
+@pytest.mark.parametrize("what, extra", [("kernel", []), ("wigner", ["--state", "fock:1"]),
+                                         ("husimi", ["--state", "fock:1"]), ("glauber", ["--state", "fock:1"])])
+@pytest.mark.parametrize("order", ("2", "0", "0.3,0.4"))
+def test_grid_order_with_a_fixed_order_exits_2(capsys, what, extra, order):
+    # --s was dropped without a word here, so --what kernel --s=2 exited 0
+    code, out, err = run(capsys, "grid", "--dim", "5", "--what", what, *extra, f"--s={order}")
+    assert code == 2 and out == ""
+    assert err == f"error: --s applies to --what phase or char only, got --what {what}\n"
+
+
+@pytest.mark.parametrize("what", ("phase", "char"))
+def test_grid_order_defaults_to_zero(capsys, what):
+    argv = ["grid", "--dim", "5", "--what", what, "--state", "fock:2", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["s"] == "0,0"
+    assert run(capsys, *argv, "--s=0") == (0, out, "")
+
+
 @pytest.mark.parametrize("order", ("nan", "inf", "0,nan", "-inf,0"))
 def test_grid_non_finite_order_exits_2(capsys, order):
     # a NaN order printed nan rows and exited 0

@@ -136,7 +136,7 @@ def test_phase_tables_match_mpmath(N):
 # every table the package caches per dimension N, by module
 PER_N_TABLES = {
     "lattice": ("_roots", "_dft_phases", "_conj_phases", "_diagonals"),
-    "theta": ("_log_kernel", "kernel_table", "fock_coefficients"),
+    "theta": ("_log_kernel", "_kernel_orbits", "kernel_table", "fock_coefficients"),
     "schwinger": ("u_matrix", "v_matrix"),
     "quasiprob": ("smoothing_table",),
     "tomography": ("_ray_cells",),

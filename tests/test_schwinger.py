@@ -1,11 +1,15 @@
 """Clock/shift pair, the symmetrized operator basis, and the kernel family."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loop_oracles as oracle
 from qps import schwinger
 from qps.lattice import half_width, labels, center_mod, dagger
-from qps.theta import kernel_table, _log_kernel
+from qps.theta import kernel_table, _log_kernel, _kernel_orbits
 from qps.quasiprob import phase_fn, reconstruct_rho
 from qps.schwinger import (
     check_order,
@@ -190,7 +194,7 @@ def test_kernel_power_hit_has_the_bytes_of_a_miss(N):
     # zero parts carry, holds the bytes of s with its zero parts made positive
     tables = (schwinger._kernel_power, schwinger._origin_kernel, schwinger._depolarizer)
     for s in (0, 1, -1, 0.3 - 0.4j):
-        ref = np.exp(-(complex(s) + 0) * _log_kernel(N)).tobytes()
+        ref = oracle.kernel_power(s, N).tobytes()
         first = {}
         for z in signed_zeros(s):
             for table in tables:
@@ -221,6 +225,48 @@ def test_kernel_power_cache_is_bounded_and_read_only():
     assert schwinger._kernel_power.cache_info().currsize <= 8
     assert not any(P.flags.writeable for P in tables)
     assert not schwinger._depolarizer(0.0, 5).flags.writeable
+
+
+# odd N <= 101, prime and composite, and orders |s| <= 1 whose parts may be signed zeros
+odd_dims = st.integers(0, 50).map(lambda k: 2 * k + 1)
+order_parts = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-1.0, 1.0))
+orders = st.tuples(order_parts, order_parts).map(lambda p: complex(*p)).filter(lambda z: abs(z) <= 1)
+
+
+def check_orbits(N):
+    """The distinct log K values ascend, gather back to the bytes of the log table, and are read-only."""
+    values, index = _kernel_orbits(N)
+    assert np.all(np.diff(values) > 0)
+    assert index.shape == (N, N) and index.dtype == np.int32
+    assert values[index].tobytes() == _log_kernel(N).tobytes()
+    assert not values.flags.writeable and not index.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=odd_dims, s=orders)
+def test_kernel_power_has_the_bytes_of_one_exp_per_cell(N, s):
+    # one exp per distinct log K value and a gather: equal cells take the exp of one input
+    check_orbits(N)
+    schwinger._kernel_power.cache_clear()
+    assert schwinger._kernel_power(s, N).tobytes() == oracle.kernel_power(s, N).tobytes()
+
+
+@pytest.mark.parametrize("N", (251, 1001))
+def test_kernel_power_has_the_bytes_of_one_exp_per_cell_at_large_n(N):
+    # 6,062 distinct values of 63,001 cells at N = 251, 81,080 of 1,002,001 at N = 1001
+    check_orbits(N)
+    for s in (0, -1, 0.9, 0.5 - 0.5j, -0.0j, complex(-0.0, 0.7), complex(0.3, -0.0), 1j):
+        schwinger._kernel_power.cache_clear()
+        assert schwinger._kernel_power(s, N).tobytes() == oracle.kernel_power(s, N).tobytes(), s
+
+
+def test_kernel_power_overflow_reads_the_minimum_of_log_k():
+    # the bound reads values[0]: K^(-1) is finite at N = 905 and raises at N = 907
+    # with the exponent of the whole log table's minimum
+    assert np.all(np.isfinite(schwinger._kernel_power(1, 905)))
+    text = f"Re(s) * (-min log K) = {-_log_kernel(907).min():.6g}"
+    with pytest.raises(OverflowError, match=re.escape(text)):
+        schwinger._kernel_power(1, 907)
 
 
 def test_glauber_overflow_raises_on_every_call():
