@@ -22,9 +22,9 @@ from qps import (
     bell_state,
     bell_projector,
     bipartite_phase_fn,
-    teleport,
     teleport_via_coeffs,
 )
+from qps.teleport import teleport
 
 N = 5
 ELL = half_width(N)

@@ -90,7 +90,11 @@ def parse_state(spec, N):
 def parse_order(text):
     re_, comma, im = text.partition(",")
     try:
-        return check_order(complex(float(re_), float(im) if comma else 0.0))
+        s = complex(float(re_), float(im) if comma else 0.0)
+    except ValueError:
+        s = text  # no number: the one order rule, check_order, says so
+    try:
+        return check_order(s)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

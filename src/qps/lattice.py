@@ -2,7 +2,11 @@
 
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
-Every module in the package shares this convention.
+Every module in the package shares this convention, and only this module
+reads it: `_index` is the row of any integer label, and `_traces` (the one
+gather of Tr[S(eta, xi) O] over every label pair, S(eta, xi) the symmetrized
+displacement of `schwinger`), `_traces_at` (the same at given raw labels) and
+its inverse `_scatter` are the only readers of the layout of S, `_diagonals`.
 `_table_cache` is the one table cache, `_frozen` the one place an array is
 made read-only, `_integers` the one check of every integer argument and
 `_invalid` the package's one ValueError, built for every rejected argument.
@@ -10,9 +14,7 @@ The helpers at the end are the only readers of the phase tables and the
 one operand check: `_square` decides what an operand's shape must be (and
 `_matrix` that it is one matrix), `_root` reads every phase exp(i*pi*m/N)
 from the one table of 2N-th roots `_roots`, `_dft`/`_idft`, `_phases` and
-`_dft2`/`_idft2` hold the one Fourier convention, and `_traces` is the one
-gather of Tr[S(eta, xi) O] over every label pair (S(eta, xi) the
-symmetrized displacement of `schwinger`).
+`_dft2`/`_idft2` hold the one Fourier convention.
 """
 
 import math
@@ -107,11 +109,16 @@ def labels(N):
     return np.arange(-ell, ell + 1)
 
 
+def _index(x, N):
+    """Row kappa + ell of the centered label kappa = center_mod(x, N), for integer(s) x of
+    any range (`_integers`) and a checked dimension N: the one map from labels to storage."""
+    return (_integers(x) + (N - 1) // 2) % N
+
+
 def center_mod(x, N):
     """Reduce integer(s) x into the centered interval [-ell, ell] mod N."""
     N = check_dim(N)
-    ell = (N - 1) // 2
-    return (_integers(x) + ell) % N - ell
+    return _index(x, N) - (N - 1) // 2
 
 
 def dagger(A):
@@ -209,7 +216,7 @@ def _matrix(A):
 
 def _phases(k, N):
     """Phase rows exp(-2*pi*i*k*kappa/N) over centered kappa, one per integer of k (any range)."""
-    return _dft_phases(N)[(k + (N - 1) // 2) % N]
+    return _dft_phases(N)[_index(k, N)]
 
 
 def _dft(X):
@@ -250,9 +257,8 @@ def _diagonals(N):
     Column kappa of S(eta, xi) holds its one entry in row kappa - xi, so
     Tr[S(eta, xi) O] = front * sum_kappa exp(2*pi*i*eta*kappa/N) O[kappa, kappa - xi].
     """
-    ks, rows = labels(N), np.arange(N)
-    cols = (rows - ks[:, None]) % N
-    return rows, cols, _root(-np.outer(ks, ks), N) / np.sqrt(N)
+    ks = labels(N)
+    return np.arange(N), _index(ks - ks[:, None], N), _root(-np.outer(ks, ks), N) / np.sqrt(N)
 
 
 def _traces(O):
@@ -263,4 +269,24 @@ def _traces(O):
     N = O.shape[-1]
     rows, cols, front = _diagonals(N)
     return (_conj_phases(N) @ O[..., rows, cols].swapaxes(-1, -2)) * front
+
+
+def _traces_at(O, eta, xi):
+    """`_traces` of one N x N O at broadcastable labels of any range, ints or integer arrays
+    (`_integers`), with the quasi-periodic signs of S: per pair, one row of `_diagonals` gathers
+    N entries of O, dotted with a phase row and times the front, O(N); a plane, O(N^2) memory."""
+    N = O.shape[-1]
+    rows, cols, _ = _diagonals(N)
+    # (1, N) @ (N, 1) on the broadcast label axes: one dot product per pair
+    sums = (_phases(-eta, N)[..., None, :] @ O[rows, cols[_index(xi, N)]][..., None])[..., 0, 0]
+    return sums * (_root(-eta * xi, N) / math.sqrt(N))
+
+
+def _scatter(C):
+    """sum_{eta,xi} C(eta, xi) S(eta, xi), the inverse of `_traces`: an inverse DFT scattered
+    onto the cyclic diagonals.  Leading axes of C are a batch."""
+    rows, cols, front = _diagonals(C.shape[-1])
+    O = np.empty(C.shape, dtype=complex)
+    O[..., cols, rows] = _idft((C * front).swapaxes(-1, -2))
+    return O
 

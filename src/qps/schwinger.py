@@ -11,7 +11,8 @@ exp(+i*pi*eta*xi/N).
 
 Each S(eta, xi) is a monomial matrix, so all N^2 traces Tr[S(eta, xi) O]
 are one gather of the cyclic diagonals of O plus one DFT, O(N^3)
-(`lattice._traces`), and a sum over the basis is the inverse scatter.
+(`lattice._traces`), and a sum over the basis is the inverse scatter
+(`lattice._scatter`).
 Every other route between operators and label grids (the T^(s)
 expansions, the origin kernel T^(s)(0, 0) and the depolarizer average)
 is that gather or scatter plus a 2-D DFT against K^(-s), one cached
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integers, _invalid, _square, _phases, _idft, _dft2, _idft2, _diagonals, _traces, _table_cache
+from .lattice import check_dim, labels, _index, _integers, _invalid, _square, _phases, _dft2, _idft2, _traces, _scatter, _table_cache
 from .theta import _kernel_orbits
 
 __all__ = [
@@ -93,14 +94,13 @@ def s_op(eta, xi, N):
     axes, and scalars give one N x N matrix.
     """
     N = check_dim(N)
-    ell = half_width(N)
     ks = labels(N)
     eta, xi = np.broadcast_arrays(_integers(eta), _integers(xi))
     eta, xi = eta[..., None], xi[..., None]
     S = np.zeros(eta.shape[:-1] + (N, N), dtype=complex)
     # a real division: numpy's complex one multiplies by 1/N, a last-bit change
     front = np.exp(1j * (np.pi * eta * xi / N)) / np.sqrt(N)
-    rows = center_mod(ks - xi, N) + ell
+    rows = _index(ks - xi, N)
     # U^eta acts after the shift: phase exp(2*pi*i*eta*(kappa - xi)/N);
     # column kappa holds its one entry in row kappa - xi
     vals = front * np.exp(2j * np.pi * eta * (ks - xi) / N)
@@ -141,10 +141,8 @@ def _kernel_power(s, N):
 
 def s_op_ordered(eta, xi, s, N):
     """s-ordered basis element K(eta, xi)^(-s) S(eta, xi) (principal power)."""
-    s = check_order(s)
-    ell = half_width(N)
-    Kpow = _kernel_power(s, N)[center_mod(eta, N) + ell, center_mod(xi, N) + ell]
-    return Kpow * s_op(eta, xi, N)
+    s, N = check_order(s), check_dim(N)
+    return _kernel_power(s, N)[_index(eta, N), _index(xi, N)] * s_op(eta, xi, N)
 
 
 @_table_cache
@@ -181,9 +179,8 @@ def t_op(mu, nu, s, N):
     kernels on the leading axes.
     """
     N = check_dim(N)
-    ell = (N - 1) // 2
     mu, nu = _integers(mu), _integers(nu)
-    idx = _diagonals(N)[1][(mu + ell) % N]  # row kappa + ell holds index (kappa - mu) + ell
+    idx = _index(labels(N) - mu, N)  # row kappa + ell holds the row of kappa - mu
     T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
     # the phase row of -nu is p, the row of nu is conj(p)
     return _phases(-nu, N)[..., :, None] * T0 * _phases(nu, N)[..., None, :]
@@ -198,19 +195,9 @@ def t_overlap(t, s, dmu, dnu, N):
     `dnu` may be broadcastable integer arrays; scalars give a complex.
     """
     t, s, N = check_order(t), check_order(s), check_dim(N)
-    ell = half_width(N)
     grid = np.sqrt(N) * _idft2(_kernel_power(t + s, N))
-    out = grid[center_mod(dmu, N) + ell, center_mod(dnu, N) + ell]
+    out = grid[_index(dmu, N), _index(dnu, N)]
     return complex(out) if np.ndim(out) == 0 else out
-
-
-def _scatter(C):
-    """sum_{eta,xi} C(eta, xi) S(eta, xi): the inverse DFT of the gather in `_traces`,
-    scattered onto the cyclic diagonals."""
-    rows, cols, front = _diagonals(C.shape[-1])
-    O = np.empty(C.shape, dtype=complex)
-    O[..., cols, rows] = _idft((C * front).swapaxes(-1, -2))
-    return O
 
 
 def _t_grid(O, s):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integer, _invalid, _matrix, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
+from .lattice import check_dim, labels, center_mod, _index, _integer, _invalid, _matrix, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
 from .schwinger import check_order, t_op, _order, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
@@ -98,7 +98,8 @@ def bipartite_phase_fn(state, s1, s2):
     One gather of the operator's cyclic diagonals in both modes, then six
     products, each transforming the leading axis and moving it last: two
     label sums, the K^(-s1) (x) K^(-s2) multiplier, and a 2-D DFT per
-    mode.  O(N^5), with no N x N slice handled on its own.
+    mode.  O(N^5), with no N x N slice handled on its own.  The one reader of `lattice._diagonals`
+    outside `lattice`: `_traces` per mode measured slower, 75 -> 126 us at N = 5, 141 -> 226 us at N = 7.
     """
     state = np.asarray(state, dtype=complex)
     state, D = _matrix(np.outer(state, state.conj()) if state.ndim == 1 else state)
@@ -147,7 +148,7 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     ks = labels(N)
     # Psi_w[kappa1, kappa2] = exp(-2 pi i w2 kappa2 / N) / sqrt(N) on kappa1 = -kappa2 - w1, so
     # C = (1/N) sum_{k,l} A[-k - w1, -l - w1'] B[k, l] exp(2 pi i (w2 k - w2' l) / N)
-    idx = (half_width(N) - np.add.outer(ks, ks)) % N  # idx[w, k] indexes label -k - w
+    idx = _index(-np.add.outer(ks, ks), N)  # idx[w, k] indexes label -k - w
     X = A[idx[:, :, None, None], idx] * B[:, None, :]  # [w1, k, w1', l]
     Y = _dft(X.reshape(-1, N)).reshape(N, N, N * N).swapaxes(1, 2)  # [w1, (w1', w2'), k]
     return (_idft(Y).swapaxes(1, 2) * (1 / N)).reshape(N, N, N, N)
@@ -178,11 +179,11 @@ def r_kernel(alpha, beta, ds, N):
     comb selecting (mu3, nu3) = (mu1 + alpha, nu1 - beta).
     """
     N = check_dim(N)
-    ks, ell = labels(N), half_width(N)
+    ks = labels(N)
     # K is even in each label, so the sum is _idft2 of K^ds at (a, b); |ds| may reach 2
     grid = _idft2(_kernel_power(-_order(ds), N)) * (1 / np.sqrt(N))
-    a = center_mod(np.subtract.outer(ks, ks) + _integer(alpha), N) + ell  # [m1, m3]
-    b = center_mod(np.subtract.outer(ks, ks) - _integer(beta), N) + ell  # [n1, n3]
+    a = _index(np.subtract.outer(ks, ks) + _integer(alpha), N)  # [m1, m3]
+    b = _index(np.subtract.outer(ks, ks) - _integer(beta), N)  # [n1, n3]
     return grid[a[:, None, :, None], b[None, :, None, :]]
 
 

@@ -5,10 +5,10 @@ at nome exp(-pi/(2N)), whose series cancels near the minimum of K.  The
 Jacobi imaginary transformation (DLMF 20.7) turns each value into a sum
 of positive Gaussians g(x) = exp(-pi x^2/(2N)): theta3(pi x/(2N)) =
 sqrt(2N) sum over even k of g(x - kN), and theta4 the same over odd k.
-One cached table of log K is built from those sums, and K, the raw-label
-kernel and the 1-D smoothing weights read it or the same sums; every
-power K^(-s) reads its distinct values and their index
-(`_kernel_orbits`).  Also here: the integer phase correction for label
+The table of log K is built from those sums, and only its distinct
+values and their index are cached (`_kernel_orbits`): K, the raw-label
+kernel and every power K^(-s) read them, and the 1-D smoothing weights
+the same sums.  Also here: the integer phase correction for label
 wraparound and the finite number-basis tables.
 """
 
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integers, _invalid, _root, _traces, _frozen, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _index, _integers, _invalid, _root, _traces, _frozen, _table_cache
 
 __all__ = [
     "theta",
@@ -79,12 +79,12 @@ def _image_sums(x, N):
     return terms[..., EVEN].sum(-1), terms[..., ~EVEN].sum(-1)
 
 
-@_table_cache
 def _log_kernel(N):
-    """Cached read-only log K[eta + ell, xi + ell] = -pi (eta^2 + xi^2) / (2N) + log(B / B(0, 0)).
+    """log K[eta + ell, xi + ell] = -pi (eta^2 + xi^2) / (2N) + log(B / B(0, 0)).
 
     B = r0e r0x + p_eta r0e r1x + p_xi r1e r0x - p_eta p_xi r1e r1x, with
-    p = (-1)**label, stays O(1) and positive, so no entry cancels.
+    p = (-1)**label, stays O(1) and positive, so no entry cancels.  Uncached: only
+    `_kernel_orbits` reads it.
     """
     N = check_dim(N)
     ks = labels(N)
@@ -93,8 +93,8 @@ def _log_kernel(N):
     B = np.stack([r0, p * r0, r1, -p * r1], axis=-1) @ np.stack([r0, r1, p * r0, p * r1])
     if not np.all(np.isfinite(B) & (B > 0)):
         raise ArithmeticError(f"kernel Gaussian sum is not finite and positive at N={N}")
-    ell = half_width(N)
-    return np.log(B / B[ell, ell]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
+    o = _index(0, N)
+    return np.log(B / B[o, o]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
 
 
 @_table_cache
@@ -112,18 +112,19 @@ def _kernel_orbits(N):
 
 @_table_cache
 def kernel_table(N):
-    """Cached read-only K[eta + ell, xi + ell] = exp(log K); corners below the
-    smallest double (from N ~ 950 on) are 0, and the log table keeps them."""
-    return np.exp(_log_kernel(check_dim(N)))
+    """Cached read-only K[eta + ell, xi + ell] = exp(log K), one exp per distinct value (`_kernel_orbits`);
+    corners below the smallest double (from N ~ 950 on) are 0, and the log values keep them."""
+    values, index = _kernel_orbits(check_dim(N))
+    return np.take(np.exp(values), index)
 
 
 def kernel_value(eta, xi, N):
     """Kernel K(eta, xi) at raw integer labels: the quasi-periodic sign (-1)**phase_phi(eta, xi, N)
     times the table entry at the reduced labels.  `eta` and `xi` may be
     broadcastable integer arrays; scalars give a float."""
-    N, ell = check_dim(N), half_width(N)
+    N = check_dim(N)
     sign = 1 - 2 * (phase_phi(eta, xi, N) % 2)
-    val = sign * kernel_table(N)[center_mod(eta, N) + ell, center_mod(xi, N) + ell]
+    val = sign * kernel_table(N)[_index(eta, N), _index(xi, N)]
     return val if val.ndim else float(val)
 
 

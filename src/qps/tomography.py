@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _integer, _integers, _invalid, _square, _matrix, _root, _dft, _idft, _dft2, _traces, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _index, _integer, _integers, _invalid, _square, _matrix, _root, _dft, _idft, _dft2, _traces, _traces_at, _table_cache
 from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
 from .schwinger import _require_order
@@ -147,8 +147,8 @@ def smooth_marginal(dist):
     """
     N, s = dist.dim, _require_order(dist.s, 1, 0)
     za, zb = dist.line
-    ts, ell = labels(N), half_width(N)
-    K = kernel_table(N)[center_mod(za * ts, N) + ell, center_mod(zb * ts, N) + ell]
+    ts = labels(N)
+    K = kernel_table(N)[_index(za * ts, N), _index(zb * ts, N)]
     out = _dft(K * _ray_invert(dist.values))
     # K is even along every ray, so real line sums stay real
     out = out.real if np.isrealobj(dist.values) else out
@@ -170,18 +170,16 @@ def _even_shear(omega, N):
 def _circulant(omega3, cols, N):
     """M(Omega3)[j, k] at column labels `cols`: c(cols[k] - j), where
     c = DFT of the momentum chirp exp(-i pi o3 eta^2 / N), divided by N."""
-    ks, ell = labels(N), half_width(N)
+    ks = labels(N)
     c = _dft(_root(-_even_shear(omega3, N) * ks**2, N)) / N
-    return c[center_mod(cols[None, :] - ks[:, None], N) + ell]
+    return c[_index(cols[None, :] - ks[:, None], N)]
 
 
 def symplectic_c(params):
     """Scaling-type generator C(Omega1): the dilation |kappa> -> |Omega1 kappa mod N>."""
     N = params.N
-    ks, ell = labels(N), half_width(N)
-    C = np.zeros((N, N), dtype=complex)
-    C[center_mod(params.omegas[0] * ks, N) + ell, ks + ell] = 1
-    return C
+    # column kappa + ell is the unit vector at the row of Omega1 kappa
+    return np.eye(N, dtype=complex)[:, _index(params.omegas[0] * labels(N), N)]
 
 
 def symplectic_n(params):
@@ -216,7 +214,7 @@ def _line_sums(F, za, zb, axis):
     """sum of one grid F over each line za*mu' + zb*nu' = label, / sqrt(N), by one bincount."""
     N, za, zb = _matrix(F.grid)[1], _integer(za), _integer(zb)
     ks = labels(N)
-    line = (center_mod(np.add.outer(za * ks, zb * ks), N) + half_width(N)).ravel()
+    line = _index(np.add.outer(za * ks, zb * ks), N).ravel()
     grid = F.grid.ravel()
     values = np.bincount(line, grid.real, N) + 1j * np.bincount(line, grid.imag, N)
     return MarginalDistribution(F.s, axis, values / np.sqrt(N), (za, zb))
@@ -333,8 +331,7 @@ def _cells(rays, N):
     ray, t S(eta, xi) (phase exp(i pi eta xi (N + 1) / N)) is the powers of one unitary, so
     twisted line sums are the probabilities of its eigenspaces: >= 0."""
     ts, ell = labels(N), half_width(N)
-    rows = center_mod(np.outer(rays[:, 0], ts), N) + ell
-    cols = center_mod(np.outer(rays[:, 1], ts), N) + ell
+    rows, cols = _index(np.outer(rays[:, 0], ts), N), _index(np.outer(rays[:, 1], ts), N)
     return rows, cols, 1.0 - 2 * ((rows - ell) * (cols - ell) % 2)
 
 
@@ -389,29 +386,6 @@ def _ray_loop(rho, shots, rng):
     return Xi0, vals, Xi
 
 
-def _label_traces(rho, eta, xi):
-    """(Tr rho U, Tr rho U^dag) for U = sqrt(N) S(eta, xi), read from rho's entries.
-
-    Column kappa of U holds its one entry in row center_mod(kappa - xi),
-    with phase exp(i pi eta (2 kappa - xi) / N) at the raw labels.  That
-    phase is a row exp(2 pi i eta kappa / N), set by eta alone, times the
-    front exp(-i pi eta xi / N).  So each trace is the dot product of an
-    eta row with the N entries of rho gathered for xi, times the front:
-    O(N) per label pair, with no S built.  Rows and gathers are made once
-    per label, not per pair, so an eta x xi plane needs O(N^2) memory.
-    """
-    N = len(rho)
-    ks, ell = labels(N), half_width(N)
-    eta, xi = np.asarray(eta)[..., None], np.asarray(xi)[..., None]
-    cols, rows = ks + ell, (ks + ell - xi) % N
-    phase = _root(2 * eta * ks, N)[..., None, :]
-    front = _root(-eta * xi, N)[..., 0]
-    # (1, N) @ (N, 1) on the broadcast label axes: one dot product per pair
-    tr_u = front * (phase @ rho[cols, rows][..., None])[..., 0, 0]
-    tr_ud = front.conj() * (phase.conj() @ rho[rows, cols][..., None])[..., 0, 0]
-    return tr_u, tr_ud
-
-
 def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     """Hadamard-test interferometer reading out Re/Im of Tr(U rho).
 
@@ -432,17 +406,18 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     for any U of rho's shape.  For integer labels (any range, with the
     quasi-periodic signs of `s_op`) S is never built: U has one entry per
     column, so each trace is a gather of N entries of rho and one dot
-    product, O(N) per label pair (`_label_traces`).  Leading axes of
+    product, O(N) per label pair (`lattice._traces_at`).  Leading axes of
     `unitary`, or the broadcast shape of array labels `eta`, `xi`, are a
     batch, and the pair is then two arrays; the labels `ks[:, None]` and
     `ks` read the whole dual plane in O(N^3) time and O(N^2) memory.
     `rho` is one N x N matrix with N odd (`_matrix`): a stack raises ValueError.
     """
-    rho = _matrix(rho)[0]
+    rho, N = _matrix(rho)
     if unitary is None:
         if eta is None or xi is None:
             raise _invalid("takes labels (eta, xi) or a unitary", (eta, xi))
-        tr_u, tr_ud = _label_traces(rho, _integers(eta), _integers(xi))
+        # Tr rho U and, as S(eta, xi)^dag = S(-eta, -xi) at raw labels, Tr rho U^dag
+        tr_u, tr_ud = (math.sqrt(N) * _traces_at(rho, sign * _integers(eta), sign * _integers(xi)) for sign in (1, -1))
     else:
         U = np.asarray(unitary)
         if U.shape[-2:] != rho.shape:

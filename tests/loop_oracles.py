@@ -53,7 +53,7 @@ from qps.lattice import (
     _dft2,
     _traces,
 )
-from qps.theta import kernel_table as cached_kernel_table, gamma_table as _gamma_table, _log_kernel
+from qps.theta import kernel_table as cached_kernel_table, _log_kernel
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op, _kernel_power
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density, char_fn, phase_fn
@@ -586,8 +586,9 @@ def teleport_report(rho, alpha, beta):
     return out.getvalue(), 0 if ok else 1
 
 
-# the library builds the Gamma table afresh on every call
-cached_gamma_table = lru_cache(maxsize=None)(_gamma_table)
+# the oracle's own einsum table, built once per N; test_spectral_core compares it
+# with the library's `theta.gamma_table`, so no oracle reads the code under test
+cached_gamma_table = lru_cache(maxsize=None)(gamma_table)
 
 
 def t_overlap(t, s, dmu, dnu, N):

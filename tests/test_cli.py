@@ -157,6 +157,14 @@ def test_grid_non_finite_order_exits_2(capsys, order):
     assert err.startswith("error: qps ordering parameter must be finite")
 
 
+@pytest.mark.parametrize("order", ("", "abc", "0,x"))
+def test_grid_unparsable_order_exits_2_by_the_order_rule(capsys, order):
+    # float()'s "could not convert string to float: ''" named neither qps nor the order
+    code, out, err = run(capsys, "grid", "--dim", "3", "--what", "phase", "--state", "fock:0", f"--s={order}")
+    assert code == 2 and out == ""
+    assert err == f"error: qps ordering parameter must be a number, got {order!r}\n"
+
+
 def test_grid_io_error_exit_3(capsys):
     code, _, err = run(
         capsys, "grid", "--dim", "3", "--what", "kernel",

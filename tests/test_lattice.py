@@ -3,12 +3,15 @@ integer-label check, and the one table cache of the package."""
 
 import importlib
 import pkgutil
+import types
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qps
+from qps.theta import phase_phi
 from qps.lattice import (
     check_dim,
     half_width,
@@ -21,8 +24,11 @@ from qps.lattice import (
     _conj_phases,
     _dft_phases,
     _diagonals,
+    _index,
     _roots,
     _table_cache,
+    _traces,
+    _traces_at,
 )
 
 
@@ -49,6 +55,40 @@ def test_center_mod_scalar_and_array():
     out = center_mod(np.arange(-10, 11), 5)
     assert out.min() >= -2 and out.max() <= 2
     assert np.all((out - np.arange(-10, 11)) % 5 == 0)
+
+
+# odd N <= 45, prime and composite
+odd_dims = st.integers(0, 22).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=odd_dims, data=st.data())
+def test_index_is_the_row_of_the_centered_label(N, data):
+    raw = st.integers(-3 * N, 3 * N)
+    x = np.array(data.draw(st.lists(raw, min_size=1, max_size=8)))
+    ell = half_width(N)
+    assert np.array_equal(_index(x, N), center_mod(x, N) + ell)
+    for k in x.tolist():
+        assert _index(k, N) == center_mod(k, N) + ell and type(_index(k, N)) is int
+    assert np.array_equal(_index(labels(N), N), np.arange(N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from((1, 3, 5, 9, 15, 31)), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_traces_at_raw_labels_carry_the_quasi_periodic_sign(N, seed, data):
+    # Tr[S(eta, xi) O] at raw labels: the traces at the reduced labels times (-1)**phase_phi
+    rng = np.random.default_rng(seed)
+    O = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))  # not Hermitian
+    raw = st.integers(-3 * N, 3 * N)
+    eta = np.array(data.draw(st.lists(raw, min_size=1, max_size=4)))[:, None]
+    xi = np.array(data.draw(st.lists(raw, min_size=1, max_size=5)))
+    ell = half_width(N)
+    ref = _traces(O)[center_mod(eta, N) + ell, center_mod(xi, N) + ell] * (-1.0) ** phase_phi(eta, xi, N)
+    out = _traces_at(O, eta, xi)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-13 * N * np.abs(O).max()
+    e, x = int(eta[0, 0]), int(xi[0])
+    assert abs(_traces_at(O, e, x) - ref[0, 0]) <= 1e-13 * N * np.abs(O).max()
 
 
 def test_dagger_is_conjugate_transpose():
@@ -136,7 +176,7 @@ def test_phase_tables_match_mpmath(N):
 # every table the package caches per dimension N, by module
 PER_N_TABLES = {
     "lattice": ("_roots", "_dft_phases", "_conj_phases", "_diagonals"),
-    "theta": ("_log_kernel", "_kernel_orbits", "kernel_table", "fock_coefficients"),
+    "theta": ("_kernel_orbits", "kernel_table", "fock_coefficients"),
     "schwinger": ("u_matrix", "v_matrix"),
     "quasiprob": ("smoothing_table",),
     "tomography": ("_ray_cells",),
@@ -212,6 +252,21 @@ def test_every_cache_in_qps_is_the_table_cache():
             out = found["_gridtext", name](*key)
             for a in out if isinstance(out, tuple) else (out,):
                 assert not a.flags.writeable, (name, key)
+
+
+def test_theta_and_teleport_name_their_modules_at_the_top_level():
+    # the star imports once bound the functions, so `import qps.teleport as m` gave the function
+    import qps.teleport as m
+    import qps.theta as t
+    assert isinstance(m, types.ModuleType) and m is qps.teleport and m.__name__ == "qps.teleport"
+    assert isinstance(t, types.ModuleType) and t is qps.theta and t.__name__ == "qps.theta"
+    assert callable(m.teleport) and callable(t.theta)
+    # every other public name of every module is re-exported as itself
+    for mod in ("lattice", "theta", "schwinger", "quasiprob", "tomography", "teleport"):
+        module = importlib.import_module(f"qps.{mod}")
+        for name in module.__all__:
+            if name not in ("theta", "teleport"):
+                assert getattr(qps, name) is getattr(module, name), name
 
 
 def label_calls(x, rho):

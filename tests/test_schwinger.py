@@ -251,6 +251,14 @@ def test_kernel_power_has_the_bytes_of_one_exp_per_cell(N, s):
     assert schwinger._kernel_power(s, N).tobytes() == oracle.kernel_power(s, N).tobytes()
 
 
+@pytest.mark.parametrize("N", (*range(1, 302, 2), 501, 1001, 1009))
+def test_kernel_table_has_the_bytes_of_one_exp_per_cell(N):
+    # K is one exp per distinct log K value and a gather, as every K^(-s) is;
+    # the log table itself is built afresh and no longer cached beside them
+    kernel_table.cache_clear()
+    assert kernel_table(N).tobytes() == np.exp(_log_kernel(N)).tobytes()
+
+
 @pytest.mark.parametrize("N", (251, 1001))
 def test_kernel_power_has_the_bytes_of_one_exp_per_cell_at_large_n(N):
     # 6,062 distinct values of 63,001 cells at N = 251, 81,080 of 1,002,001 at N = 1001
