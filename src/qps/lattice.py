@@ -5,8 +5,9 @@ kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention, and only this module
 reads it: `_index` is the row of any integer label, and `_traces` (the one
 gather of Tr[S(eta, xi) O] over every label pair, S(eta, xi) the symmetrized
-displacement of `schwinger`), `_traces_at` (the same at given raw labels) and
-its inverse `_scatter` are the only readers of the layout of S, `_diagonals`.
+displacement of `schwinger`), `_traces_at` (the same and its adjoint at given
+raw labels), its inverse `_scatter` and `_shift_rows` (the rows of kappa - mu)
+are the only readers of the layout of S, `_diagonals`.
 `_table_cache` is the one table cache, `_frozen` the one place an array is
 made read-only, `_integers` the one check of every integer argument and
 `_invalid` the package's one ValueError, built for every rejected argument.
@@ -271,15 +272,24 @@ def _traces(O):
     return (_conj_phases(N) @ O[..., rows, cols].swapaxes(-1, -2)) * front
 
 
+def _shift_rows(mu, N):
+    """Rows of kappa - mu over centered kappa, one row of the cached `_diagonals` index
+    per integer of mu (any range)."""
+    return _diagonals(N)[1][_index(mu, N)]
+
+
 def _traces_at(O, eta, xi):
     """`_traces` of one N x N O at broadcastable labels of any range, ints or integer arrays
-    (`_integers`), with the quasi-periodic signs of S: per pair, one row of `_diagonals` gathers
-    N entries of O, dotted with a phase row and times the front, O(N); a plane, O(N^2) memory."""
+    (`_integers`), with the quasi-periodic signs of S, and at (-eta, -xi), the trace of
+    S(eta, xi)^dag: per pair, one row of `_diagonals` gathers N entries of O, dotted with a
+    phase row and times the front, O(N); a plane, O(N^2) memory.  The two share the front,
+    and the phase rows of eta are the exact conjugates of those of -eta (`_roots`)."""
     N = O.shape[-1]
-    rows, cols, _ = _diagonals(N)
+    kappa = _diagonals(N)[0]
+    p = _phases(-eta, N)[..., None, :]
+    front = _root(-eta * xi, N) / math.sqrt(N)
     # (1, N) @ (N, 1) on the broadcast label axes: one dot product per pair
-    sums = (_phases(-eta, N)[..., None, :] @ O[rows, cols[_index(xi, N)]][..., None])[..., 0, 0]
-    return sums * (_root(-eta * xi, N) / math.sqrt(N))
+    return tuple((row @ O[kappa, _shift_rows(x, N)][..., None])[..., 0, 0] * front for row, x in ((p, xi), (p.conj(), -xi)))
 
 
 def _scatter(C):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, labels, _index, _integers, _invalid, _square, _phases, _dft2, _idft2, _traces, _scatter, _table_cache
+from .lattice import check_dim, labels, _index, _integers, _invalid, _square, _phases, _dft2, _idft2, _traces, _scatter, _shift_rows, _table_cache
 from .theta import _kernel_orbits
 
 __all__ = [
@@ -180,7 +180,7 @@ def t_op(mu, nu, s, N):
     """
     N = check_dim(N)
     mu, nu = _integers(mu), _integers(nu)
-    idx = _index(labels(N) - mu, N)  # row kappa + ell holds the row of kappa - mu
+    idx = _shift_rows(mu, N)  # row kappa + ell holds the row of kappa - mu
     T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
     # the phase row of -nu is p, the row of nu is conj(p)
     return _phases(-nu, N)[..., :, None] * T0 * _phases(nu, N)[..., None, :]

@@ -5,11 +5,12 @@ at nome exp(-pi/(2N)), whose series cancels near the minimum of K.  The
 Jacobi imaginary transformation (DLMF 20.7) turns each value into a sum
 of positive Gaussians g(x) = exp(-pi x^2/(2N)): theta3(pi x/(2N)) =
 sqrt(2N) sum over even k of g(x - kN), and theta4 the same over odd k.
-The table of log K is built from those sums, and only its distinct
-values and their index are cached (`_kernel_orbits`): K, the raw-label
-kernel and every power K^(-s) read them, and the 1-D smoothing weights
-the same sums.  Also here: the integer phase correction for label
-wraparound and the finite number-basis tables.
+The table of log K is built from those sums on the quadrant of
+nonnegative labels, and only its distinct values and their mirrored
+index are cached (`_kernel_orbits`): K, the raw-label kernel and every
+power K^(-s) read them, and the 1-D smoothing weights the same sums.
+Also here: the integer phase correction for label wraparound and the
+finite number-basis tables.
 """
 
 import math
@@ -79,22 +80,34 @@ def _image_sums(x, N):
     return terms[..., EVEN].sum(-1), terms[..., ~EVEN].sum(-1)
 
 
-def _log_kernel(N):
-    """log K[eta + ell, xi + ell] = -pi (eta^2 + xi^2) / (2N) + log(B / B(0, 0)).
+def _mirror(quadrant):
+    """The N x N table [eta + ell, xi + ell] of a table even in each label, from its
+    (ell + 1) x (ell + 1) quadrant [eta, xi] at eta, xi >= 0."""
+    rows = np.abs(labels(2 * len(quadrant) - 1))
+    return quadrant[np.ix_(rows, rows)]
+
+
+def _log_quadrant(N):
+    """log K[eta, xi] = -pi (eta^2 + xi^2) / (2N) + log(B / B(0, 0)) at eta, xi = 0..ell.
 
     B = r0e r0x + p_eta r0e r1x + p_xi r1e r0x - p_eta p_xi r1e r1x, with
-    p = (-1)**label, stays O(1) and positive, so no entry cancels.  Uncached: only
-    `_kernel_orbits` reads it.
+    p = (-1)**label, stays O(1) and positive, so no entry cancels.  K is even in
+    each label, so this quadrant holds every value.  Uncached: only `_kernel_orbits`
+    and `_log_kernel` read it.
     """
-    N = check_dim(N)
-    ks = labels(N)
+    ks = np.arange(half_width(N) + 1)
     r0, r1 = _image_sums(ks, N)
     p = 1 - 2 * (ks % 2)
     B = np.stack([r0, p * r0, r1, -p * r1], axis=-1) @ np.stack([r0, r1, p * r0, p * r1])
     if not np.all(np.isfinite(B) & (B > 0)):
         raise ArithmeticError(f"kernel Gaussian sum is not finite and positive at N={N}")
-    o = _index(0, N)
-    return np.log(B / B[o, o]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
+    return np.log(B / B[0, 0]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
+
+
+def _log_kernel(N):
+    """The whole table log K[eta + ell, xi + ell], mirrored from `_log_quadrant`, so
+    even in each label by construction; no route of the package reads it."""
+    return _mirror(_log_quadrant(check_dim(N)))
 
 
 @_table_cache
@@ -103,11 +116,12 @@ def _kernel_orbits(N):
     ascending order, so values[0] is its minimum, and the int32 N x N index with
     values[index] == `_log_kernel(N)` bit for bit.  A function of log K is then one
     evaluation per distinct value and one gather: 467 values of 3,721 at N = 61,
-    81,080 of 1,002,001 at N = 1001."""
+    81,080 of 1,002,001 at N = 1001.  Only the quadrant is sorted, and its index
+    mirrored."""
     N = check_dim(N)
-    values, index = np.unique(_log_kernel(N), return_inverse=True)
+    values, index = np.unique(_log_quadrant(N), return_inverse=True)
     # numpy's inverse is flat in some releases and shaped like the input in others
-    return values, index.reshape(N, N).astype(np.int32)
+    return values, _mirror(index.reshape(-1, half_width(N) + 1).astype(np.int32))
 
 
 @_table_cache

@@ -417,7 +417,7 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
         if eta is None or xi is None:
             raise _invalid("takes labels (eta, xi) or a unitary", (eta, xi))
         # Tr rho U and, as S(eta, xi)^dag = S(-eta, -xi) at raw labels, Tr rho U^dag
-        tr_u, tr_ud = (math.sqrt(N) * _traces_at(rho, sign * _integers(eta), sign * _integers(xi)) for sign in (1, -1))
+        tr_u, tr_ud = (math.sqrt(N) * tr for tr in _traces_at(rho, _integers(eta), _integers(xi)))
     else:
         U = np.asarray(unitary)
         if U.shape[-2:] != rho.shape:

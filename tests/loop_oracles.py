@@ -53,7 +53,7 @@ from qps.lattice import (
     _dft2,
     _traces,
 )
-from qps.theta import kernel_table as cached_kernel_table, _log_kernel
+from qps.theta import kernel_table as cached_kernel_table, _log_kernel, _image_sums
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op, _kernel_power
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density, char_fn, phase_fn
@@ -253,6 +253,16 @@ def t_family(s, N):
     Cached per (s, N); the returned array is read-only.
     """
     return _t_family(check_order(s), check_dim(N))
+
+
+def log_kernel_every_cell(N):
+    """log K built on all N x N label pairs, with no use of its evenness."""
+    ks = labels(N)
+    r0, r1 = _image_sums(ks, N)
+    p = 1 - 2 * (ks % 2)
+    B = np.stack([r0, p * r0, r1, -p * r1], axis=-1) @ np.stack([r0, r1, p * r0, p * r1])
+    ell = half_width(N)
+    return np.log(B / B[ell, ell]) - np.pi * (ks[:, None] ** 2 + ks**2) / (2 * N)
 
 
 def kernel_power(s, N):

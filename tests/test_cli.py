@@ -432,6 +432,38 @@ def test_grid_writer_zero_columns(fmt, column, part):
     assert out.getvalue() == oracle.grid_text(grid, N, 0j, "kernel", fmt)
 
 
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("block", (1, 7, 4096))
+def test_grid_writer_bytes_do_not_depend_on_the_block_size(monkeypatch, block, fmt):
+    # 3,721 rows: the last block holds 1, 4 or all of them, and the JSON last-row rule with it
+    monkeypatch.setattr(_gridtext, "_BLOCK", block)
+    N = 61
+    grid = writer_grid(N, 5, _plain)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_grid(grid, N, 0j, "phase_fn", None, fmt)
+    assert out.getvalue() == oracle.grid_text(grid, N, 0j, "phase_fn", fmt)
+
+
+def test_grid_writer_tables_stay_under_a_megabyte_at_1001():
+    # the writer once kept an N^2-row prefix table, 25 MB per key at N = 1001
+    tables = {name: f for name, f in vars(_gridtext).items() if hasattr(f, "cache_info")}
+    for f in tables.values():
+        f.cache_clear()
+    N = 1001
+    grid = np.random.default_rng(0).normal(size=(N, N, 2)).view(complex)[..., 0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.write_grid(grid, N, 0j, "phase_fn", None, "json")
+    keys = {"_word_tables": [()], "_pow10_table": [()], "_masks": [("json",)], "_label_texts": [(N, "json")]}
+    assert set(tables) == set(keys)
+    held = 0
+    for name, f in tables.items():
+        assert f.cache_info().currsize == len(keys[name]), name
+        for out in (f(*key) for key in keys[name]):
+            held += sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+    assert held < 1e6
+
+
 def test_tie_and_power_of_ten_classes_reach_the_fallback():
     rng = np.random.default_rng(0)
     assert _gridtext.decimal(_ties(rng, 200))[2].all()

@@ -84,11 +84,13 @@ def test_traces_at_raw_labels_carry_the_quasi_periodic_sign(N, seed, data):
     xi = np.array(data.draw(st.lists(raw, min_size=1, max_size=5)))
     ell = half_width(N)
     ref = _traces(O)[center_mod(eta, N) + ell, center_mod(xi, N) + ell] * (-1.0) ** phase_phi(eta, xi, N)
-    out = _traces_at(O, eta, xi)
-    assert out.shape == ref.shape
+    out, adjoint = _traces_at(O, eta, xi)
+    assert out.shape == adjoint.shape == ref.shape
     assert np.abs(out - ref).max() <= 1e-13 * N * np.abs(O).max()
+    # the second trace is the one at (-eta, -xi), bit for bit
+    assert adjoint.tobytes() == _traces_at(O, -eta, -xi)[0].tobytes()
     e, x = int(eta[0, 0]), int(xi[0])
-    assert abs(_traces_at(O, e, x) - ref[0, 0]) <= 1e-13 * N * np.abs(O).max()
+    assert abs(_traces_at(O, e, x)[0] - ref[0, 0]) <= 1e-13 * N * np.abs(O).max()
 
 
 def test_dagger_is_conjugate_transpose():
@@ -222,11 +224,10 @@ def test_every_table_cache_is_listed_and_hands_out_read_only_arrays():
 
 # the grid writer's tables and sample keys: none, the format, or (N, format)
 WRITER_TABLES = {
-    "_digit_tables": [()],
-    "_const_slots": [()],
+    "_word_tables": [()],
     "_pow10_table": [()],
     "_masks": [("csv",), ("json",)],
-    "_prefixes": [(N, fmt) for N in (1, 5) for fmt in ("csv", "json")],
+    "_label_texts": [(N, fmt) for N in (1, 5) for fmt in ("csv", "json")],
 }
 
 

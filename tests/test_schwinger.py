@@ -251,6 +251,12 @@ def test_kernel_power_has_the_bytes_of_one_exp_per_cell(N, s):
     assert schwinger._kernel_power(s, N).tobytes() == oracle.kernel_power(s, N).tobytes()
 
 
+@pytest.mark.parametrize("N", (1, 3, 5, 61, 251, 1001))
+def test_log_table_from_one_quadrant_has_the_bytes_of_every_cell(N):
+    # the quadrant eta, xi >= 0 is built and mirrored, and its values alone are sorted
+    assert _log_kernel(N).tobytes() == oracle.log_kernel_every_cell(N).tobytes()
+
+
 @pytest.mark.parametrize("N", (*range(1, 302, 2), 501, 1001, 1009))
 def test_kernel_table_has_the_bytes_of_one_exp_per_cell(N):
     # K is one exp per distinct log K value and a gather, as every K^(-s) is;
