@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _dft2
+from .lattice import check_dim, labels, center_mod, _dft2, _shift_rows
 from .theta import kernel_table
 from .schwinger import check_order, t_overlap, decompose_t, reconstruct_t, depolarize
 from .quasiprob import (
@@ -29,7 +29,7 @@ from .quasiprob import (
     smooth_w_to_h,
     random_density,
 )
-from .tomography import reconstruct_wigner, scattering_circuit, _ray_cells, _ray_loop
+from .tomography import reconstruct_wigner, scattering_circuit, _ray_cells, _ray_loop, _on_rays
 from .teleport import BellLabel, bell_projector, teleport
 from ._gridtext import grid_rows
 
@@ -155,9 +155,8 @@ def cmd_tomo(args):
     # a shot count below 1 raises ValueError in the sampler: exit 2
     rng = None if args.shots is None else np.random.default_rng(args.seed)
     Xi, vals, rebuilt = _ray_loop(rho, args.shots, rng)
-    rays, rows, cols, _ = _ray_cells(N)
-    ray_errs = np.abs(vals - Xi[rows, cols]).max(axis=1)
-    lines = [f"ray ({za},{zb}): max |dXi| = {_fmt(e)}\n" for (za, zb), e in zip(rays.tolist(), ray_errs.tolist())]
+    ray_errs = np.abs(vals - _on_rays(Xi)).max(axis=1)
+    lines = [f"ray ({za},{zb}): max |dXi| = {_fmt(e)}\n" for (za, zb), e in zip(_ray_cells(N)[0].tolist(), ray_errs.tolist())]
     # two transforms, not one of the difference: a linear shortcut would move the residual's last bits
     err = float(np.abs(_dft2(rebuilt) - _dft2(Xi)).max())
     if args.shots is not None:
@@ -166,6 +165,12 @@ def cmd_tomo(args):
         lines.append(f"max |dW|: {_fmt(err)}\n")
     sys.stdout.write("".join(lines))
     return EXIT_OK if args.shots is not None or err < 1e-9 else EXIT_FAIL
+
+
+def _shifted(W, mu, nu):
+    """The grid W moved by the labels (mu, nu): W(mu' - mu, nu' - nu) at (mu', nu')."""
+    N = W.shape[-1]
+    return W.take(_shift_rows(mu, N), axis=0).take(_shift_rows(nu, N), axis=1)
 
 
 def cmd_teleport(args):
@@ -179,17 +184,13 @@ def cmd_teleport(args):
     # the shift law moves the sender's grid by (alpha, -beta); the recovery
     # operation undoes it, so the displacement reported is (-alpha, beta)
     expected = (center_mod(-alpha, N), beta)
-    # np.roll(W1, (alpha, -beta)) as one gather: row i reads W1[i - alpha], column j reads W1[:, j + beta]
-    rows = np.arange(N)
-    err = float(np.abs(W3 - W1[np.ix_((rows - alpha) % N, (rows + beta) % N)]).max())
+    err = float(np.abs(W3 - _shifted(W1, alpha, -beta)).max())
     ok = err < 1e-9 and abs(p - 1 / N**2) < 1e-12
     measured = expected
     if err >= 1e-9:
-        # name the roll that matches best; argmin keeps the first in label order
+        # name the shift that matches best; argmin keeps the first in label order
         ks = labels(N)
-        dists = np.array(
-            [[np.abs(W3 - np.roll(W1, (da, db), axis=(0, 1))).max() for db in ks] for da in ks]
-        )
+        dists = np.array([[np.abs(W3 - _shifted(W1, da, db)).max() for db in ks] for da in ks])
         i, j = np.unravel_index(np.argmin(dists), dists.shape)
         measured = (center_mod(-ks[i], N), center_mod(-ks[j], N))
     fid = float(np.trace(rho3 @ rho3).real)  # purity proxy printed alongside
@@ -235,7 +236,7 @@ def _selftest_checks(N):
     yield ("scattering circuit", max(np.abs(sz - Xi.real).max(), np.abs(sy - Xi.imag).max()), 1e-10)
     yield ("tomography round trip", np.abs(reconstruct_wigner(rho).grid - wigner.grid).max(), 1e-9)
     r3, p = teleport(rho, 1, -1)
-    err = np.abs(phase_fn(r3, 0).grid - np.roll(wigner.grid, (1, 1), axis=(0, 1))).max()
+    err = np.abs(phase_fn(r3, 0).grid - _shifted(wigner.grid, 1, 1)).max()
     yield ("teleport shift law", max(err, abs(p - 1 / N**2)), 1e-9)
 
 

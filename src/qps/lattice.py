@@ -7,7 +7,9 @@ reads it: `_index` is the row of any integer label, and `_traces` (the one
 gather of Tr[S(eta, xi) O] over every label pair, S(eta, xi) the symmetrized
 displacement of `schwinger`), `_traces_at` (the same and its adjoint at given
 raw labels), its inverse `_scatter` and `_shift_rows` (the rows of kappa - mu)
-are the only readers of the layout of S, `_diagonals`.
+are the only readers of the layout of S, `_diagonals`.  That table holds flat
+positions into an N x N operator, so each read or write of the layout is one
+`take` on its last N^2 entries, never a two-array fancy index.
 `_table_cache` is the one table cache, `_frozen` the one place an array is
 made read-only, `_integers` the one check of every integer argument and
 `_invalid` the package's one ValueError, built for every rejected argument.
@@ -252,14 +254,20 @@ def _dual_multiply(M, grid):
 
 @_table_cache
 def _diagonals(N):
-    """Indices [xi + ell, kappa + ell] of O[kappa, kappa - xi], and the phases
+    """Flat positions of the cyclic diagonals of an N x N O, and the phases
     front[eta + ell, xi + ell] = exp(-i*pi*eta*xi/N) / sqrt(N).
 
     Column kappa of S(eta, xi) holds its one entry in row kappa - xi, so
     Tr[S(eta, xi) O] = front * sum_kappa exp(2*pi*i*eta*kappa/N) O[kappa, kappa - xi].
+    gather[xi + ell, kappa + ell] is the flat position of O[kappa, kappa - xi], and
+    scatter[xi + ell, kappa + ell] that of O[kappa - xi, kappa].  The map
+    (xi, kappa) -> (kappa - xi, kappa) is its own inverse, so the scatter positions
+    also take a grid [xi + ell, kappa + ell] of diagonals back to O.
     """
     ks = labels(N)
-    return np.arange(N), _index(ks - ks[:, None], N), _root(-np.outer(ks, ks), N) / np.sqrt(N)
+    shifted = _index(ks - ks[:, None], N)  # [xi + ell, kappa + ell]: the row of kappa - xi
+    k = np.arange(N)  # the row of kappa
+    return k * N + shifted, shifted * N + k, _root(-np.outer(ks, ks), N) / np.sqrt(N)
 
 
 def _traces(O):
@@ -268,35 +276,35 @@ def _traces(O):
     Leading axes of O are a batch.
     """
     N = O.shape[-1]
-    rows, cols, front = _diagonals(N)
-    return (_conj_phases(N) @ O[..., rows, cols].swapaxes(-1, -2)) * front
+    gather, _, front = _diagonals(N)
+    return (_conj_phases(N) @ O.reshape(*O.shape[:-2], N * N).take(gather, axis=-1).swapaxes(-1, -2)) * front
 
 
 def _shift_rows(mu, N):
-    """Rows of kappa - mu over centered kappa, one row of the cached `_diagonals` index
-    per integer of mu (any range)."""
-    return _diagonals(N)[1][_index(mu, N)]
+    """Rows of kappa - mu over centered kappa, one row per integer of mu (any range), read
+    off the cached `_diagonals` gather: position kappa N + row of kappa - mu, mod N."""
+    return _diagonals(N)[0][_index(mu, N)] % N
 
 
 def _traces_at(O, eta, xi):
     """`_traces` of one N x N O at broadcastable labels of any range, ints or integer arrays
     (`_integers`), with the quasi-periodic signs of S, and at (-eta, -xi), the trace of
-    S(eta, xi)^dag: per pair, one row of `_diagonals` gathers N entries of O, dotted with a
-    phase row and times the front, O(N); a plane, O(N^2) memory.  The two share the front,
-    and the phase rows of eta are the exact conjugates of those of -eta (`_roots`)."""
+    S(eta, xi)^dag: per pair, one row of the `_diagonals` gather takes N entries of O, dotted
+    with a phase row and times the front, O(N); a plane, O(N^2) memory.  The two share the
+    front, and the phase rows of eta are the exact conjugates of those of -eta (`_roots`)."""
     N = O.shape[-1]
-    kappa = _diagonals(N)[0]
+    gather, flat = _diagonals(N)[0], O.reshape(N * N)
     p = _phases(-eta, N)[..., None, :]
     front = _root(-eta * xi, N) / math.sqrt(N)
     # (1, N) @ (N, 1) on the broadcast label axes: one dot product per pair
-    return tuple((row @ O[kappa, _shift_rows(x, N)][..., None])[..., 0, 0] * front for row, x in ((p, xi), (p.conj(), -xi)))
+    return tuple((row @ flat.take(gather[_index(x, N)])[..., None])[..., 0, 0] * front for row, x in ((p, xi), (p.conj(), -xi)))
 
 
 def _scatter(C):
-    """sum_{eta,xi} C(eta, xi) S(eta, xi), the inverse of `_traces`: an inverse DFT scattered
-    onto the cyclic diagonals.  Leading axes of C are a batch."""
-    rows, cols, front = _diagonals(C.shape[-1])
-    O = np.empty(C.shape, dtype=complex)
-    O[..., cols, rows] = _idft((C * front).swapaxes(-1, -2))
-    return O
-
+    """sum_{eta,xi} C(eta, xi) S(eta, xi), the inverse of `_traces`: an inverse DFT onto the
+    [xi, kappa] grid of diagonals, then one take of the `_diagonals` scatter positions.
+    Leading axes of C are a batch."""
+    N = C.shape[-1]
+    _, scatter, front = _diagonals(N)
+    D = _idft((C * front).swapaxes(-1, -2))
+    return D.reshape(*D.shape[:-2], N * N).take(scatter, axis=-1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, _integer, _integers, _invalid, _phases, _square, _matrix, _dual_multiply, _traces, _table_cache
+from .lattice import check_dim, labels, _integer, _integers, _invalid, _phases, _square, _matrix, _dual_multiply, _traces, _shift_rows, _table_cache
 from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, _require_order, _kernel_power, _t_grid, _t_sum
 
@@ -116,7 +116,7 @@ def coherent_state(mu, nu, N):
     """
     N = check_dim(N)
     mu, nu = _integers(mu), _integers(nu)
-    psi = _phases(-nu, N) * np.roll(fock_state(0, N), mu)
+    psi = _phases(-nu, N) * fock_coefficients(N)[:, 0].take(_shift_rows(mu, N))
     k = np.argmax(np.abs(psi))
     return psi * (abs(psi[k]) / psi[k])
 

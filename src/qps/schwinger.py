@@ -81,8 +81,8 @@ def u_matrix(N):
 @_table_cache
 def v_matrix(N):
     """Shift operator: V|kappa> = |kappa - 1> with centered wraparound."""
-    # row kappa - 1 of column kappa holds the one: the identity's rows rolled up by one
-    return np.roll(np.eye(check_dim(N), dtype=complex), -1, axis=0)
+    # row kappa - 1 of column kappa holds the one: row kappa of V is the identity's row kappa + 1
+    return np.eye(N := check_dim(N), dtype=complex).take(_shift_rows(-1, N), axis=0)
 
 
 def s_op(eta, xi, N):

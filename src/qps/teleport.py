@@ -95,21 +95,25 @@ def bipartite_phase_fn(state, s1, s2):
 
     grid[m1, n1, m2, n2] is the trace of T^(s1)(mu1, nu1) (x) T^(s2)(mu2, nu2)
     against the operator; a vector input is promoted to its projector.
-    One gather of the operator's cyclic diagonals in both modes, then six
-    products, each transforming the leading axis and moving it last: two
-    label sums, the K^(-s1) (x) K^(-s2) multiplier, and a 2-D DFT per
-    mode.  O(N^5), with no N x N slice handled on its own.  The one reader of `lattice._diagonals`
-    outside `lattice`: `_traces` per mode measured slower, 75 -> 126 us at N = 5, 141 -> 226 us at N = 7.
+    One gather of the operator's cyclic diagonals in both modes, one take of
+    flat positions built from the `lattice._diagonals` gather by one broadcast
+    add (N^4 of them, made per call, not cached), then six products, each
+    transforming the leading axis and moving it last: two label sums, the
+    K^(-s1) (x) K^(-s2) multiplier, and a 2-D DFT per mode.  O(N^5), with no
+    N x N slice handled on its own.  The one reader of `lattice._diagonals`
+    outside `lattice`: `_traces` per mode measured slower, 47 -> 82 us at N = 5, 101 -> 180 us at N = 7.
     """
     state = np.asarray(state, dtype=complex)
     state, D = _matrix(np.outer(state, state.conj()) if state.ndim == 1 else state)
     if (N := math.isqrt(D)) ** 2 != D:
         raise _invalid("operator dimension must be a perfect square N^2", D)
     s1, s2 = check_order(s1), check_order(s2)
-    rows, cols, front = _diagonals(N)
-    c = cols.T  # c[kappa + ell, xi + ell] indexes kappa - xi
-    # X[k1, k2, xi1, xi2] = R[k1, k2, k1 - xi1, k2 - xi2] with R[i1, i2, j1, j2] the operator
-    X = state.reshape(N, N, N, N)[rows[:, None, None, None], rows[:, None, None], c[:, None, :, None], c[:, None, :]]
+    gather, _, front = _diagonals(N)
+    # pos[kappa + ell, xi + ell] = kappa N^2 + the row of kappa - xi: the mode-2 position of
+    # R[., kappa, ., kappa - xi] in R[i1, i2, j1, j2], the operator, and N pos the mode-1 one
+    pos = gather.T + (N * N - N) * np.arange(N)[:, None]
+    # X[k1, k2, xi1, xi2] = R[k1, k2, k1 - xi1, k2 - xi2]
+    X = state.reshape(N**4).take(N * pos[:, None, :, None] + pos[:, None, :])
     for _ in range(2):
         X = _idft(X.reshape(N, -1).T)
     # X[xi1, xi2, eta1, eta2] = sum_k1,k2 exp(2 pi i (eta1 k1 + eta2 k2) / N) R[...]
@@ -149,7 +153,7 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     # Psi_w[kappa1, kappa2] = exp(-2 pi i w2 kappa2 / N) / sqrt(N) on kappa1 = -kappa2 - w1, so
     # C = (1/N) sum_{k,l} A[-k - w1, -l - w1'] B[k, l] exp(2 pi i (w2 k - w2' l) / N)
     idx = _index(-np.add.outer(ks, ks), N)  # idx[w, k] indexes label -k - w
-    X = A[idx[:, :, None, None], idx] * B[:, None, :]  # [w1, k, w1', l]
+    X = A.reshape(N * N).take(N * idx[:, :, None, None] + idx) * B[:, None, :]  # [w1, k, w1', l]
     Y = _dft(X.reshape(-1, N)).reshape(N, N, N * N).swapaxes(1, 2)  # [w1, (w1', w2'), k]
     return (_idft(Y).swapaxes(1, 2) * (1 / N)).reshape(N, N, N, N)
 

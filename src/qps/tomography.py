@@ -303,7 +303,7 @@ def sample_marginal(dist, shots, rng):
     Leading axes of the values are a batch, drawn row by row in order.
     """
     _require_order(dist.s, 0)
-    twist = _cells(np.array([dist.line]), dist.dim)[2][0]
+    twist = _cells(np.array([dist.line]), dist.dim)[1][0]
     values = _dft(_shot_values(_ray_invert(dist.values), twist, shots, rng)).real
     return MarginalDistribution(dist.s, dist.axis, values, dist.line)
 
@@ -326,22 +326,22 @@ def reconstruct_wigner(rho, shots=None, rng=None):
 
 
 def _cells(rays, N):
-    """Cells of each ray (za, zb) of `rays`: ray j meets (za*t, zb*t) at [rows[j, t + ell],
-    cols[j, t + ell]]; and the twist t = (-1)^(eta xi) there, on centered labels.  Along a
-    ray, t S(eta, xi) (phase exp(i pi eta xi (N + 1) / N)) is the powers of one unitary, so
-    twisted line sums are the probabilities of its eigenspaces: >= 0."""
+    """Cells of each ray (za, zb) of `rays`: ray j meets (za*t, zb*t) at the flat position
+    pos[j, t + ell] of an N x N grid; and the twist t = (-1)^(eta xi) there, on centered
+    labels.  Along a ray, t S(eta, xi) (phase exp(i pi eta xi (N + 1) / N)) is the powers
+    of one unitary, so twisted line sums are the probabilities of its eigenspaces: >= 0."""
     ts, ell = labels(N), half_width(N)
     rows, cols = _index(np.outer(rays[:, 0], ts), N), _index(np.outer(rays[:, 1], ts), N)
-    return rows, cols, 1.0 - 2 * ((rows - ell) * (cols - ell) % 2)
+    return rows * N + cols, 1.0 - 2 * ((rows - ell) * (cols - ell) % 2)
 
 
 @_table_cache
 def _ray_cells(N):
     """One ray per point of the projective line P^1(Z_N) as an (R, 2) array, then
-    the cells and the twist of each (`_cells`), one row per ray.  Per prime power
-    q = p^a of N the classes are (1, k), k mod q, then (p*j, 1), j mod q/p, joined
-    by CRT: R = N prod_{p | N} (1 + 1/p) rays, covering every dual cell.  At prime
-    N they are (1, 0), ..., (1, N-1), (0, 1); at N = 1, the cell (0, 0).  O(R N).
+    the flat cell positions and the twist of each (`_cells`), one row per ray.  Per
+    prime power q = p^a of N the classes are (1, k), k mod q, then (p*j, 1), j mod q/p,
+    joined by CRT: R = N prod_{p | N} (1 + 1/p) rays, covering every dual cell.  At
+    prime N they are (1, 0), ..., (1, N-1), (0, 1); at N = 1, the cell (0, 0).  O(R N).
     """
     rays, n = np.zeros((1, 2), dtype=int), N
     for p in range(3, N + 1, 2):
@@ -355,6 +355,13 @@ def _ray_cells(N):
     return (rays, *_cells(rays, N))
 
 
+def _on_rays(Xi):
+    """The values of the dual-plane grid Xi on every ray of `_ray_cells`, one row per ray:
+    one take of the flat cell positions.  Leading axes of Xi are a batch."""
+    N = Xi.shape[-1]
+    return Xi.reshape(*Xi.shape[:-2], N * N).take(_ray_cells(N)[1], axis=-1)
+
+
 def _ray_sums(Xi):
     """Line sums on every ray of `_ray_cells`, one row per ray, of the
     phase-space grid whose characteristic grid is Xi.
@@ -362,8 +369,7 @@ def _ray_sums(Xi):
     By the projection-slice theorem they are the 1-D DFT of Xi along each
     ray: one gather and one product.
     """
-    _, rows, cols, _ = _ray_cells(Xi.shape[-1])
-    return _dft(Xi[..., rows, cols])
+    return _dft(_on_rays(Xi))
 
 
 def _ray_loop(rho, shots, rng):
@@ -377,12 +383,12 @@ def _ray_loop(rho, shots, rng):
     """
     rho, N = _square(rho)
     Xi0 = _traces(rho)
-    _, rows, cols, twist = _ray_cells(N)
-    vals = _ray_invert(_ray_sums(Xi0)) if shots is None else _shot_values(Xi0[..., rows, cols], twist, shots, rng)
+    _, pos, twist = _ray_cells(N)
+    vals = _ray_invert(_ray_sums(Xi0)) if shots is None else _shot_values(_on_rays(Xi0), twist, shots, rng)
     Xi = np.zeros(rho.shape, dtype=complex)
     # a cell of order below N (the origin on every ray) lies on several
     # rays and keeps the value of the last one written
-    Xi[..., rows, cols] = vals
+    Xi.reshape(*Xi.shape[:-2], N * N)[..., pos] = vals
     return Xi0, vals, Xi
 
 

@@ -26,7 +26,10 @@ printed one ray line at a time.  The two-mode table keeps the trace
 gather applied one mode after the other, with a batched 2-D DFT per
 mode, and the `qps teleport` report is printed one line at a time, and
 the self-test keeps its family checks on the cached T^(s) family with
-one overlap or trace per label pair.  The `qps grid` writer is kept as
+one overlap or trace per label pair.  The storage layouts keep the two-array
+fancy indexes that one flat take replaced: the Schwinger gather and scatter
+of the cyclic diagonals, the ray cells read and written, and the four-array
+gather of the two-mode diagonals.  The `qps grid` writer is kept as
 one Python tuple per row and `json.dumps` over the whole payload.  They
 are slow by design and exist only so the fast paths can be compared
 against them.
@@ -50,8 +53,12 @@ from qps.lattice import (
     tensor,
     partial_trace,
     dft_matrix,
+    _dft,
+    _idft,
     _dft2,
     _traces,
+    _conj_phases,
+    _diagonals,
 )
 from qps.theta import kernel_table as cached_kernel_table, _log_kernel, _image_sums
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op, _kernel_power
@@ -229,6 +236,41 @@ def reconstruct_schwinger(C):
     for eta in labels(N):
         for xi in labels(N):
             O += C[eta + ell, xi + ell] * s_op(eta, xi, N)
+    return O
+
+
+def _diagonal_cells(N):
+    """rows, cols with O[rows, cols][xi + ell, kappa + ell] = O[kappa, kappa - xi]."""
+    ks = labels(N)
+    return np.arange(N), center_mod(ks - ks[:, None], N) + half_width(N)
+
+
+def laid_out(A, layout):
+    """A as the same values in another memory layout: "C" (A itself), "transposed" (the
+    transpose of a C-ordered array), "reversed" (the view `decompose_schwinger` returns)
+    or "F" (a Fortran-ordered copy, a stack included)."""
+    if layout == "transposed":
+        return np.ascontiguousarray(A.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if layout == "reversed":
+        return np.ascontiguousarray(A[..., ::-1, ::-1])[..., ::-1, ::-1]
+    return np.asfortranarray(A) if layout == "F" else A
+
+
+def traces(O):
+    """`lattice._traces` as it read the diagonals before its flat take: one two-array fancy
+    index O[..., rows, cols], then the same product with the inverse-DFT phases."""
+    N = O.shape[-1]
+    rows, cols = _diagonal_cells(N)
+    return (_conj_phases(N) @ O[..., rows, cols].swapaxes(-1, -2)) * _diagonals(N)[2]
+
+
+def scatter(C):
+    """`lattice._scatter` as it wrote the diagonals before its flat take: the same inverse
+    DFT, assigned by one two-array fancy index O[..., cols, rows]."""
+    N = C.shape[-1]
+    rows, cols = _diagonal_cells(N)
+    O = np.empty(C.shape, dtype=complex)
+    O[..., cols, rows] = _idft((C * _diagonals(N)[2]).swapaxes(-1, -2))
     return O
 
 
@@ -431,6 +473,26 @@ def bipartite_phase_fn_core(rho, s1, s2):
     return _dft2(_dft2(X).transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
 
 
+def bipartite_phase_fn(state, s1, s2):
+    """`teleport.bipartite_phase_fn` as it gathered the two-mode diagonals before its flat
+    take: one fancy index with four index arrays, then the same six products."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        state = np.outer(state, state.conj())
+    N = math.isqrt(state.shape[0])
+    rows, cols = _diagonal_cells(N)
+    c, front = cols.T, _diagonals(N)[2]
+    X = state.reshape(N, N, N, N)[rows[:, None, None, None], rows[:, None, None], c[:, None, :, None], c[:, None, :]]
+    for _ in range(2):
+        X = _idft(X.reshape(N, -1).T)
+    A = (front * _kernel_power(check_order(s1), N)).T
+    B = (front * _kernel_power(check_order(s2), N)).T * (1 / N)
+    X = X.reshape(N, N, N, N) * (A[:, None, :, None] * B[:, None, :])
+    for _ in range(4):
+        X = _dft(X.reshape(N, -1).T)
+    return X.reshape(N, N, N, N).transpose(2, 0, 3, 1)
+
+
 def r_kernel(alpha, beta, ds, N):
     """R[m1, n1, m3, n3] as the unoptimised three-operand einsum of 1-D phases and K^ds."""
     N = check_dim(N)
@@ -505,6 +567,28 @@ def ray_loop(rho, shots=None, rng=None):
     Xi[ell, :] = vals
     rays.append(((0, 1), vals))
     return PhaseSpaceFunction(0, _dft2(Xi)), rays
+
+
+def ray_cells(N):
+    """rows, cols with Xi[rows, cols][j, t + ell] = Xi(za*t, zb*t) on ray j = (za, zb) of
+    `tomography._ray_cells`."""
+    rays, ts, ell = tomography._ray_cells(N)[0], labels(N), half_width(N)
+    return center_mod(np.outer(rays[:, 0], ts), N) + ell, center_mod(np.outer(rays[:, 1], ts), N) + ell
+
+
+def on_rays(Xi):
+    """`tomography._on_rays` as the two-array fancy index Xi[..., rows, cols]."""
+    rows, cols = ray_cells(Xi.shape[-1])
+    return Xi[..., rows, cols]
+
+
+def onto_rays(vals, shape):
+    """The dual-plane grid `tomography._ray_loop` rebuilds from the ray values, written
+    by the two-array fancy assignment Xi[..., rows, cols] = vals into zeros."""
+    rows, cols = ray_cells(shape[-1])
+    Xi = np.zeros(shape, dtype=complex)
+    Xi[..., rows, cols] = vals
+    return Xi
 
 
 def ray_cover(N):

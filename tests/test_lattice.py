@@ -8,8 +8,9 @@ import types
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import loop_oracles as oracle
 import qps
 from qps.theta import phase_phi
 from qps.lattice import (
@@ -26,10 +27,13 @@ from qps.lattice import (
     _diagonals,
     _index,
     _roots,
+    _scatter,
     _table_cache,
     _traces,
     _traces_at,
 )
+from qps.schwinger import decompose_schwinger
+from qps.tomography import _ray_cells
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2, 4, 10])
@@ -91,6 +95,43 @@ def test_traces_at_raw_labels_carry_the_quasi_periodic_sign(N, seed, data):
     assert adjoint.tobytes() == _traces_at(O, -eta, -xi)[0].tobytes()
     e, x = int(eta[0, 0]), int(xi[0])
     assert abs(_traces_at(O, e, x)[0] - ref[0, 0]) <= 1e-13 * N * np.abs(O).max()
+
+
+def same(a, b):
+    """Equal shape, dtype and bytes."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+LAYOUTS = ("C", "transposed", "reversed", "F")
+BATCHES = ((), (2,), (2, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@example(N=1, batch=(2,), layout="F", seed=0)
+@example(N=9, batch=(), layout="transposed", seed=1)
+@example(N=15, batch=(2, 3), layout="reversed", seed=2)
+@example(N=45, batch=(2,), layout="F", seed=3)
+@example(N=61, batch=(), layout="C", seed=4)
+@given(N=st.integers(0, 30).map(lambda k: 2 * k + 1), batch=st.sampled_from(BATCHES),
+       layout=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**32 - 1))
+def test_schwinger_takes_equal_the_fancy_index_routes(N, batch, layout, seed):
+    # the gather and the scatter of the cyclic diagonals, one flat take each,
+    # against the two-array fancy indexes they replaced, bit for bit
+    rng = np.random.default_rng(seed)
+    A = oracle.laid_out(rng.normal(size=(*batch, N, N)) + 1j * rng.normal(size=(*batch, N, N)), layout)
+    assert same(_traces(A), oracle.traces(A))
+    assert same(_scatter(A), oracle.scatter(A))
+    # the reversed view of the traces that decompose_schwinger hands on
+    C = decompose_schwinger(A)
+    assert same(_scatter(C), oracle.scatter(C))
+
+
+def test_layout_tables_hold_no_more_than_the_row_and_column_tables_at_1001():
+    # the flat positions replace the row and column tables: 53.75 MiB at N = 1001
+    # (the _diagonals rows, cols and front, the _ray_cells rays, rows, cols and
+    # twist); keeping both layouts would hold about 80 MiB
+    held = sum(a.nbytes for table in (_diagonals(1001), _ray_cells(1001)) for a in table)
+    assert held <= 56_365_792
 
 
 def test_dagger_is_conjugate_transpose():

@@ -384,7 +384,8 @@ primes = st.sampled_from((3, 5, 7, 11, 13, 31))
 def test_ray_cells_are_the_projective_line(N):
     # one ray per class of primitive cells under unit multiples, N prod (1 + 1/p)
     # of them, and every dual cell on a ray; at prime N, (1, 0..N-1) then (0, 1)
-    rays, rows, cols, twist = tomography._ray_cells(N)
+    rays, pos, twist = tomography._ray_cells(N)
+    rows, cols = np.divmod(pos, N)
     cover = oracle.ray_cover(N)
     hit = [next(c for c in cover if (a, b) in c) for a, b in rays.tolist()]
     assert len(set(hit)) == len(hit) == len(cover)

@@ -6,11 +6,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qps.lattice import half_width, labels, center_mod, tensor
 from qps.theta import kernel_table
 from qps.schwinger import u_matrix, v_matrix, s_op, t_op, t_family
 from qps.quasiprob import random_density, maximally_mixed, phase_fn
+import loop_oracles as oracle
 from loop_oracles import phase_fn_direct
 from qps.teleport import (
     BellLabel,
@@ -86,6 +88,26 @@ def test_bipartite_phase_fn_factorizes_and_normalizes():
     fb = phase_fn_direct(rb, -1).grid
     assert np.abs(grid - np.einsum("ab,cd->abcd", fa, fb)).max() < 1e-10
     assert abs(grid.sum() / N**2 - 1.0) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=1, seed=0, pure=True, layout="C", orders=(0, 0))
+@example(n=9, seed=1, pure=False, layout="transposed", orders=(1, -1))
+@example(n=15, seed=2, pure=False, layout="F", orders=(0.3 - 0.2j, 0))
+@given(n=st.sampled_from((1, 3, 5, 7, 9, 11, 13, 15)), seed=st.integers(0, 2**32 - 1), pure=st.booleans(),
+       layout=st.sampled_from(("C", "transposed", "reversed", "F")),
+       orders=st.tuples(*[st.sampled_from((1, 0, -1, 0.5, 0.3 - 0.2j))] * 2))
+def test_two_mode_take_equals_the_fancy_index_route(n, seed, pure, layout, orders):
+    # the two-mode diagonals as one flat take of positions built from
+    # lattice._diagonals, against the four-array fancy index it replaced, bit for bit
+    rng = np.random.default_rng(seed)
+    if pure:
+        state = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    else:
+        state = oracle.laid_out(random_density(n * n, rng), layout)
+    grid = bipartite_phase_fn(state, *orders).grid
+    ref = oracle.bipartite_phase_fn(state, *orders)
+    assert grid.shape == ref.shape and grid.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 9, 9), (9, 3), (3, 9), (1, 1, 1), ()])

@@ -368,6 +368,48 @@ def test_reconstruct_wigner_composite_is_exact(N, seed, pure):
     assert np.abs(W.imag).max() < 1e-12 and abs(W.real.sum() - N) < 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@example(N=1, batch=(2,), layout="F", seed=0)
+@example(N=9, batch=(), layout="transposed", seed=1)
+@example(N=15, batch=(2, 3), layout="reversed", seed=2)
+@example(N=45, batch=(2,), layout="F", seed=3)
+@example(N=61, batch=(), layout="C", seed=4)
+@given(N=st.integers(0, 30).map(lambda k: 2 * k + 1), batch=st.sampled_from(((), (2,), (2, 3))),
+       layout=st.sampled_from(("C", "transposed", "reversed", "F")), seed=st.integers(0, 2**32 - 1))
+def test_ray_takes_equal_the_fancy_index_routes(N, batch, layout, seed):
+    # the ray cells read and written by one flat take or assignment, against the
+    # two-array fancy indexes they replaced, bit for bit, exact and with shots
+    rng = np.random.default_rng(seed)
+    Xi = oracle.laid_out(rng.normal(size=(*batch, N, N)) + 1j * rng.normal(size=(*batch, N, N)), layout)
+    on_rays, ref = tomography._on_rays(Xi), oracle.on_rays(Xi)
+    assert on_rays.shape == ref.shape and on_rays.tobytes() == ref.tobytes()
+    rho = oracle.laid_out(np.stack([random_density(N, rng) for _ in range(math.prod(batch))]).reshape(*batch, N, N), layout)
+    for shots in (None, 100):
+        _, vals, rebuilt = tomography._ray_loop(rho, shots, np.random.default_rng(seed))
+        assert rebuilt.tobytes() == oracle.onto_rays(vals, rebuilt.shape).tobytes()
+
+
+@pytest.mark.parametrize("N", (9, 15, 45))
+@pytest.mark.parametrize("shots", (None, 1000))
+def test_a_cell_on_several_rays_keeps_the_last_rays_value(N, shots):
+    # numpy does not document the order of a repeated fancy assignment: every
+    # cell of the rebuilt grid that several rays cross holds, bit for bit, the
+    # value recovered on the last of them in the order of `_ray_cells`
+    ts, ell = labels(N), half_width(N)
+    rng = np.random.default_rng(N)
+    _, vals, rebuilt = tomography._ray_loop(random_density(N, rng), shots, rng)
+    crossing = {}
+    for j, (za, zb) in enumerate(tomography._ray_cells(N)[0].tolist()):
+        for t in ts.tolist():
+            crossing.setdefault((center_mod(za * t, N) + ell, center_mod(zb * t, N) + ell), []).append((j, t + ell))
+    shared = {cell: hits for cell, hits in crossing.items() if len(hits) > 1}
+    assert len(crossing) == N * N and shared
+    for cell, hits in shared.items():
+        assert rebuilt[cell].tobytes() == vals[hits[-1]].tobytes(), cell
+    # the rule is seen: on some shared cell the rays' values differ in their bits
+    assert any(len({vals[h].tobytes() for h in hits}) > 1 for hits in shared.values())
+
+
 @pytest.mark.parametrize("N", (3, 5, 7, 11, 13))
 def test_reconstruct_wigner_takes_stacks(N):
     rng = np.random.default_rng(N)
@@ -634,8 +676,8 @@ def test_twisted_line_sums_are_probabilities(N, seed, pure):
     # and the draw clipped them; those of the twisted grid are probabilities
     rng = np.random.default_rng(seed)
     for rho in (random_density(N, rng, pure=pure), fock_projector(int(rng.integers(N)), N)):
-        _, rows, cols, twist = tomography._ray_cells(N)
-        sums = _dft(twist * char_fn(rho, 0).grid[rows, cols])
+        twist = tomography._ray_cells(N)[2]
+        sums = _dft(twist * tomography._on_rays(char_fn(rho, 0).grid))
         assert sums.real.min() >= -1e-14
         assert np.abs(sums.sum(axis=-1) - math.sqrt(N)).max() <= 1e-12
 
