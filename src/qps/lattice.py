@@ -3,7 +3,8 @@
 Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention, and only this module
-reads it: `_index` is the row of any integer label, and `_traces` (the one
+reads it: `_index` is the row of any integer label, `_at` the one read of a
+grid at label pairs, and `_traces` (the one
 gather of Tr[S(eta, xi) O] over every label pair, S(eta, xi) the symmetrized
 displacement of `schwinger`), `_traces_at` (the same and its adjoint at given
 raw labels), its inverse `_scatter` and `_shift_rows` (the rows of kappa - mu)
@@ -116,6 +117,14 @@ def _index(x, N):
     """Row kappa + ell of the centered label kappa = center_mod(x, N), for integer(s) x of
     any range (`_integers`) and a checked dimension N: the one map from labels to storage."""
     return (_integers(x) + (N - 1) // 2) % N
+
+
+def _at(X, eta, xi):
+    """X[..., eta + ell, xi + ell] at broadcastable integer labels of any range (`_integers`):
+    one take of the flat positions row(eta) N + row(xi) on the last N^2 entries, leading axes
+    a batch.  The one read of a grid at label pairs; scalar labels on one grid give a scalar."""
+    N = X.shape[-1]
+    return X.reshape(*X.shape[:-2], N * N).take(_index(eta, N) * N + _index(xi, N), axis=-1)
 
 
 def center_mod(x, N):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, _integer, _integers, _invalid, _phases, _square, _matrix, _dual_multiply, _traces, _shift_rows, _table_cache
+from .lattice import check_dim, labels, _integer, _invalid, _phases, _square, _matrix, _dual_multiply, _traces, _shift_rows, _table_cache
 from .theta import kernel_table, fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, _require_order, _kernel_power, _t_grid, _t_sum
 
@@ -115,7 +115,7 @@ def coherent_state(mu, nu, N):
     The free global phase makes the largest-magnitude amplitude real positive.
     """
     N = check_dim(N)
-    mu, nu = _integers(mu), _integers(nu)
+    mu, nu = (_integer(x, "labels must be integers") for x in (mu, nu))
     psi = _phases(-nu, N) * fock_coefficients(N)[:, 0].take(_shift_rows(mu, N))
     k = np.argmax(np.abs(psi))
     return psi * (abs(psi[k]) / psi[k])
@@ -204,7 +204,7 @@ def expectation(O, rho, s):
 
 def t_matrix_element(m, n, mu, nu, s, N):
     """Number-basis matrix element <m|T^(s)(mu, nu)|n> on the displaced kernel of `t_op`: O(N^2)."""
-    return complex(fock_state(m, N).conj() @ t_op(mu, nu, s, N) @ fock_state(n, N))
+    return complex(fock_state(m, N).conj() @ t_op(mu, _integer(nu, "labels must be integers"), s, N) @ fock_state(n, N))
 
 
 def reconstruct_rho(F, tol=1e-8):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, labels, _index, _integers, _invalid, _square, _phases, _dft2, _idft2, _traces, _scatter, _shift_rows, _table_cache
+from .lattice import check_dim, labels, _at, _index, _integer, _integers, _invalid, _square, _phases, _dft2, _idft2, _traces, _scatter, _shift_rows, _table_cache
 from .theta import _kernel_orbits
 
 __all__ = [
@@ -140,9 +140,13 @@ def _kernel_power(s, N):
 
 
 def s_op_ordered(eta, xi, s, N):
-    """s-ordered basis element K(eta, xi)^(-s) S(eta, xi) (principal power)."""
+    """s-ordered basis element K(eta, xi)^(-s) S(eta, xi) (principal power).
+
+    `eta` and `xi` may be broadcastable integer arrays, as in `s_op`; the
+    matrices then stack on the leading axes.
+    """
     s, N = check_order(s), check_dim(N)
-    return _kernel_power(s, N)[_index(eta, N), _index(xi, N)] * s_op(eta, xi, N)
+    return _at(_kernel_power(s, N), eta, xi)[..., None, None] * s_op(eta, xi, N)
 
 
 @_table_cache
@@ -175,11 +179,11 @@ def t_op(mu, nu, s, N):
 
     T^(s)(mu, nu)[a, b] = p[a] T0[a - mu, b - mu] conj(p[b]) with
     p = exp(2*pi*i*nu*kappa/N) and T0 = T^(s)(0, 0) cached per (s, N):
-    one O(N^2) gather and phase product.  An integer array `nu` stacks its
-    kernels on the leading axes.
+    one O(N^2) gather and phase product.  `mu` is one integer; an integer
+    array `nu` stacks its kernels on the leading axes.
     """
     N = check_dim(N)
-    mu, nu = _integers(mu), _integers(nu)
+    mu, nu = _integer(mu, "labels must be integers"), _integers(nu)
     idx = _shift_rows(mu, N)  # row kappa + ell holds the row of kappa - mu
     T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
     # the phase row of -nu is p, the row of nu is conj(p)
@@ -196,7 +200,7 @@ def t_overlap(t, s, dmu, dnu, N):
     """
     t, s, N = check_order(t), check_order(s), check_dim(N)
     grid = np.sqrt(N) * _idft2(_kernel_power(t + s, N))
-    out = grid[_index(dmu, N), _index(dnu, N)]
+    out = _at(grid, dmu, dnu)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -260,18 +264,20 @@ def _conjugation_average(O, w):
 
 
 @_table_cache
-def _depolarizer(r, N):
-    """Cached read-only `_conjugation_multiplier` of the weights |K^(-s)|^2 = K^(-r), r = 2 Re s."""
-    return _conjugation_multiplier(_kernel_power(r, N).real)
+def _depolarizer(N):
+    """Cached read-only `_conjugation_multiplier` of the weights |K^(-i omega)|^2, exactly 1 at every real omega."""
+    return _conjugation_multiplier(np.ones((N, N)))
 
 
 def depolarize(O, omega=0.0):
     """Uniform conjugation average over the unitary set sqrt(N) S^(i*omega).
 
     Equals Tr(O) * identity for every operator O; omega = 0 recovers the
-    plain symmetrized-basis depolarizer.  The weights |K^(-s)|^2 =
-    K^(-2 Re s) are exactly 1 at s = i*omega.  Leading axes of O are a batch.
+    plain symmetrized-basis depolarizer.  omega is real, |omega| <= 1, and
+    the weights |K^(-s)|^2 = K^(-2 Re s) are exactly 1 at s = i*omega.
+    Leading axes of O are a batch.
     """
     O, N = _square(O)
-    s = check_order(1j * _order(omega))
-    return _scatter(_traces(O)[..., ::-1, ::-1] * _depolarizer(2 * s.real, N))
+    if check_order(omega).imag:
+        raise _invalid("omega must be real", omega)
+    return _scatter(_traces(O)[..., ::-1, ::-1] * _depolarizer(N))

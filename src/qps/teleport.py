@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _index, _integer, _invalid, _matrix, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
+from .lattice import check_dim, labels, center_mod, _at, _index, _integer, _invalid, _matrix, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
 from .schwinger import check_order, t_op, _order, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
@@ -147,6 +147,7 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     each a displaced copy of its cached origin kernel, so no N^4 table is read.
     """
     N = check_dim(N)
+    mu1, nu1, mu2, nu2 = (_integer(x, "labels must be integers") for x in (mu1, nu1, mu2, nu2))
     A = t_op(mu1, nu1, check_order(s1), N)
     B = t_op(mu2, nu2, check_order(s2), N)
     ks = labels(N)
@@ -184,11 +185,10 @@ def r_kernel(alpha, beta, ds, N):
     """
     N = check_dim(N)
     ks = labels(N)
-    # K is even in each label, so the sum is _idft2 of K^ds at (a, b); |ds| may reach 2
+    # K is even in each label, so the sum is _idft2 of K^ds at the label differences; |ds| may reach 2
     grid = _idft2(_kernel_power(-_order(ds), N)) * (1 / np.sqrt(N))
-    a = _index(np.subtract.outer(ks, ks) + _integer(alpha), N)  # [m1, m3]
-    b = _index(np.subtract.outer(ks, ks) - _integer(beta), N)  # [n1, n3]
-    return grid[a[:, None, :, None], b[None, :, None, :]]
+    d = np.subtract.outer(ks, ks)  # [m1, m3] and [n1, n3]
+    return _at(grid, (d + _integer(alpha))[:, None, :, None], (d - _integer(beta))[None, :, None, :])
 
 
 def lambda_coeffs(F1, alpha, beta, s3):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, half_width, labels, center_mod, _index, _integers, _invalid, _root, _traces, _frozen, _table_cache
+from .lattice import check_dim, half_width, labels, center_mod, _at, _integers, _invalid, _root, _traces, _frozen, _table_cache
 
 __all__ = [
     "theta",
@@ -84,7 +84,7 @@ def _mirror(quadrant):
     """The N x N table [eta + ell, xi + ell] of a table even in each label, from its
     (ell + 1) x (ell + 1) quadrant [eta, xi] at eta, xi >= 0."""
     rows = np.abs(labels(2 * len(quadrant) - 1))
-    return quadrant[np.ix_(rows, rows)]
+    return quadrant.take(rows, 0).take(rows, 1)
 
 
 def _log_quadrant(N):
@@ -138,7 +138,7 @@ def kernel_value(eta, xi, N):
     broadcastable integer arrays; scalars give a float."""
     N = check_dim(N)
     sign = 1 - 2 * (phase_phi(eta, xi, N) % 2)
-    val = sign * kernel_table(N)[_index(eta, N), _index(xi, N)]
+    val = sign * _at(kernel_table(N), eta, xi)
     return val if val.ndim else float(val)
 
 

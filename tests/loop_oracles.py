@@ -29,7 +29,11 @@ the self-test keeps its family checks on the cached T^(s) family with
 one overlap or trace per label pair.  The storage layouts keep the two-array
 fancy indexes that one flat take replaced: the Schwinger gather and scatter
 of the cyclic diagonals, the ray cells read and written, and the four-array
-gather of the two-mode diagonals.  The `qps grid` writer is kept as
+gather of the two-mode diagonals; and the grids read at label pairs keep
+the two-array fancy index that `lattice._at` replaced (the kernel powers of
+`s_op_ordered`, the overlap grid of `t_overlap`, the kernel table of
+`kernel_value` and `smooth_marginal`, the N^4 read of `r_kernel`) and
+`theta._mirror` its outer-product index.  The `qps grid` writer is kept as
 one Python tuple per row and `json.dumps` over the whole payload.  They
 are slow by design and exist only so the fast paths can be compared
 against them.
@@ -56,11 +60,12 @@ from qps.lattice import (
     _dft,
     _idft,
     _dft2,
+    _idft2,
     _traces,
     _conj_phases,
     _diagonals,
 )
-from qps.theta import kernel_table as cached_kernel_table, _log_kernel, _image_sums
+from qps.theta import phase_phi, kernel_table as cached_kernel_table, _log_kernel, _image_sums
 from qps.schwinger import check_order, u_matrix, v_matrix, t_op, _kernel_power
 from qps import schwinger
 from qps.quasiprob import PhaseSpaceFunction, validate_density, char_fn, phase_fn
@@ -272,6 +277,51 @@ def scatter(C):
     O = np.empty(C.shape, dtype=complex)
     O[..., cols, rows] = _idft((C * _diagonals(N)[2]).swapaxes(-1, -2))
     return O
+
+
+def fancy_at(X, eta, xi):
+    """`lattice._at` as the two-array fancy index X[..., row(eta), row(xi)] that it replaced."""
+    N, ell = X.shape[-1], half_width(X.shape[-1])
+    return X[..., center_mod(eta, N) + ell, center_mod(xi, N) + ell]
+
+
+def fancy_mirror(quadrant):
+    """`theta._mirror` as the outer-product index quadrant[np.ix_(rows, rows)] that it replaced."""
+    rows = np.abs(labels(2 * len(quadrant) - 1))
+    return quadrant[np.ix_(rows, rows)]
+
+
+def fancy_s_op_ordered(eta, xi, s, N):
+    """`schwinger.s_op_ordered` at scalar labels as it read K^(-s) before `lattice._at`."""
+    return fancy_at(_kernel_power(check_order(s), N), eta, xi) * schwinger.s_op(eta, xi, N)
+
+
+def fancy_t_overlap(t, s, dmu, dnu, N):
+    """`schwinger.t_overlap` as it read its offset grid before `lattice._at`."""
+    out = fancy_at(np.sqrt(N) * _idft2(_kernel_power(check_order(t) + check_order(s), N)), dmu, dnu)
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def fancy_kernel_value(eta, xi, N):
+    """`theta.kernel_value` as it read the kernel table before `lattice._at`."""
+    val = (1 - 2 * (phase_phi(eta, xi, N) % 2)) * fancy_at(cached_kernel_table(N), eta, xi)
+    return val if val.ndim else float(val)
+
+
+def fancy_smooth_marginal(dist):
+    """The values of `tomography.smooth_marginal` as it read K on the ray before `lattice._at`."""
+    N, (za, zb), ts = dist.dim, dist.line, labels(dist.dim)
+    out = _dft(fancy_at(cached_kernel_table(N), za * ts, zb * ts) * tomography._ray_invert(dist.values))
+    return out.real if np.isrealobj(dist.values) else out
+
+
+def fancy_r_kernel(alpha, beta, ds, N):
+    """`teleport.r_kernel` as it read its grid before `lattice._at`: one four-axis two-array
+    fancy index of the label differences."""
+    ks = labels(N)
+    grid = _idft2(_kernel_power(-complex(ds), N)) * (1 / np.sqrt(N))
+    d = np.subtract.outer(ks, ks)
+    return fancy_at(grid, (d + alpha)[:, None, :, None], (d - beta)[None, :, None, :])
 
 
 @lru_cache(maxsize=None)

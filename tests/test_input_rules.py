@@ -170,6 +170,32 @@ def test_bad_inputs_raise_a_value_error_naming_the_entry_point(name, arg, good, 
             call(bad)
 
 
+# (name in the error, argument, call at that argument): labels that name one kernel
+# or one state, so an array of them is rejected.  A 1-D mu gave t_op a (2, 2, N, N)
+# array of mixed kernels; the others raised IndexError, TypeError or numpy's
+# reshape error.  t_op's nu broadcasts and stacks its kernels.
+SCALAR_LABELS = [
+    ("t_op", "mu", lambda x: t_op(x, 1, 0, N)),
+    ("coherent_state", "mu", lambda x: coherent_state(x, 1, N)),
+    ("coherent_state", "nu", lambda x: coherent_state(1, x, N)),
+    ("coherent_projector", "mu", lambda x: coherent_projector(x, 1, N)),
+    ("coherent_projector", "nu", lambda x: coherent_projector(1, x, N)),
+    ("t_matrix_element", "mu", lambda x: t_matrix_element(0, 1, x, 0, 0, N)),
+    ("t_matrix_element", "nu", lambda x: t_matrix_element(0, 1, 0, x, 0, N)),
+    ("theta_coeffs", "mu1", lambda x: theta_coeffs(x, 1, 0, 0, 0, 0, N)),
+    ("theta_coeffs", "nu1", lambda x: theta_coeffs(1, x, 0, 0, 0, 0, N)),
+    ("theta_coeffs", "mu2", lambda x: theta_coeffs(1, 0, x, 0, 0, 0, N)),
+    ("theta_coeffs", "nu2", lambda x: theta_coeffs(1, 0, 0, x, 0, 0, N)),
+]
+
+
+@pytest.mark.parametrize("name, arg, call", SCALAR_LABELS, ids=[f"{name}-{arg}" for name, arg, _ in SCALAR_LABELS])
+def test_a_scalar_label_given_an_array_raises_a_value_error_naming_the_entry_point(name, arg, call):
+    with pytest.raises(ValueError, match=f"^{name} labels must be integers, got array"):
+        call(np.array([1, 2]))
+    call(np.array(1))
+
+
 # the public tables that are their own cache
 CACHED = (kernel_table, fock_coefficients, smoothing_table, u_matrix, v_matrix)
 

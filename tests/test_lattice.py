@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import loop_oracles as oracle
 import qps
-from qps.theta import phase_phi
 from qps.lattice import (
     check_dim,
     half_width,
@@ -25,6 +24,7 @@ from qps.lattice import (
     _conj_phases,
     _dft_phases,
     _diagonals,
+    _at,
     _index,
     _roots,
     _scatter,
@@ -32,8 +32,10 @@ from qps.lattice import (
     _traces,
     _traces_at,
 )
-from qps.schwinger import decompose_schwinger
-from qps.tomography import _ray_cells
+from qps.schwinger import decompose_schwinger, t_overlap
+from qps.theta import phase_phi, kernel_value
+from qps.tomography import MarginalDistribution, smooth_marginal, _ray_cells
+from qps.teleport import r_kernel
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2, 4, 10])
@@ -124,6 +126,56 @@ def test_schwinger_takes_equal_the_fancy_index_routes(N, batch, layout, seed):
     # the reversed view of the traces that decompose_schwinger hands on
     C = decompose_schwinger(A)
     assert same(_scatter(C), oracle.scatter(C))
+
+
+@settings(max_examples=80, deadline=None)
+@example(N=9, batch=(), layout="F", dtype="complex", seed=0)
+@example(N=15, batch=(2, 3), layout="reversed", dtype="float", seed=1)
+@example(N=45, batch=(2,), layout="transposed", dtype="int32", seed=2)
+@example(N=1, batch=(2,), layout="C", dtype="complex", seed=3)
+@given(N=st.integers(0, 30).map(lambda k: 2 * k + 1), batch=st.sampled_from(BATCHES),
+       layout=st.sampled_from(LAYOUTS), dtype=st.sampled_from(("complex", "float", "int32")),
+       seed=st.integers(0, 2**32 - 1))
+def test_at_equals_the_two_array_fancy_index(N, batch, layout, dtype, seed):
+    # the one read of a grid at label pairs, one flat take, against the two-array
+    # fancy index it replaced, bit for bit: labels of any range, scalars and arrays
+    # that broadcast, on a batch of grids in every memory layout
+    rng = np.random.default_rng(seed)
+    X = oracle.laid_out(rng.normal(size=(*batch, N, N)) * 1e3, layout).astype(dtype)
+    if dtype == "complex":
+        X = X + 1j * oracle.laid_out(rng.normal(size=(*batch, N, N)), layout)
+    eta, xi = rng.integers(-3 * N, 3 * N, size=(4, 1)), rng.integers(-3 * N, 3 * N, size=5)
+    for e, x in ((eta, xi), (eta[..., 0], xi[:4]), (int(eta[0, 0]), xi), (eta, np.int64(xi[0])), (int(eta[1, 0]), -int(xi[1]))):
+        assert same(np.asarray(_at(X, e, x)), np.asarray(oracle.fancy_at(X, e, x)))
+    # scalar labels on one grid give a scalar
+    assert np.ndim(_at(X.reshape(-1, N, N)[0], 2 * N + 1, -N)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@example(N=9, seed=0)
+@example(N=15, seed=1)
+@example(N=45, seed=2)
+@example(N=61, seed=3)
+@given(N=st.integers(0, 30).map(lambda k: 2 * k + 1), seed=st.integers(0, 2**32 - 1))
+def test_label_pair_reads_equal_the_fancy_index_routes(N, seed):
+    # t_overlap, kernel_value, smooth_marginal and r_kernel read their grids with
+    # lattice._at, bit for bit the two-array fancy index each held before
+    rng = np.random.default_rng(seed)
+    ks = labels(N)
+    raw = rng.integers(-3 * N, 3 * N, size=6)
+    t, s = (complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(2))
+    for dmu, dnu in ((ks[:, None], ks), (raw[:, None], raw), (int(raw[0]), int(raw[1]))):
+        assert same(np.asarray(t_overlap(t, s, dmu, dnu, N)), np.asarray(oracle.fancy_t_overlap(t, s, dmu, dnu, N)))
+        assert same(np.asarray(kernel_value(dmu, dnu, N)), np.asarray(oracle.fancy_kernel_value(dmu, dnu, N)))
+    assert type(t_overlap(t, s, 1, 2, N)) is complex and type(kernel_value(1, 2, N)) is float
+    values = rng.normal(size=(2, N))
+    for line in ((1, 0), (0, 1), (2, 3), (int(raw[2]), 1)):
+        for dist in (MarginalDistribution(1, "Q", values, line), MarginalDistribution(0, "R", values + 1j * values[::-1], line)):
+            assert same(smooth_marginal(dist).values, oracle.fancy_smooth_marginal(dist))
+    if N <= 31:  # an N^4 table
+        alpha, beta = (int(b) for b in raw[3:5])
+        for ds in (0, -1.5 + 0.2j, 2):
+            assert same(r_kernel(alpha, beta, ds, N), oracle.fancy_r_kernel(alpha, beta, ds, N))
 
 
 def test_layout_tables_hold_no_more_than_the_row_and_column_tables_at_1001():
@@ -220,14 +272,13 @@ def test_phase_tables_match_mpmath(N):
 PER_N_TABLES = {
     "lattice": ("_roots", "_dft_phases", "_conj_phases", "_diagonals"),
     "theta": ("_kernel_orbits", "kernel_table", "fock_coefficients"),
-    "schwinger": ("u_matrix", "v_matrix"),
+    "schwinger": ("u_matrix", "v_matrix", "_depolarizer"),
     "quasiprob": ("smoothing_table",),
     "tomography": ("_ray_cells",),
     "teleport": ("_bell_seed",),
 }
-# every table the package caches per order and dimension (s, N); `_depolarizer`
-# is keyed by r = 2 Re s
-PER_ORDER_TABLES = {"schwinger": ("_kernel_power", "_origin_kernel", "_t_family", "_depolarizer")}
+# every table the package caches per order and dimension (s, N)
+PER_ORDER_TABLES = {"schwinger": ("_kernel_power", "_origin_kernel", "_t_family")}
 
 
 def test_per_dimension_tables_stay_bounded_and_read_only():
@@ -259,7 +310,7 @@ def test_every_table_cache_is_listed_and_hands_out_read_only_arrays():
         for s in (0, 1, -1, 0.3 - 0.4j, -0.0j):
             for name in PER_ORDER_TABLES["schwinger"]:
                 table = getattr(schwinger, name)
-                out = table(2 * complex(s).real if name == "_depolarizer" else s, N)
+                out = table(s, N)
                 assert isinstance(out, np.ndarray) and not out.flags.writeable, name
 
 

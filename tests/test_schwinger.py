@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import loop_oracles as oracle
 from qps import schwinger
 from qps.lattice import half_width, labels, center_mod, dagger
-from qps.theta import kernel_table, _log_kernel, _kernel_orbits
+from qps.theta import kernel_table, _log_kernel, _log_quadrant, _kernel_orbits, _mirror
 from qps.quasiprob import phase_fn, reconstruct_rho
 from qps.schwinger import (
     check_order,
@@ -192,7 +192,7 @@ def test_kernel_power_hit_has_the_bytes_of_a_miss(N):
     # 0j == -0j, yet exp(-s log K) differs in the signs of its zeros (tobytes()
     # sees them, array_equal does not): one key per order, whatever signs its
     # zero parts carry, holds the bytes of s with its zero parts made positive
-    tables = (schwinger._kernel_power, schwinger._origin_kernel, schwinger._depolarizer)
+    tables = (schwinger._kernel_power, schwinger._origin_kernel)
     for s in (0, 1, -1, 0.3 - 0.4j):
         ref = oracle.kernel_power(s, N).tobytes()
         first = {}
@@ -203,8 +203,8 @@ def test_kernel_power_hit_has_the_bytes_of_a_miss(N):
             for w in signed_zeros(s):  # hits
                 assert schwinger._kernel_power(w, N).tobytes() == ref
             assert schwinger._kernel_power.cache_info()[1:] == (1, 8, 1)  # misses, maxsize, currsize
-            for table, key in ((schwinger._origin_kernel, z), (schwinger._depolarizer, 2 * z.real)):
-                assert first.setdefault(table, table(key, N).tobytes()) == table(key, N).tobytes()
+            table = schwinger._origin_kernel
+            assert first.setdefault(table, table(z, N).tobytes()) == table(z, N).tobytes()
 
 
 @pytest.mark.parametrize("N", (5, 9))
@@ -224,7 +224,7 @@ def test_kernel_power_cache_is_bounded_and_read_only():
     tables = [schwinger._kernel_power(complex(*rng.uniform(-0.7, 0.7, 2)), 5) for _ in range(20)]
     assert schwinger._kernel_power.cache_info().currsize <= 8
     assert not any(P.flags.writeable for P in tables)
-    assert not schwinger._depolarizer(0.0, 5).flags.writeable
+    assert not schwinger._depolarizer(5).flags.writeable
 
 
 # odd N <= 101, prime and composite, and orders |s| <= 1 whose parts may be signed zeros
@@ -249,6 +249,18 @@ def test_kernel_power_has_the_bytes_of_one_exp_per_cell(N, s):
     check_orbits(N)
     schwinger._kernel_power.cache_clear()
     assert schwinger._kernel_power(s, N).tobytes() == oracle.kernel_power(s, N).tobytes()
+
+
+@pytest.mark.parametrize("N", (1, 3, 5, 61, 251, 1001))
+def test_mirror_takes_equal_the_outer_product_index(N):
+    # the quadrant reflected by two takes, bit for bit the np.ix_ index it replaced,
+    # on the float log table and on the int32 index of its distinct values
+    quadrant = _log_quadrant(N)
+    index = np.unique(quadrant, return_inverse=True)[1].reshape(quadrant.shape).astype(np.int32)
+    for q in (quadrant, index):
+        out = _mirror(q)
+        assert out.dtype == q.dtype and out.tobytes() == oracle.fancy_mirror(q).tobytes()
+    assert _kernel_orbits(N)[1].tobytes() == oracle.fancy_mirror(index).tobytes()
 
 
 @pytest.mark.parametrize("N", (1, 3, 5, 61, 251, 1001))
@@ -300,3 +312,39 @@ def test_depolarize_matches_uncached_weights(N):
         w = np.abs(np.exp(-1j * omega * _log_kernel(N))) ** 2
         ref = schwinger._conjugation_average(O, w)
         assert np.abs(depolarize(O, omega) - ref).max() <= 1e-12 * N * np.abs(O).max()
+
+
+@pytest.mark.parametrize("N", (1, 5, 7, 9))
+def test_depolarize_at_real_omega_has_the_bytes_of_the_unit_weights(N):
+    # the weights K^(-2 Re s) at s = i omega are exactly 1, so one table per N
+    # serves every real omega, with the bytes of the weights formed per order
+    rng = np.random.default_rng(N)
+    O = rng.normal(size=(2, N, N)) + 1j * rng.normal(size=(2, N, N))
+    ref = schwinger._conjugation_average(O, oracle.kernel_power(0, N).real)
+    for omega in (0, -0.0, 0.5, -0.9, 1, np.float64(-1), 0.25 + 0j, *rng.uniform(-1, 1, 3)):
+        assert depolarize(O, omega).tobytes() == ref.tobytes(), omega
+    assert depolarize(O[0]).tobytes() == ref[0].tobytes()
+
+
+@pytest.mark.parametrize("omega", (-0.9j, 0.5 + 0.1j, 1j, complex(0.0, -1e-300)))
+def test_depolarize_rejects_a_non_real_omega(omega):
+    # depolarize(O, -0.9j) at N = 5 returned an operator 68 away from Tr(O) I
+    O = np.random.default_rng(0).normal(size=(5, 5)) + 0j
+    with pytest.raises(ValueError, match="^depolarize omega must be real"):
+        depolarize(O, omega)
+
+
+@pytest.mark.parametrize("N", (3, 5, 7))
+def test_s_op_ordered_on_label_arrays_stacks_the_scalar_calls(N):
+    # K^(-s) at the label pairs stacks with S: on B = N pairs the product once
+    # broadcast against the wrong axis, and on B = 2 pairs it raised numpy's error
+    rng = np.random.default_rng(N)
+    for B in (N, 2, 1):
+        eta, xi = rng.integers(-3 * N, 3 * N, size=(2, B))
+        for s in (0.5, -1, 0.3 - 0.4j):
+            ref = np.stack([s_op_ordered(int(e), int(x), s, N) for e, x in zip(eta, xi)])
+            assert s_op_ordered(eta, xi, s, N).tobytes() == ref.tobytes()
+            assert s_op_ordered(eta[:, None], xi, s, N).shape == (B, B, N, N)
+    # at scalar labels, the bytes of the fancy-index read
+    for e, x in zip(eta.tolist(), xi.tolist()):
+        assert s_op_ordered(e, x, 0.5, N).tobytes() == oracle.fancy_s_op_ordered(e, x, 0.5, N).tobytes()
