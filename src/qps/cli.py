@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _dft2, _shift_rows
+from .lattice import check_dim, labels, center_mod, _dft2, _shifted
 from .theta import kernel_table
 from .schwinger import check_order, t_overlap, decompose_t, reconstruct_t, depolarize
 from .quasiprob import (
@@ -165,12 +165,6 @@ def cmd_tomo(args):
         lines.append(f"max |dW|: {_fmt(err)}\n")
     sys.stdout.write("".join(lines))
     return EXIT_OK if args.shots is not None or err < 1e-9 else EXIT_FAIL
-
-
-def _shifted(W, mu, nu):
-    """The grid W moved by the labels (mu, nu): W(mu' - mu, nu' - nu) at (mu', nu')."""
-    N = W.shape[-1]
-    return W.take(_shift_rows(mu, N), axis=0).take(_shift_rows(nu, N), axis=1)
 
 
 def cmd_teleport(args):

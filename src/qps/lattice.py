@@ -4,7 +4,7 @@ Operators on an N-dimensional space (N odd) are indexed by centered labels
 kappa in [-ell, ell] with ell = (N-1)/2, stored at row/column kappa + ell.
 Every module in the package shares this convention, and only this module
 reads it: `_index` is the row of any integer label, `_at` the one read of a
-grid at label pairs, and `_traces` (the one
+grid at label pairs, `_shifted` its one translation, and `_traces` (the one
 gather of Tr[S(eta, xi) O] over every label pair, S(eta, xi) the symmetrized
 displacement of `schwinger`), `_traces_at` (the same and its adjoint at given
 raw labels), its inverse `_scatter` and `_shift_rows` (the rows of kappa - mu)
@@ -18,7 +18,9 @@ The helpers at the end are the only readers of the phase tables and the
 one operand check: `_square` decides what an operand's shape must be (and
 `_matrix` that it is one matrix), `_root` reads every phase exp(i*pi*m/N)
 from the one table of 2N-th roots `_roots`, `_dft`/`_idft`, `_phases` and
-`_dft2`/`_idft2` hold the one Fourier convention.
+`_dft2` hold the one Fourier convention, and `_cas` the real transform on the
+cas table `_hartley` (cos + sin): H E H is the 2-D DFT of a table E even in each
+label up to scale, as K^t is, so `_dual_multiply` is four real products.
 """
 
 import math
@@ -88,7 +90,7 @@ def _integers(x, rule="labels must be integers"):
     return a.astype(int, copy=False) if a.ndim else int(a)
 
 
-def _integer(x, rule="label must be an integer"):
+def _integer(x, rule="labels must be integers"):
     """One integer x as a Python int (`_integers`), or `_invalid(rule, x)`."""
     if isinstance(n := _integers(x, rule), int):
         return n
@@ -250,15 +252,27 @@ def _dft2(X):
     return _dft_phases(N) @ X @ _dft_phases(N) * (1 / math.sqrt(N))
 
 
-def _idft2(F):
-    """Phase space to dual plane, the inverse of `_dft2`: leading axes of F are a batch."""
-    N = F.shape[-1]
-    return _conj_phases(N) @ F @ _conj_phases(N) * (1 / N**1.5)
+@_table_cache
+def _hartley(N):
+    """Read-only cas table H = Re - Im of `_dft_phases(N)`, cos(a) + sin(a) at a = 2*pi*eta*mu/N:
+    symmetric, with H H = N I."""
+    return (ph := _dft_phases(N)).real - ph.imag
+
+
+def _cas(G):
+    """H @ G for a real or complex G of N rows, leading axes a batch: one real product on the
+    float view of G as a contiguous complex array, which holds its real and imaginary parts."""
+    G = np.ascontiguousarray(G, dtype=complex)
+    return (_hartley(G.shape[-2]) @ G.view(float)).view(complex)
 
 
 def _dual_multiply(M, grid):
-    """The grid's dual-plane image times M, back in phase space; M = K is a smoothing step."""
-    return _dft2(M * _idft2(grid))
+    """The grid's dual-plane image times M, back in phase space (M = K is a smoothing step), for M
+    even in each label, M(eta, xi) = M(-eta, xi) = M(eta, -xi), as every power of K is: the sines
+    of the complex DFTs cancel, leaving H (M * H grid H) H / N^2; the grid's leading axes are a batch."""
+    Z = _cas(_cas(grid).swapaxes(-1, -2))  # (H grid H)^T: H is symmetric
+    Z *= M.swapaxes(-1, -2) * (1 / grid.shape[-1] ** 2)
+    return _cas(_cas(Z).swapaxes(-1, -2))
 
 
 @_table_cache
@@ -293,6 +307,13 @@ def _shift_rows(mu, N):
     """Rows of kappa - mu over centered kappa, one row per integer of mu (any range), read
     off the cached `_diagonals` gather: position kappa N + row of kappa - mu, mod N."""
     return _diagonals(N)[0][_index(mu, N)] % N
+
+
+def _shifted(W, mu, nu):
+    """The grid W moved by the integer labels (mu, nu): W(mu' - mu, nu' - nu) at (mu', nu'), the
+    one translation of phase space, two `_shift_rows` takes; leading axes are a batch."""
+    N = W.shape[-1]
+    return W.take(_shift_rows(mu, N), axis=-2).take(_shift_rows(nu, N), axis=-1)
 
 
 def _traces_at(O, eta, xi):

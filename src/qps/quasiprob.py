@@ -115,7 +115,7 @@ def coherent_state(mu, nu, N):
     The free global phase makes the largest-magnitude amplitude real positive.
     """
     N = check_dim(N)
-    mu, nu = (_integer(x, "labels must be integers") for x in (mu, nu))
+    mu, nu = _integer(mu), _integer(nu)
     psi = _phases(-nu, N) * fock_coefficients(N)[:, 0].take(_shift_rows(mu, N))
     k = np.argmax(np.abs(psi))
     return psi * (abs(psi[k]) / psi[k])
@@ -204,7 +204,7 @@ def expectation(O, rho, s):
 
 def t_matrix_element(m, n, mu, nu, s, N):
     """Number-basis matrix element <m|T^(s)(mu, nu)|n> on the displaced kernel of `t_op`: O(N^2)."""
-    return complex(fock_state(m, N).conj() @ t_op(mu, _integer(nu, "labels must be integers"), s, N) @ fock_state(n, N))
+    return complex(fock_state(m, N).conj() @ t_op(mu, _integer(nu), s, N) @ fock_state(n, N))
 
 
 def reconstruct_rho(F, tol=1e-8):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .lattice import check_dim, labels, _at, _index, _integer, _integers, _invalid, _square, _phases, _dft2, _idft2, _traces, _scatter, _shift_rows, _table_cache
+from .lattice import check_dim, labels, _at, _index, _integer, _integers, _invalid, _square, _phases, _cas, _dft2, _traces, _scatter, _shift_rows, _table_cache
 from .theta import _kernel_orbits
 
 __all__ = [
@@ -183,7 +183,7 @@ def t_op(mu, nu, s, N):
     array `nu` stacks its kernels on the leading axes.
     """
     N = check_dim(N)
-    mu, nu = _integer(mu, "labels must be integers"), _integers(nu)
+    mu, nu = _integer(mu), _integers(nu)
     idx = _shift_rows(mu, N)  # row kappa + ell holds the row of kappa - mu
     T0 = _origin_kernel(check_order(s), N).take(idx, 0).take(idx, 1)
     # the phase row of -nu is p, the row of nu is conj(p)
@@ -194,12 +194,12 @@ def t_overlap(t, s, dmu, dnu, N):
     """Trace of T^(t)(mu, nu) T^(s)(mu', nu') as a function of the offsets
     (dmu, dnu) = (mu' - mu, nu' - nu).
 
-    The overlap is the inverse 2-D DFT of K^(-(t + s)), formed once over
-    the whole offset square and read at the reduced offsets.  `dmu` and
-    `dnu` may be broadcastable integer arrays; scalars give a complex.
+    The overlap is the inverse 2-D DFT of the even K^(-(t + s)), H K^(-(t + s)) H
+    / N^1.5 (`_cas`), over the whole offset square, read at the reduced offsets.
+    `dmu` and `dnu` may be broadcastable integer arrays; scalars give a complex.
     """
     t, s, N = check_order(t), check_order(s), check_dim(N)
-    grid = np.sqrt(N) * _idft2(_kernel_power(t + s, N))
+    grid = _cas(_cas(_kernel_power(t + s, N)).T).T * (1 / N)
     out = _at(grid, dmu, dnu)
     return complex(out) if np.ndim(out) == 0 else out
 

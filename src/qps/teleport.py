@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _at, _index, _integer, _invalid, _matrix, _phases, _dft, _idft, _idft2, _dual_multiply, _diagonals, _table_cache
+from .lattice import check_dim, labels, center_mod, _at, _index, _integer, _invalid, _matrix, _phases, _cas, _dft, _idft, _dual_multiply, _shifted, _diagonals, _table_cache
 from .schwinger import check_order, t_op, _order, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
@@ -45,7 +45,7 @@ class BellLabel:
     omega2: int
 
     def reduced(self, N):
-        return BellLabel(*(center_mod(_integer(w, "labels must be integers"), N) for w in (self.omega1, self.omega2)))
+        return BellLabel(*(center_mod(_integer(w), N) for w in (self.omega1, self.omega2)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def theta_coeffs(mu1, nu1, mu2, nu2, s1, s2, N):
     each a displaced copy of its cached origin kernel, so no N^4 table is read.
     """
     N = check_dim(N)
-    mu1, nu1, mu2, nu2 = (_integer(x, "labels must be integers") for x in (mu1, nu1, mu2, nu2))
+    mu1, nu1, mu2, nu2 = (_integer(x) for x in (mu1, nu1, mu2, nu2))
     A = t_op(mu1, nu1, check_order(s1), N)
     B = t_op(mu2, nu2, check_order(s2), N)
     ks = labels(N)
@@ -185,8 +185,8 @@ def r_kernel(alpha, beta, ds, N):
     """
     N = check_dim(N)
     ks = labels(N)
-    # K is even in each label, so the sum is _idft2 of K^ds at the label differences; |ds| may reach 2
-    grid = _idft2(_kernel_power(-_order(ds), N)) * (1 / np.sqrt(N))
+    # K is even in each label, so the sum is H K^ds H / N^2 (`_cas`) at the label differences; |ds| may reach 2
+    grid = _cas(_cas(_kernel_power(-_order(ds), N)).T).T * (1 / N**2)
     d = np.subtract.outer(ks, ks)  # [m1, m3] and [n1, n3]
     return _at(grid, (d + _integer(alpha))[:, None, :, None], (d - _integer(beta))[None, :, None, :])
 
@@ -196,13 +196,11 @@ def lambda_coeffs(F1, alpha, beta, s3):
 
     Contracts the order-transfer kernel with the sender's phase-space
     function; F1 must be tagged with order -s1.  In the dual plane the
-    contraction is one multiplier, K^(s3 - s1) exp(2 pi i (alpha eta -
-    beta xi) / N): O(N^3).
+    contraction is K^(s3 - s1) times exp(2 pi i (alpha eta - beta xi) / N),
+    a shift of phase space by (alpha, -beta): O(N^3).
     """
-    s1 = -check_order(F1.s)
-    N = F1.dim
-    shift = np.outer(_phases(-_integer(alpha), N), _phases(_integer(beta), N))
-    return _dual_multiply(_kernel_power(s1 - check_order(s3), N) * shift, F1.grid)
+    s1, alpha, beta = -check_order(F1.s), _integer(alpha), _integer(beta)
+    return _shifted(_dual_multiply(_kernel_power(s1 - check_order(s3), F1.dim), F1.grid), alpha, -beta)
 
 
 def teleport_via_coeffs(rho1, alpha, beta, s1, s3):

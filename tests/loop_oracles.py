@@ -33,10 +33,14 @@ gather of the two-mode diagonals; and the grids read at label pairs keep
 the two-array fancy index that `lattice._at` replaced (the kernel powers of
 `s_op_ordered`, the overlap grid of `t_overlap`, the kernel table of
 `kernel_value` and `smooth_marginal`, the N^4 read of `r_kernel`) and
-`theta._mirror` its outer-product index.  The `qps grid` writer is kept as
-one Python tuple per row and `json.dumps` over the whole payload.  They
-are slow by design and exist only so the fast paths can be compared
-against them.
+`theta._mirror` its outer-product index.  The dual plane keeps its
+complex transforms: the inverse 2-D DFT as two products with the complex
+phases, and the product by a multiplier in the dual plane as four, the
+routes that the real cas table replaced, which also take a multiplier that
+is not even, such as the receiver coefficients' shift phase.  The `qps grid`
+writer is kept as one Python tuple per row and `json.dumps` over the whole
+payload.  They are slow by design and exist only so the fast paths can be
+compared against them.
 """
 
 import contextlib
@@ -60,7 +64,8 @@ from qps.lattice import (
     _dft,
     _idft,
     _dft2,
-    _idft2,
+    _cas,
+    _phases,
     _traces,
     _conj_phases,
     _diagonals,
@@ -279,6 +284,24 @@ def scatter(C):
     return O
 
 
+def idft2(F):
+    """Phase space to dual plane, the inverse of `lattice._dft2`, as two complex products with
+    the inverse-DFT phases.  Leading axes of F are a batch."""
+    N = F.shape[-1]
+    return _conj_phases(N) @ F @ _conj_phases(N) * (1 / N**1.5)
+
+
+def dual_multiply(M, grid):
+    """`lattice._dual_multiply` as four complex products, `_dft2(M * idft2(grid))`, for any M."""
+    return _dft2(M * idft2(grid))
+
+
+def cas_sandwich(E):
+    """H E H on the cas table (`lattice._cas`), N^1.5 times the inverse 2-D DFT of an E even in
+    each label: the library's route to the grids that `t_overlap` and `r_kernel` read."""
+    return _cas(_cas(E).T).T
+
+
 def fancy_at(X, eta, xi):
     """`lattice._at` as the two-array fancy index X[..., row(eta), row(xi)] that it replaced."""
     N, ell = X.shape[-1], half_width(X.shape[-1])
@@ -298,7 +321,7 @@ def fancy_s_op_ordered(eta, xi, s, N):
 
 def fancy_t_overlap(t, s, dmu, dnu, N):
     """`schwinger.t_overlap` as it read its offset grid before `lattice._at`."""
-    out = fancy_at(np.sqrt(N) * _idft2(_kernel_power(check_order(t) + check_order(s), N)), dmu, dnu)
+    out = fancy_at(cas_sandwich(_kernel_power(check_order(t) + check_order(s), N)) * (1 / N), dmu, dnu)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -319,7 +342,7 @@ def fancy_r_kernel(alpha, beta, ds, N):
     """`teleport.r_kernel` as it read its grid before `lattice._at`: one four-axis two-array
     fancy index of the label differences."""
     ks = labels(N)
-    grid = _idft2(_kernel_power(-complex(ds), N)) * (1 / np.sqrt(N))
+    grid = cas_sandwich(_kernel_power(-complex(ds), N)) * (1 / N**2)
     d = np.subtract.outer(ks, ks)
     return fancy_at(grid, (d + alpha)[:, None, :, None], (d - beta)[None, :, None, :])
 
@@ -553,6 +576,14 @@ def r_kernel(alpha, beta, ds, N):
     px = np.exp(-2j * np.pi * np.multiply.outer(np.subtract.outer(ks, ks) - beta, ks) / N)
     # pe[m1, m3, eta], px[n1, n3, xi]
     return np.einsum("ace,bdf,ef->abcd", pe, px, Kpow) / N**2
+
+
+def phase_multiplier_lambda_coeffs(F1, alpha, beta, s3):
+    """Receiver coefficients as one multiplier in the dual plane, K^(s3 - s1) times the shift
+    phase exp(2 pi i (alpha eta - beta xi) / N), which is not even, through the complex route."""
+    s1, N = -complex(F1.s), F1.dim
+    shift = np.outer(_phases(-alpha, N), _phases(beta, N))
+    return dual_multiply(_kernel_power(s1 - complex(s3), N) * shift, F1.grid)
 
 
 def lambda_coeffs(F1, alpha, beta, s3):

@@ -270,7 +270,7 @@ def test_phase_tables_match_mpmath(N):
 
 # every table the package caches per dimension N, by module
 PER_N_TABLES = {
-    "lattice": ("_roots", "_dft_phases", "_conj_phases", "_diagonals"),
+    "lattice": ("_roots", "_dft_phases", "_conj_phases", "_hartley", "_diagonals"),
     "theta": ("_kernel_orbits", "kernel_table", "fock_coefficients"),
     "schwinger": ("u_matrix", "v_matrix", "_depolarizer"),
     "quasiprob": ("smoothing_table",),

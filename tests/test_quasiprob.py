@@ -206,7 +206,7 @@ def test_number_basis_indices_are_checked_like_labels():
         (lambda: t_matrix_element(0, np.nan, 0, 0, 0, N), "t_matrix_element"),
         (lambda: mod_inverse(1.5, N), "mod_inverse"),
     ]:
-        with pytest.raises(ValueError, match=f"^{name} label must be an integer"):
+        with pytest.raises(ValueError, match=f"^{name} labels must be integers"):
             call()
     for call, name in [(lambda: fock_state(-1, N), "fock_state"), (lambda: fock_state(5.0, N), "fock_state"),
                        (lambda: t_matrix_element(7, 0, 0, 0, 0, N), "t_matrix_element"),

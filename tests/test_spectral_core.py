@@ -38,7 +38,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import loop_oracles as oracle
 from qps import cli, schwinger, tomography
-from qps.lattice import _dft2, _idft2, labels, center_mod, half_width
+from qps.lattice import _dft2, _dual_multiply, _hartley, labels, center_mod, half_width
 from qps.theta import kernel_value, kernel_table, smoothing_1d, fock_coefficients, gamma_table, _log_kernel
 from qps.schwinger import (
     s_op,
@@ -90,6 +90,7 @@ from qps.teleport import (
     teleport,
     r_kernel,
     lambda_coeffs,
+    teleport_via_coeffs,
 )
 
 TOL = 1e-12
@@ -114,6 +115,8 @@ orders = st.one_of(standard_orders, disk_orders)
 teleport_dims = st.sampled_from(TELEPORT_DIMS)
 # unreduced labels: every route reduces them mod N itself
 raw_labels = st.integers(-20, 20)
+# every odd N up to 61, the largest benchmarked, N = 1 included
+odd_dims = st.integers(0, 30).map(lambda k: 2 * k + 1)
 bell_labels = st.tuples(raw_labels, raw_labels)
 
 
@@ -284,8 +287,8 @@ def test_smoothing_table_matches_overlap_loop(N):
 def test_idft2_inverts_dft2(N, seed, shape):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=shape + (N, N)) + 1j * rng.normal(size=shape + (N, N))
-    assert np.abs(_idft2(_dft2(X)) - X).max() <= TOL
-    assert np.abs(_dft2(_idft2(X)) - X).max() <= TOL
+    assert np.abs(oracle.idft2(_dft2(X)) - X).max() <= TOL
+    assert np.abs(_dft2(oracle.idft2(X)) - X).max() <= TOL
 
 
 @SETTINGS
@@ -299,7 +302,66 @@ def test_idft2_matches_phase_sum(N, seed):
         for xi in ks:
             ph = np.exp(2j * np.pi * np.add.outer(eta * ks, xi * ks) / N)
             ref[eta + ell, xi + ell] = np.sum(ph * F) / N**1.5
-    assert np.abs(_idft2(F) - ref).max() <= TOL
+    assert np.abs(oracle.idft2(F) - ref).max() <= TOL
+
+
+def even_multiplier(N, rng, kind, s):
+    """A table even in each label: K (real), K^(-s) (complex), or a random real or complex
+    quadrant mirrored onto the plane, which is not symmetric; and its tolerance."""
+    if kind == "K":  # K^(-s) at s = -1
+        return kernel_table(N), bound(N, -1)
+    if kind == "K^(-s)":
+        return schwinger._kernel_power(s, N), bound(N, s)
+    q = rng.normal(size=(2, N // 2 + 1, N // 2 + 1))
+    rows = np.abs(labels(N))
+    M = (q[0] + 1j * q[1] if kind == "complex quadrant" else q[0])[rows][:, rows]
+    return M, TOL * max(1.0, np.abs(M).max())
+
+
+@SETTINGS
+@example(N=1, seed=0, kind="complex quadrant", complex_grid=False, shape=(), s=0j)
+@example(N=61, seed=1, kind="K^(-s)", complex_grid=True, shape=(2, 3), s=1 + 0j)
+@example(N=61, seed=2, kind="real quadrant", complex_grid=False, shape=(3,), s=0j)
+@given(N=odd_dims, seed=seeds, kind=st.sampled_from(("K", "K^(-s)", "real quadrant", "complex quadrant")),
+       complex_grid=st.booleans(), shape=st.sampled_from(((), (1,), (3,), (2, 3))), s=orders)
+def test_dual_multiply_matches_the_complex_route(N, seed, kind, complex_grid, shape, s):
+    # the cas product holds for a multiplier even in each label, symmetric or not,
+    # on real and complex grids and batches of them
+    rng = np.random.default_rng(seed)
+    M, tol = even_multiplier(N, rng, kind, s)
+    assert np.array_equal(M, M[::-1]) and np.array_equal(M, M[:, ::-1])
+    grid = rng.normal(size=shape + (N, N))
+    if complex_grid:
+        grid = grid + 1j * rng.normal(size=shape + (N, N))
+    out = _dual_multiply(M, grid)
+    assert out.shape == grid.shape and out.dtype == complex
+    assert np.abs(out - oracle.dual_multiply(M, grid)).max() <= tol
+    # and the inverse 2-D DFT of an even table is H M H / N^1.5, the route of t_overlap and r_kernel
+    assert np.abs(oracle.cas_sandwich(M) / N**1.5 - oracle.idft2(M)).max() <= tol
+
+
+@SETTINGS
+@example(N=61, s=1 + 0j)
+@example(N=31, s=-2 + 0.5j)
+@given(N=odd_dims, s=st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+def test_kernel_power_is_bitwise_even_in_each_label(N, s):
+    # the precondition of the cas product: every K^(-s) it multiplies by, |s| up to the 2
+    # of an order difference, equals its reflection in each label bit for bit
+    P = schwinger._kernel_power(s, N)
+    for flipped in (P[::-1], P[:, ::-1]):
+        assert np.ascontiguousarray(flipped).tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize("N", (1, 3, 5, 9, 15, 31, 61, 251))
+def test_hartley_table_is_symmetric_and_squares_to_n(N):
+    H = _hartley(N)
+    assert H.dtype == float and not H.flags.writeable
+    assert np.array_equal(H, H.T)
+    ks = labels(N)
+    angle = 2 * np.pi * np.outer(ks, ks) / N
+    assert np.abs(H - (np.cos(angle) + np.sin(angle))).max() <= TOL
+    # each entry of H H sums N products of cas values
+    assert np.abs(H @ H - N * np.eye(N)).max() <= TOL * N
 
 
 @SETTINGS
@@ -679,6 +741,23 @@ def test_lambda_coeffs_match_r_kernel(N, seed, pure, w, s1, s3):
     F1 = phase_fn(state(N, seed, pure), -s1)
     ref = oracle.lambda_coeffs(F1, *w, s3)
     assert np.abs(lambda_coeffs(F1, *w, s3) - ref).max() <= bound2(N, -s1, s1 - s3)
+
+
+@SETTINGS
+@example(N=1, seed=0, pure=True, w=(0, 0), s1=1 + 0j, s3=-1 + 0j)
+@example(N=31, seed=1, pure=False, w=(-10**6, 10**6 + 3), s1=0.6 - 0.8j, s3=-1 + 0j)
+@given(N=st.sampled_from(DIMS + (7, 17)), seed=seeds, pure=st.booleans(),
+       w=st.tuples(*[st.integers(-10**6, 10**6)] * 2), s1=orders, s3=orders)
+def test_lambda_coeffs_match_the_phase_multiplier_route(N, seed, pure, w, s1, s3):
+    # the product by the even K^(s3 - s1) and a translation by (alpha, -beta) in place of
+    # one multiplier with the shift phase, at labels of any range
+    rho = state(N, seed, pure)
+    F1 = phase_fn(rho, -s1)
+    ref = oracle.phase_multiplier_lambda_coeffs(F1, *w, s3)
+    assert np.abs(lambda_coeffs(F1, *w, s3) - ref).max() <= bound2(N, -s1, s1 - s3)
+    if N <= 9:  # the receiver state rebuilt from the coefficients carries a third power, K^(-s3)
+        tol = bound2(N, -s1, s1 - s3) * bound(N, s3) / TOL
+        assert np.abs(teleport_via_coeffs(rho, *w, s1, s3) - teleport(rho, *w)[0]).max() <= tol
 
 
 @SETTINGS
