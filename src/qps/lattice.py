@@ -7,8 +7,9 @@ reads it: `_index` is the row of any integer label, `_at` the one read of a
 grid at label pairs, `_shifted` its one translation, and `_traces` (the one
 gather of Tr[S(eta, xi) O] over every label pair, S(eta, xi) the symmetrized
 displacement of `schwinger`), `_traces_at` (the same and its adjoint at given
-raw labels), its inverse `_scatter` and `_shift_rows` (the rows of kappa - mu)
-are the only readers of the layout of S, `_diagonals`.  That table holds flat
+raw labels), `_traces2` (the same over both modes of an N^2 x N^2 operator),
+its inverse `_scatter` and `_shift_rows` (the rows of kappa - mu) are the only
+readers of the layout of S, `_diagonals`.  That table holds flat
 positions into an N x N operator, so each read or write of the layout is one
 `take` on its last N^2 entries, never a two-array fancy index.
 `_table_cache` is the one table cache, `_frozen` the one place an array is
@@ -301,6 +302,23 @@ def _traces(O):
     N = O.shape[-1]
     gather, _, front = _diagonals(N)
     return (_conj_phases(N) @ O.reshape(*O.shape[:-2], N * N).take(gather, axis=-1).swapaxes(-1, -2)) * front
+
+
+def _traces2(R, M1, M2):
+    """X[xi1, xi2, eta1, eta2] = M1(eta1, xi1) M2(eta2, xi2) Tr[S(eta1, xi1) (x) S(eta2, xi2) R] for an
+    N^2 x N^2 R, the two-mode `_traces` with the front folded into the per-mode multipliers: one take
+    of the cyclic diagonals of both modes, at flat positions built from the `_diagonals` gather by one
+    broadcast add (N^4 of them, made per call, not cached), then a label sum per mode."""
+    N = math.isqrt(R.shape[-1])
+    gather, _, front = _diagonals(N)
+    # pos[kappa + ell, xi + ell] = kappa N^2 + the row of kappa - xi: the mode-2 position of
+    # R[., kappa, ., kappa - xi] in R[i1, i2, j1, j2], and N pos the mode-1 one
+    pos = gather.T + (N * N - N) * np.arange(N)[:, None]
+    X = R.reshape(N**4).take(N * pos[:, None, :, None] + pos[:, None, :])  # R[k1, k2, k1 - xi1, k2 - xi2]
+    for _ in range(2):
+        X = _idft(X.reshape(N, -1).T)
+    A, B = (front * M1).T, (front * M2).T
+    return X.reshape(N, N, N, N) * (A[:, None, :, None] * B[:, None, :])
 
 
 def _shift_rows(mu, N):

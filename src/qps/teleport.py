@@ -5,9 +5,9 @@ teleportation protocol with its phase-space displacement law.
 A Bell state in matrix form Psi[kappa1, kappa2] is the seed Pi / sqrt(N)
 (Pi the parity) with its rows gathered in rolled order and its columns
 phased, so every route here works on N x N matrices: the protocol is a
-product of three of them, the two-mode tables are one gather of the
-operator's cyclic diagonals in both modes followed by six products with
-N x N phase tables, the Bell coefficients of T (x) T are one gather of
+product of three of them, the two-mode tables are the two-mode traces of
+`lattice._traces2` (one gather and two products) followed by four products
+with N x N phase tables, the Bell coefficients of T (x) T are one gather of
 the first kernel and a 1-D DFT per mode, and the receiver coefficients
 are one multiplier in the dual plane.  Only two-mode operators given as
 input or built as a Bell dyad are N^2 x N^2 matrices.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _at, _index, _integer, _invalid, _matrix, _phases, _cas, _dft, _idft, _dual_multiply, _shifted, _diagonals, _table_cache
+from .lattice import check_dim, labels, center_mod, _at, _index, _integer, _invalid, _matrix, _phases, _cas, _dft, _idft, _dual_multiply, _shifted, _shift_rows, _traces2, _table_cache
 from .schwinger import check_order, t_op, _order, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
@@ -81,7 +81,7 @@ def bell_state(omega, N):
     N = check_dim(N)
     w = omega.reduced(N) if isinstance(omega, BellLabel) else BellLabel(*omega).reduced(N)
     # (V^omega1 M)[kappa] = M[kappa + omega1]; U^(-omega2) = diag exp(-2 pi i omega2 kappa / N)
-    psi = _bell_seed(N).reshape(N, N).take(np.arange(w.omega1, w.omega1 + N), axis=0, mode="wrap")
+    psi = _bell_seed(N).reshape(N, N).take(_shift_rows(-w.omega1, N), axis=0)
     return (psi * _phases(w.omega2, N)).ravel()
 
 
@@ -95,31 +95,17 @@ def bipartite_phase_fn(state, s1, s2):
 
     grid[m1, n1, m2, n2] is the trace of T^(s1)(mu1, nu1) (x) T^(s2)(mu2, nu2)
     against the operator; a vector input is promoted to its projector.
-    One gather of the operator's cyclic diagonals in both modes, one take of
-    flat positions built from the `lattice._diagonals` gather by one broadcast
-    add (N^4 of them, made per call, not cached), then six products, each
-    transforming the leading axis and moving it last: two label sums, the
-    K^(-s1) (x) K^(-s2) multiplier, and a 2-D DFT per mode.  O(N^5), with no
-    N x N slice handled on its own.  The one reader of `lattice._diagonals`
-    outside `lattice`: `_traces` per mode measured slower, 47 -> 82 us at N = 5, 101 -> 180 us at N = 7.
+    The two-mode traces times K^(-s1) (x) K^(-s2) / N (`lattice._traces2`:
+    one take of the cyclic diagonals of both modes and two label sums), then
+    four products, each transforming the leading axis and moving it last: a
+    2-D DFT per mode.  O(N^5), with no N x N slice handled on its own.
     """
     state = np.asarray(state, dtype=complex)
     state, D = _matrix(np.outer(state, state.conj()) if state.ndim == 1 else state)
     if (N := math.isqrt(D)) ** 2 != D:
         raise _invalid("operator dimension must be a perfect square N^2", D)
     s1, s2 = check_order(s1), check_order(s2)
-    gather, _, front = _diagonals(N)
-    # pos[kappa + ell, xi + ell] = kappa N^2 + the row of kappa - xi: the mode-2 position of
-    # R[., kappa, ., kappa - xi] in R[i1, i2, j1, j2], the operator, and N pos the mode-1 one
-    pos = gather.T + (N * N - N) * np.arange(N)[:, None]
-    # X[k1, k2, xi1, xi2] = R[k1, k2, k1 - xi1, k2 - xi2]
-    X = state.reshape(N**4).take(N * pos[:, None, :, None] + pos[:, None, :])
-    for _ in range(2):
-        X = _idft(X.reshape(N, -1).T)
-    # X[xi1, xi2, eta1, eta2] = sum_k1,k2 exp(2 pi i (eta1 k1 + eta2 k2) / N) R[...]
-    A = (front * _kernel_power(s1, N)).T
-    B = (front * _kernel_power(s2, N)).T * (1 / N)
-    X = X.reshape(N, N, N, N) * (A[:, None, :, None] * B[:, None, :])
+    X = _traces2(state, _kernel_power(s1, N), _kernel_power(s2, N) * (1 / N))  # [xi1, xi2, eta1, eta2]
     for _ in range(4):
         X = _dft(X.reshape(N, -1).T)
     # X[nu1, nu2, mu1, mu2]

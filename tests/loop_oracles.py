@@ -548,7 +548,8 @@ def bipartite_phase_fn_core(rho, s1, s2):
 
 def bipartite_phase_fn(state, s1, s2):
     """`teleport.bipartite_phase_fn` as it gathered the two-mode diagonals before its flat
-    take: one fancy index with four index arrays, then the same six products."""
+    take: one fancy index with four index arrays, then the same six products, with the 1/N
+    folded into K^(-s2) before the front, as `lattice._traces2` takes it."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         state = np.outer(state, state.conj())
@@ -559,7 +560,7 @@ def bipartite_phase_fn(state, s1, s2):
     for _ in range(2):
         X = _idft(X.reshape(N, -1).T)
     A = (front * _kernel_power(check_order(s1), N)).T
-    B = (front * _kernel_power(check_order(s2), N)).T * (1 / N)
+    B = (front * (_kernel_power(check_order(s2), N) * (1 / N))).T
     X = X.reshape(N, N, N, N) * (A[:, None, :, None] * B[:, None, :])
     for _ in range(4):
         X = _dft(X.reshape(N, -1).T)

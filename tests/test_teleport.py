@@ -99,7 +99,8 @@ def test_bipartite_phase_fn_factorizes_and_normalizes():
        orders=st.tuples(*[st.sampled_from((1, 0, -1, 0.5, 0.3 - 0.2j))] * 2))
 def test_two_mode_take_equals_the_fancy_index_route(n, seed, pure, layout, orders):
     # the two-mode diagonals as one flat take of positions built from
-    # lattice._diagonals, against the four-array fancy index it replaced, bit for bit
+    # lattice._diagonals (lattice._traces2), against the four-array fancy index
+    # it replaced, bit for bit
     rng = np.random.default_rng(seed)
     if pure:
         state = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
