@@ -129,6 +129,8 @@ def cmd_grid(args):
     if args.s is not None and what not in ("phase", "char"):
         raise UsageError(f"--s applies to --what phase or char only, got --what {what}")
     if what == "kernel":
+        if args.state is not None:
+            raise UsageError(f"--state does not apply to --what kernel, got --state {args.state}")
         grid, s, kind = kernel_table(N).astype(complex), 0j, "kernel"
     else:
         if args.state is None:
@@ -261,7 +263,7 @@ def build_parser():
         choices=["kernel", "wigner", "husimi", "glauber", "phase", "char"],
     )
     g.add_argument("--state", default=None)
-    g.add_argument("--s", default=None, help='ordering parameter of --what phase or char, "re" or "re,im" (default 0)')
+    g.add_argument("--s", default=None, help="ordering parameter of --what phase or char, --s=re or --s=re,im (default 0)")
     g.add_argument("--out", default=None)
     g.add_argument("--format", default="csv", choices=["csv", "json"])
 

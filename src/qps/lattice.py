@@ -21,7 +21,8 @@ one operand check: `_square` decides what an operand's shape must be (and
 from the one table of 2N-th roots `_roots`, `_dft`/`_idft`, `_phases` and
 `_dft2` hold the one Fourier convention, and `_cas` the real transform on the
 cas table `_hartley` (cos + sin): H E H is the 2-D DFT of a table E even in each
-label up to scale, as K^t is, so `_dual_multiply` is four real products.
+label up to scale, as K^t is, and `_cas2` that 2-D transform, so
+`_dual_multiply` is four real products.
 """
 
 import math
@@ -267,13 +268,19 @@ def _cas(G):
     return (_hartley(G.shape[-2]) @ G.view(float)).view(complex)
 
 
+def _cas2(G):
+    """H G^T H on the last two axes, leading axes a batch: the one 2-D real transform between a table
+    even in each label (a dual-plane multiplier) and its phase-space kernel; two give N^2 G (H H = N I)."""
+    return _cas(_cas(G).swapaxes(-1, -2))
+
+
 def _dual_multiply(M, grid):
     """The grid's dual-plane image times M, back in phase space (M = K is a smoothing step), for M
     even in each label, M(eta, xi) = M(-eta, xi) = M(eta, -xi), as every power of K is: the sines
     of the complex DFTs cancel, leaving H (M * H grid H) H / N^2; the grid's leading axes are a batch."""
-    Z = _cas(_cas(grid).swapaxes(-1, -2))  # (H grid H)^T: H is symmetric
+    Z = _cas2(grid)  # (H grid H)^T: H is symmetric
     Z *= M.swapaxes(-1, -2) * (1 / grid.shape[-1] ** 2)
-    return _cas(_cas(Z).swapaxes(-1, -2))
+    return _cas2(Z)
 
 
 @_table_cache

@@ -14,18 +14,18 @@ are one gather of the cyclic diagonals of O plus one DFT, O(N^3)
 (`lattice._traces`), and a sum over the basis is the inverse scatter
 (`lattice._scatter`).
 Every other route between operators and label grids (the T^(s)
-expansions, the origin kernel T^(s)(0, 0) and the depolarizer average)
-is that gather or scatter plus a 2-D DFT against K^(-s), one cached
-table per order (`_kernel_power`, keyed by the value of s).  Every other
+expansions and the origin kernel T^(s)(0, 0)) is that gather or scatter
+plus a 2-D DFT against K^(-s), one cached table per order
+(`_kernel_power`, keyed by the value of s), and the depolarizer average
+is the gather times one real multiplier, then the scatter.  Every other
 kernel T^(s)(mu, nu) is a displaced copy of the origin one (`t_op`).
 """
 
 import cmath
-import math
 
 import numpy as np
 
-from .lattice import check_dim, labels, _at, _index, _integer, _integers, _invalid, _square, _phases, _cas, _dft2, _traces, _scatter, _shift_rows, _table_cache
+from .lattice import check_dim, labels, _at, _index, _integer, _integers, _invalid, _square, _phases, _cas2, _dft2, _traces, _scatter, _shift_rows, _table_cache
 from .theta import _kernel_orbits
 
 __all__ = [
@@ -195,11 +195,11 @@ def t_overlap(t, s, dmu, dnu, N):
     (dmu, dnu) = (mu' - mu, nu' - nu).
 
     The overlap is the inverse 2-D DFT of the even K^(-(t + s)), H K^(-(t + s)) H
-    / N^1.5 (`_cas`), over the whole offset square, read at the reduced offsets.
+    / N^1.5 (`_cas2`), over the whole offset square, read at the reduced offsets.
     `dmu` and `dnu` may be broadcastable integer arrays; scalars give a complex.
     """
     t, s, N = check_order(t), check_order(s), check_dim(N)
-    grid = _cas(_cas(_kernel_power(t + s, N)).T).T * (1 / N)
+    grid = _cas2(_kernel_power(t + s, N)).T * (1 / N)
     out = _at(grid, dmu, dnu)
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -248,25 +248,12 @@ def reconstruct_t(grid, s):
     return _t_sum(_square(grid)[0], check_order(s))
 
 
-def _conjugation_multiplier(w):
-    """The multiplier that `_conjugation_average` applies to the Schwinger coefficients.
-
-    Conjugation by X = sqrt(N) S(eta, xi) multiplies the coefficient of
-    S(eta', xi') by exp(2*pi*i*(xi*eta' - eta*xi')/N), so the weighted
-    average multiplies it by a 2-D DFT of the weights.
-    """
-    return (_dft2(w) * (1 / math.sqrt(len(w)))).T[::-1]
-
-
-def _conjugation_average(O, w):
-    """sum_{eta,xi} w(eta, xi) X O X^dag / N over X = sqrt(N) S(eta, xi)."""
-    return _scatter(_traces(O)[..., ::-1, ::-1] * _conjugation_multiplier(w))
-
-
 @_table_cache
 def _depolarizer(N):
-    """Cached read-only `_conjugation_multiplier` of the weights |K^(-i omega)|^2, exactly 1 at every real omega."""
-    return _conjugation_multiplier(np.ones((N, N)))
+    """Cached read-only multiplier of the mixture weights w, here |K^(-i omega)|^2 = 1 at every real
+    omega: conjugation by sqrt(N) S(eta, xi) multiplies the coefficient of S(eta', xi') by
+    exp(2*pi*i*(xi*eta' - eta*xi')/N), so the average multiplies it by `_cas2(w)` / N (w even)."""
+    return _cas2(np.ones((N, N))).real * (1 / N)
 
 
 def depolarize(O, omega=0.0):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _at, _index, _integer, _invalid, _matrix, _phases, _cas, _dft, _idft, _dual_multiply, _shifted, _shift_rows, _traces2, _table_cache
-from .schwinger import check_order, t_op, _order, _kernel_power, _t_sum
+from .lattice import check_dim, labels, center_mod, _index, _integer, _invalid, _matrix, _phases, _dft, _idft, _dual_multiply, _shifted, _shift_rows, _traces2, _table_cache
+from .schwinger import check_order, t_op, _kernel_power, _t_sum
 from .quasiprob import validate_density, phase_fn
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "upsilon_coeffs",
     "theta_coeffs",
     "teleport",
-    "r_kernel",
     "lambda_coeffs",
     "teleport_via_coeffs",
 ]
@@ -162,28 +161,13 @@ def teleport(rho1, alpha, beta):
     return rho3 / p, p
 
 
-def r_kernel(alpha, beta, ds, N):
-    """Order-transfer kernel R[m1, n1, m3, n3] at order difference ds = s3 - s1.
-
-    One inverse 2-D DFT of K^ds read at the reduced label differences
-    (mu1 - mu3 + alpha, nu1 - nu3 - beta); at ds = 0 it is the Kronecker
-    comb selecting (mu3, nu3) = (mu1 + alpha, nu1 - beta).
-    """
-    N = check_dim(N)
-    ks = labels(N)
-    # K is even in each label, so the sum is H K^ds H / N^2 (`_cas`) at the label differences; |ds| may reach 2
-    grid = _cas(_cas(_kernel_power(-_order(ds), N)).T).T * (1 / N**2)
-    d = np.subtract.outer(ks, ks)  # [m1, m3] and [n1, n3]
-    return _at(grid, (d + _integer(alpha))[:, None, :, None], (d - _integer(beta))[None, :, None, :])
-
-
 def lambda_coeffs(F1, alpha, beta, s3):
     """Receiver-side phase-space coefficients for Bell outcome (alpha, beta).
 
-    Contracts the order-transfer kernel with the sender's phase-space
-    function; F1 must be tagged with order -s1.  In the dual plane the
-    contraction is K^(s3 - s1) times exp(2 pi i (alpha eta - beta xi) / N),
-    a shift of phase space by (alpha, -beta): O(N^3).
+    Contracts the paper's N^4 order-transfer kernel (the inverse 2-D DFT of
+    K^(s3 - s1) at mu1 - mu3 + alpha, nu1 - nu3 - beta) with the sender's grid F1,
+    tagged with order -s1.  In the dual plane that is K^(s3 - s1) times exp(2 pi i
+    (alpha eta - beta xi) / N), a shift of phase space by (alpha, -beta): O(N^3).
     """
     s1, alpha, beta = -check_order(F1.s), _integer(alpha), _integer(beta)
     return _shifted(_dual_multiply(_kernel_power(s1 - check_order(s3), F1.dim), F1.grid), alpha, -beta)

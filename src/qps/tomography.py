@@ -416,12 +416,13 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     `unitary`, or the broadcast shape of array labels `eta`, `xi`, are a
     batch, and the pair is then two arrays; the labels `ks[:, None]` and
     `ks` read the whole dual plane in O(N^3) time and O(N^2) memory.
-    `rho` is one N x N matrix with N odd (`_matrix`): a stack raises ValueError.
+    `rho` is one N x N matrix with N odd (`_matrix`): a stack raises ValueError,
+    and so do labels and a unitary given together.
     """
     rho, N = _matrix(rho)
+    if (unitary is None) == (eta is None) or (eta is None) != (xi is None):
+        raise _invalid("takes labels (eta, xi) or a unitary, not both", (eta, xi))
     if unitary is None:
-        if eta is None or xi is None:
-            raise _invalid("takes labels (eta, xi) or a unitary", (eta, xi))
         # Tr rho U and, as S(eta, xi)^dag = S(-eta, -xi) at raw labels, Tr rho U^dag
         tr_u, tr_ud = (math.sqrt(N) * tr for tr in _traces_at(rho, _integers(eta), _integers(xi)))
     else:

@@ -32,10 +32,9 @@ of the cyclic diagonals, the ray cells read and written, and the four-array
 gather of the two-mode diagonals; and the grids read at label pairs keep
 the two-array fancy index that `lattice._at` replaced (the kernel powers of
 `s_op_ordered`, the overlap grid of `t_overlap`, the kernel table of
-`kernel_value` and `smooth_marginal`, the N^4 read of `r_kernel`) and
-`theta._mirror` its outer-product index.  The dual plane keeps its
-complex transforms: the inverse 2-D DFT as two products with the complex
-phases, and the product by a multiplier in the dual plane as four, the
+`kernel_value` and `smooth_marginal`) and `theta._mirror` its outer-product
+index.  The dual plane keeps its complex transforms: the inverse 2-D DFT
+as two products with the complex phases, and the product by a multiplier in the dual plane as four, the
 routes that the real cas table replaced, which also take a multiplier that
 is not even, such as the receiver coefficients' shift phase.  The `qps grid`
 writer is kept as one Python tuple per row and `json.dumps` over the whole
@@ -298,7 +297,7 @@ def dual_multiply(M, grid):
 
 def cas_sandwich(E):
     """H E H on the cas table (`lattice._cas`), N^1.5 times the inverse 2-D DFT of an E even in
-    each label: the library's route to the grids that `t_overlap` and `r_kernel` read."""
+    each label: the library's route to the grid that `t_overlap` reads."""
     return _cas(_cas(E).T).T
 
 
@@ -336,15 +335,6 @@ def fancy_smooth_marginal(dist):
     N, (za, zb), ts = dist.dim, dist.line, labels(dist.dim)
     out = _dft(fancy_at(cached_kernel_table(N), za * ts, zb * ts) * tomography._ray_invert(dist.values))
     return out.real if np.isrealobj(dist.values) else out
-
-
-def fancy_r_kernel(alpha, beta, ds, N):
-    """`teleport.r_kernel` as it read its grid before `lattice._at`: one four-axis two-array
-    fancy index of the label differences."""
-    ks = labels(N)
-    grid = cas_sandwich(_kernel_power(-complex(ds), N)) * (1 / N**2)
-    d = np.subtract.outer(ks, ks)
-    return fancy_at(grid, (d + alpha)[:, None, :, None], (d - beta)[None, :, None, :])
 
 
 @lru_cache(maxsize=None)
@@ -568,7 +558,8 @@ def bipartite_phase_fn(state, s1, s2):
 
 
 def r_kernel(alpha, beta, ds, N):
-    """R[m1, n1, m3, n3] as the unoptimised three-operand einsum of 1-D phases and K^ds."""
+    """The paper's order-transfer kernel R[m1, n1, m3, n3] as the unoptimised three-operand einsum
+    of 1-D phases and K^ds; the library holds no N^4 table and contracts it in the dual plane."""
     N = check_dim(N)
     ks = labels(N)
     Kpow = cached_kernel_table(N) ** complex(ds)

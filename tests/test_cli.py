@@ -141,6 +141,15 @@ def test_grid_order_with_a_fixed_order_exits_2(capsys, what, extra, order):
     assert err == f"error: --s applies to --what phase or char only, got --what {what}\n"
 
 
+@pytest.mark.parametrize("state", ("nonsense", "fock:1"))
+def test_grid_kernel_with_a_state_exits_2(capsys, state, tmp_path):
+    # --state was never parsed here, so --what kernel --state nonsense wrote the kernel and exited 0
+    out = tmp_path / "k.csv"
+    code, stdout, err = run(capsys, "grid", "--dim", "3", "--what", "kernel", "--state", state, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: --state does not apply to --what kernel, got --state {state}\n"
+
+
 @pytest.mark.parametrize("what", ("phase", "char"))
 def test_grid_order_defaults_to_zero(capsys, what):
     argv = ["grid", "--dim", "5", "--what", what, "--state", "fock:2", "--format", "json"]

@@ -26,6 +26,9 @@ RULES = {
     # through lattice._cas and every other phase through lattice._root, so a switch to an
     # FFT or a change of a table edits one module
     "phase_tables": (r"_dft_phases|_conj_phases|_hartley|_roots", {"lattice": ANY}),
+    # the 2-D real transform between an even table and its phase-space kernel is built once,
+    # lattice._cas2, so the smoothing multiply, the overlaps and the depolarizer share it
+    "cas_pair": (r"_cas\(_cas\(", {"lattice._cas2": 1}),
     # every phase is read from lattice._roots; schwinger.s_op keeps the two exps of the
     # reference definition, which the loop oracles pin bit for bit
     "imaginary_exp": (r"np\.exp\((.*[^A-Za-z_0-9.])?[0-9.]+j\b", {"lattice": ANY, "schwinger.s_op": 2}),
@@ -110,6 +113,8 @@ def test_package_keeps_the_convention(rule):
 # one line that breaks each rule, and the scope it goes into
 BREAKS = [
     ("phase_tables", "teleport", "ph = _dft_phases(N)"),
+    ("cas_pair", "schwinger", "grid = _cas(_cas(K).T).T"),
+    ("cas_pair", "lattice._cas2", "again = _cas(_cas(G).T)"),
     ("imaginary_exp", "quasiprob", "w = np.exp(2j * np.pi / N)"),
     ("imaginary_exp", "schwinger.s_op", "extra = np.exp(1j * np.pi * eta / N)"),
     ("label_rows", "tomography", "row = center_mod(x, N) + ell"),

@@ -30,7 +30,7 @@ from qps.tomography import (
 )
 from qps.teleport import (
     BellLabel, bell_state, bell_projector, bipartite_phase_fn, upsilon_coeffs, theta_coeffs,
-    teleport, r_kernel, lambda_coeffs, teleport_via_coeffs,
+    teleport, lambda_coeffs, teleport_via_coeffs,
 )
 
 N = 5
@@ -76,7 +76,6 @@ LABELS = [
     ("upsilon_coeffs", "omega", 2, lambda x: upsilon_coeffs((x, 1), (0, 0), 0, 0, N)),
     ("theta_coeffs", "mu1", 2, lambda x: theta_coeffs(x, 1, 0, 0, 0, 0, N)),
     ("teleport", "alpha", 2, lambda x: teleport(RHO, x, 1)),
-    ("r_kernel", "beta", 2, lambda x: r_kernel(1, x, 0, N)),
     ("lambda_coeffs", "alpha", 2, lambda x: lambda_coeffs(F, x, 1, 0)),
     ("lambda_coeffs", "beta", -2, lambda x: lambda_coeffs(F, 1, x, 0)),
     ("teleport_via_coeffs", "beta", 2, lambda x: teleport_via_coeffs(RHO, 1, x, 0, 0)),
@@ -112,7 +111,6 @@ DIMENSIONS = [
     ("bell_state", "N", 5, lambda x: bell_state((1, 2), x)),
     ("upsilon_coeffs", "N", 5, lambda x: upsilon_coeffs((1, 2), (0, 0), 0, 0, x)),
     ("theta_coeffs", "N", 5, lambda x: theta_coeffs(1, 2, 0, 0, 0, 0, x)),
-    ("r_kernel", "N", 5, lambda x: r_kernel(1, 2, 0, x)),
 ]
 
 SHOTS = [
@@ -143,8 +141,6 @@ ORDERS = [
     ("theta_coeffs", "s1", -1, lambda x: theta_coeffs(1, 2, 0, 0, x, 0, N)),
     ("lambda_coeffs", "s3", -1, lambda x: lambda_coeffs(F, 1, 2, x)),
     ("teleport_via_coeffs", "s1", 1, lambda x: teleport_via_coeffs(RHO, 1, 2, x, 0)),
-    # an order difference s3 - s1, which may reach |ds| = 2, so 1.5 is valid
-    ("r_kernel", "ds", -2, lambda x: r_kernel(1, 2, x, N)),
 ]
 
 ENTRIES = LABELS + DIMENSIONS + SHOTS + SUBSYSTEMS + ORDERS
@@ -164,8 +160,6 @@ def as_bytes(out):
 @pytest.mark.parametrize("name, arg, good, call", ENTRIES, ids=IDS)
 def test_bad_inputs_raise_a_value_error_naming_the_entry_point(name, arg, good, call):
     for bad in BAD:
-        if (name, arg, bad) == ("r_kernel", "ds", 1.5):
-            continue
         with pytest.raises(ValueError, match=f"^{name} "):
             call(bad)
 
@@ -292,6 +286,8 @@ OPERANDS = [
     ("validate_density", validate_density, ONE),
     ("scattering_circuit", lambda X: scattering_circuit(X, 1, 2), ONE),
     ("scattering_circuit", lambda X: scattering_circuit(X, unitary=np.eye(5)), ONE),
+    # labels and a unitary together: the labels were dropped without a word
+    ("scattering_circuit", lambda X: scattering_circuit(RHO, 1, 2, unitary=X), (np.eye(5),)),
     ("radon_q", lambda X: radon_q(PhaseSpaceFunction(0, X), 1, 2), (STACK,)),
     ("radon_r", lambda X: radon_r(PhaseSpaceFunction(0, X), 1, 2), (STACK,)),
     ("bipartite_phase_fn", lambda X: bipartite_phase_fn(X, 0, 0), ONE + (np.zeros((2, 25, 25)),)),

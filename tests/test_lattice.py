@@ -35,7 +35,6 @@ from qps.lattice import (
 from qps.schwinger import decompose_schwinger, t_overlap
 from qps.theta import phase_phi, kernel_value
 from qps.tomography import MarginalDistribution, smooth_marginal, _ray_cells
-from qps.teleport import r_kernel
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2, 4, 10])
@@ -158,7 +157,7 @@ def test_at_equals_the_two_array_fancy_index(N, batch, layout, dtype, seed):
 @example(N=61, seed=3)
 @given(N=st.integers(0, 30).map(lambda k: 2 * k + 1), seed=st.integers(0, 2**32 - 1))
 def test_label_pair_reads_equal_the_fancy_index_routes(N, seed):
-    # t_overlap, kernel_value, smooth_marginal and r_kernel read their grids with
+    # t_overlap, kernel_value and smooth_marginal read their grids with
     # lattice._at, bit for bit the two-array fancy index each held before
     rng = np.random.default_rng(seed)
     ks = labels(N)
@@ -172,10 +171,6 @@ def test_label_pair_reads_equal_the_fancy_index_routes(N, seed):
     for line in ((1, 0), (0, 1), (2, 3), (int(raw[2]), 1)):
         for dist in (MarginalDistribution(1, "Q", values, line), MarginalDistribution(0, "R", values + 1j * values[::-1], line)):
             assert same(smooth_marginal(dist).values, oracle.fancy_smooth_marginal(dist))
-    if N <= 31:  # an N^4 table
-        alpha, beta = (int(b) for b in raw[3:5])
-        for ds in (0, -1.5 + 0.2j, 2):
-            assert same(r_kernel(alpha, beta, ds, N), oracle.fancy_r_kernel(alpha, beta, ds, N))
 
 
 def test_layout_tables_hold_no_more_than_the_row_and_column_tables_at_1001():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import loop_oracles as oracle
 from qps import schwinger
-from qps.lattice import half_width, labels, center_mod, dagger
+from qps.lattice import half_width, labels, center_mod, dagger, _cas2
 from qps.theta import kernel_table, _log_kernel, _log_quadrant, _kernel_orbits, _mirror
 from qps.quasiprob import phase_fn, reconstruct_rho
 from qps.schwinger import (
@@ -310,17 +310,19 @@ def test_depolarize_matches_uncached_weights(N):
     for omega in rng.uniform(-1, 1, 4):
         O = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         w = np.abs(np.exp(-1j * omega * _log_kernel(N))) ** 2
-        ref = schwinger._conjugation_average(O, w)
+        ref = oracle.conjugation_average(O, w)
         assert np.abs(depolarize(O, omega) - ref).max() <= 1e-12 * N * np.abs(O).max()
 
 
 @pytest.mark.parametrize("N", (1, 5, 7, 9))
 def test_depolarize_at_real_omega_has_the_bytes_of_the_unit_weights(N):
     # the weights K^(-2 Re s) at s = i omega are exactly 1, so one table per N
-    # serves every real omega, with the bytes of the weights formed per order
+    # serves every real omega: the multiplier of the weights formed per order
+    w = oracle.kernel_power(0, N).real
+    assert schwinger._depolarizer(N).tobytes() == (_cas2(w).real * (1 / N)).tobytes()
     rng = np.random.default_rng(N)
     O = rng.normal(size=(2, N, N)) + 1j * rng.normal(size=(2, N, N))
-    ref = schwinger._conjugation_average(O, oracle.kernel_power(0, N).real)
+    ref = depolarize(O)
     for omega in (0, -0.0, 0.5, -0.9, 1, np.float64(-1), 0.25 + 0j, *rng.uniform(-1, 1, 3)):
         assert depolarize(O, omega).tobytes() == ref.tobytes(), omega
     assert depolarize(O[0]).tobytes() == ref[0].tobytes()

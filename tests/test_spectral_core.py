@@ -3,12 +3,12 @@
 Every fast route (gathered traces plus DFT for the characteristic and
 phase-space grids, a product by K in the dual plane for the smoothing
 steps on grids and on every Radon line, the inverse DFT of K for the
-smoothing table and the order-transfer kernel, gather/scatter for the
-Schwinger expansion, the T^(s) family and expansions, the symplectic
-generators and the depolarizer average, bincount line sums, the
-teleportation layer on N x N matrices, the number-basis table as one
-gather per row, the scattering circuit as two traces, array labels in
-`s_op` and `t_overlap`, and the self-test on those routes) is compared
+smoothing table, gather/scatter for the Schwinger expansion, the T^(s)
+family and expansions, the symplectic generators and the depolarizer
+average, bincount line sums, the teleportation layer on N x N matrices,
+the number-basis table as one gather per row, the scattering circuit as
+two traces, array labels in `s_op` and `t_overlap`, and the self-test on
+those routes) is compared
 with its loop oracle in `loop_oracles` over prime and composite N, pure
 and mixed states, the three standard orders and random complex orders
 |s| <= 1.  The kernel table, its raw-label values and the 1-D smoothing
@@ -38,7 +38,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import loop_oracles as oracle
 from qps import cli, schwinger, tomography
-from qps.lattice import _dft2, _dual_multiply, _hartley, labels, center_mod, half_width
+from qps.lattice import _dft2, _cas2, _dual_multiply, _hartley, labels, center_mod, half_width
 from qps.theta import kernel_value, kernel_table, smoothing_1d, fock_coefficients, gamma_table, _log_kernel
 from qps.schwinger import (
     s_op,
@@ -50,7 +50,6 @@ from qps.schwinger import (
     decompose_t,
     reconstruct_t,
     depolarize,
-    _conjugation_average,
 )
 from qps.quasiprob import (
     FormalismViolation,
@@ -58,6 +57,7 @@ from qps.quasiprob import (
     expectation,
     reconstruct_rho,
     coherent_projector,
+    fock_projector,
     char_fn,
     phase_fn,
     random_density,
@@ -88,7 +88,6 @@ from qps.teleport import (
     upsilon_coeffs,
     theta_coeffs,
     teleport,
-    r_kernel,
     lambda_coeffs,
     teleport_via_coeffs,
 )
@@ -336,8 +335,48 @@ def test_dual_multiply_matches_the_complex_route(N, seed, kind, complex_grid, sh
     out = _dual_multiply(M, grid)
     assert out.shape == grid.shape and out.dtype == complex
     assert np.abs(out - oracle.dual_multiply(M, grid)).max() <= tol
-    # and the inverse 2-D DFT of an even table is H M H / N^1.5, the route of t_overlap and r_kernel
+    # and the inverse 2-D DFT of an even table is H M H / N^1.5, the route of t_overlap
     assert np.abs(oracle.cas_sandwich(M) / N**1.5 - oracle.idft2(M)).max() <= tol
+
+
+# every odd N up to 45, prime and composite
+cas2_dims = st.integers(0, 22).map(lambda k: 2 * k + 1)
+
+
+@SETTINGS
+@example(N=45, seed=0, shape=(2, 3))
+@given(N=cas2_dims, seed=seeds, shape=st.sampled_from(((), (1,), (3,), (2, 3))))
+def test_two_cas2_give_n_squared_times_the_table(N, seed, shape):
+    # H (H G^T H)^T H = H H G H H = N^2 G, as H is symmetric with H H = N I; leading axes a batch
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=shape + (N, N)) + 1j * rng.normal(size=shape + (N, N))
+    out = _cas2(_cas2(G))
+    assert out.shape == G.shape
+    assert np.abs(out / N**2 - G).max() <= 1e-14 * np.abs(G).max()
+
+
+@SETTINGS
+@example(N=45)
+@given(N=cas2_dims)
+def test_the_kernel_of_k_is_the_vacuum_wigner_grid(N):
+    # the phase-space kernel of the W->H multiplier K is the vacuum's Wigner grid over N,
+    # a distribution summing to 1: Husimi = Wigner smoothed by the vacuum's Wigner function
+    p = _cas2(kernel_table(N)).T / N**2
+    assert np.abs(p - phase_fn(fock_projector(0, N), 0).grid / N).max() <= 1e-15
+    assert abs(p.sum() - 1) <= 1e-14
+
+
+@SETTINGS
+@example(N=45)
+@given(N=cas2_dims)
+def test_depolarizer_is_the_transform_of_unit_weights(N):
+    # the multiplier of the weights 1 is N at the origin and 0 elsewhere, a real table of
+    # its own N^2 doubles, and its kernel over N gives the weights back
+    M = schwinger._depolarizer(N)
+    assert M.dtype == np.float64 and M.base is None and M.nbytes == 8 * N * N
+    ks = labels(N)
+    assert np.abs(M - N * (ks[:, None] == 0) * (ks == 0)).max() <= 1e-15 * N
+    assert np.abs(_cas2(M) / N - 1).max() <= 1e-14
 
 
 @SETTINGS
@@ -655,15 +694,9 @@ def test_symplectic_j_gather_is_the_clifford_map(params):
 @SETTINGS
 @given(N=family_dims, seed=seeds, omega=st.floats(-1.0, 1.0))
 def test_conjugation_average_matches_loop(N, seed, omega):
+    # depolarize is the conjugation average under the weights |K^(-i omega)|^2 = 1
     O = operator(N, seed)
-    # |K^(-i omega)| = 1 gives depolarize equal weights, under which a wrong
-    # multiplier can still pass; K^2 and random weights pin it down
-    K = kernel_table(N)
-    weights = (K**2, np.random.default_rng(seed).normal(size=(N, N)))
-    for w in weights:
-        ref = oracle.conjugation_average(O, w)
-        assert np.abs(_conjugation_average(O, w) - ref).max() <= TOL * N * np.abs(w).max()
-    ref = oracle.conjugation_average(O, np.abs(K ** (-1j * omega)) ** 2)
+    ref = oracle.conjugation_average(O, np.abs(kernel_table(N) ** (-1j * omega)) ** 2)
     assert np.abs(depolarize(O, omega) - ref).max() <= TOL * N
 
 
@@ -758,15 +791,6 @@ def test_lambda_coeffs_match_the_phase_multiplier_route(N, seed, pure, w, s1, s3
     if N <= 9:  # the receiver state rebuilt from the coefficients carries a third power, K^(-s3)
         tol = bound2(N, -s1, s1 - s3) * bound(N, s3) / TOL
         assert np.abs(teleport_via_coeffs(rho, *w, s1, s3) - teleport(rho, *w)[0]).max() <= tol
-
-
-@SETTINGS
-@given(N=teleport_dims, alpha=raw_labels, beta=raw_labels, ds=orders)
-def test_r_kernel_matches_einsum(N, alpha, beta, ds):
-    R = r_kernel(alpha, beta, ds, N)
-    assert R.shape == (N,) * 4
-    # R carries K^ds, amplified where Re ds < 0
-    assert np.abs(R - oracle.r_kernel(alpha, beta, ds, N)).max() <= bound(N, -ds)
 
 
 CIRCUIT_DIMS = (1, 3, 5, 9)

@@ -22,7 +22,6 @@ from qps.teleport import (
     upsilon_coeffs,
     theta_coeffs,
     teleport,
-    r_kernel,
     lambda_coeffs,
     teleport_via_coeffs,
 )
@@ -237,13 +236,18 @@ def test_teleport_commutes_with_displacement():
     assert np.abs(D @ r3 @ D.conj().T - r3d).max() < 1e-10
 
 
-def test_r_kernel_collapses_at_equal_orders():
-    R = r_kernel(1, -1, 0, N)
-    for m1, n1, m3, n3 in itertools.product(labels(N), repeat=4):
-        expect = float(
-            center_mod(m3 - m1 - 1, N) == 0 and center_mod(n3 - n1 - 1, N) == 0
-        )
-        assert abs(R[m1 + ELL, n1 + ELL, m3 + ELL, n3 + ELL] - expect) < 1e-10
+@settings(max_examples=40, deadline=None)
+@example(n=3, seed=0, pure=True, alpha=1, beta=-1, s1=0j)
+@example(n=45, seed=1, pure=False, alpha=-50, beta=7, s1=0.3 - 0.4j)
+@given(n=st.integers(0, 22).map(lambda k: 2 * k + 1), seed=st.integers(0, 2**32 - 1), pure=st.booleans(),
+       alpha=st.integers(-50, 50), beta=st.integers(-50, 50),
+       s1=st.sampled_from((1 + 0j, 0j, -1 + 0j, 0.5j, 0.3 - 0.4j)))
+def test_lambda_coeffs_collapse_to_a_shift_at_equal_orders(n, seed, pure, alpha, beta, s1):
+    # at s3 = s1 the order-transfer kernel is the Kronecker comb (mu3, nu3) = (mu1 + alpha,
+    # nu1 - beta), so the receiver coefficients are F1 moved by (alpha, -beta)
+    F1 = phase_fn(random_density(n, np.random.default_rng(seed), pure=pure), -s1)
+    out = lambda_coeffs(F1, alpha, beta, s1)
+    assert np.abs(out - np.roll(F1.grid, (alpha, -beta), axis=(0, 1))).max() <= 1e-14 * np.abs(F1.grid).max()
 
 
 @pytest.mark.parametrize("orders", [(0, -1), (0, 0), (1, -1), (0.5, -0.5)])
