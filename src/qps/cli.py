@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import check_dim, labels, center_mod, _dft2, _shifted
+from .lattice import check_dim, labels, center_mod, _invalid, _dft2, _shifted
 from .theta import kernel_table
 from .schwinger import check_order, t_overlap, decompose_t, reconstruct_t, depolarize
 from .quasiprob import (
@@ -154,6 +154,8 @@ def cmd_grid(args):
 def cmd_tomo(args):
     N = check_dim(args.dim)
     rho = parse_state(args.state, N)
+    if args.seed < 0:
+        raise _invalid("--seed must be an integer >= 0", args.seed)
     # a shot count below 1 raises ValueError in the sampler: exit 2
     rng = None if args.shots is None else np.random.default_rng(args.seed)
     Xi, vals, rebuilt = _ray_loop(rho, args.shots, rng)

@@ -417,11 +417,13 @@ def scattering_circuit(rho, eta=None, xi=None, unitary=None):
     batch, and the pair is then two arrays; the labels `ks[:, None]` and
     `ks` read the whole dual plane in O(N^3) time and O(N^2) memory.
     `rho` is one N x N matrix with N odd (`_matrix`): a stack raises ValueError,
-    and so do labels and a unitary given together.
+    and so do a lone label, no labels and no unitary, and labels and a unitary
+    given together.
     """
     rho, N = _matrix(rho)
     if (unitary is None) == (eta is None) or (eta is None) != (xi is None):
-        raise _invalid("takes labels (eta, xi) or a unitary, not both", (eta, xi))
+        given = tuple(name for name, x in (("eta", eta), ("xi", xi), ("unitary", unitary)) if x is not None)
+        raise _invalid("takes the labels (eta, xi) or a unitary, exactly one of the two", given)
     if unitary is None:
         # Tr rho U and, as S(eta, xi)^dag = S(-eta, -xi) at raw labels, Tr rho U^dag
         tr_u, tr_ud = (math.sqrt(N) * tr for tr in _traces_at(rho, _integers(eta), _integers(xi)))

@@ -1,17 +1,20 @@
 """Command-line front end: formats, determinism, exit codes, the grid
 writer against its row-by-row oracle, and the parser shared by every
-call in one process."""
+call in one process.  The demo scripts run here too."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import runpy
 import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import loop_oracles as oracle
 
@@ -174,6 +177,17 @@ def test_grid_unparsable_order_exits_2_by_the_order_rule(capsys, order):
     assert err == f"error: qps ordering parameter must be a number, got {order!r}\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # a kernel table past the range of a double: its corners underflow to 0, its log table does not
+    ("--dim", "1001", "--what", "kernel"),
+    # a coherent state is a displaced vacuum, O(N^2): no N^4 table of kernels (63 GB at N = 251)
+    ("--dim", "251", "--what", "husimi", "--state", "coherent:3,-4"),
+])
+def test_grid_at_large_dimension_exits_0(capsys, argv):
+    assert run(capsys, "grid", *argv, "--out", os.devnull) == (0, "", "")
+
+
 def test_grid_io_error_exit_3(capsys):
     code, _, err = run(
         capsys, "grid", "--dim", "3", "--what", "kernel",
@@ -224,10 +238,25 @@ def test_tomo_shots_below_one_exit_2(capsys, shots):
     assert out == "" and "shots must be an integer >= 1" in err
 
 
+def test_tomo_negative_seed_exits_2_by_the_seed_rule(capsys):
+    # numpy's "expected non-negative integer" named neither qps nor --seed
+    assert run(capsys, "tomo", "--dim", "5", "--shots", "10", "--seed", "-1") == (2, "", "error: qps --seed must be an integer >= 0, got -1\n")
+
+
+def test_tomo_at_1001_is_exact_to_round_off(capsys):
+    # 1,344 rays of P^1(Z_1001): 9.8e-14 when each phase table took its own exp, not the 2N-th roots
+    code, out, _ = run(capsys, "tomo", "--dim", "1001", "--state", "fock:3")
+    line = [l for l in out.splitlines() if l.startswith("max |dW|:")]
+    assert code == 0 and len(line) == 1 and float(line[0].split(":")[1]) < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=40, deadline=None)
+@example(N=251, kind="fock", seed=3, shots=None)  # no warning: the number states by the Hermite recurrence
+@example(N=251, kind="maximally-mixed", seed=1, shots=100000)
 @given(
     N=st.sampled_from((3, 5, 7, 9, 15, 21, 31)),
-    kind=st.sampled_from(("pure", "mixed", "fock")),
+    kind=st.sampled_from(("pure", "mixed", "fock", "maximally-mixed")),
     seed=st.integers(0, 2**32 - 1),
     shots=st.one_of(st.none(), st.integers(1, 10**6)),
 )
@@ -237,6 +266,8 @@ def test_tomo_report_is_byte_identical_to_loop_oracle(N, kind, seed, shots):
     with tempfile.TemporaryDirectory() as tmp:
         if kind == "fock":
             spec = f"fock:{seed % N}"
+        elif kind == "maximally-mixed":
+            spec = kind
         else:
             rho = random_density(N, np.random.default_rng(seed), pure=kind == "pure")
             path = os.path.join(tmp, "rho.json")
@@ -250,7 +281,8 @@ def test_tomo_report_is_byte_identical_to_loop_oracle(N, kind, seed, shots):
         with contextlib.redirect_stdout(out):
             code = main(argv)
         rho = parse_state(spec, N)
-    assert (out.getvalue(), code) == oracle.tomo_report(*oracle.tomo_inputs(rho, shots, seed), shots, seed)
+    # the oracle reads the same library, so a failed round trip also needs the exit code
+    assert (out.getvalue(), code) == oracle.tomo_report(*oracle.tomo_inputs(rho, shots, seed), shots, seed) and code == 0
 
 
 def test_teleport_reports(capsys):
@@ -295,12 +327,14 @@ def test_teleport_exit_follows_shift_law_and_probability(capsys, monkeypatch):
 
 
 TELEPORT_CASES = [
-    (N, spec) for N in (1, 3, 5, 7, 9) for spec in ("maximally-mixed", f"fock:{N - 1}", "coherent:1,-1")
-] + [(9, "bell:1,-1"), (9, "bell:-4,7")]
+    (N, spec, alpha, beta)
+    for N, spec in [(N, spec) for N in (1, 3, 5, 7, 9) for spec in ("maximally-mixed", f"fock:{N - 1}", "coherent:1,-1")]
+    + [(9, "bell:1,-1"), (9, "bell:-4,7")]
+    for alpha, beta in [(0, 0), (1, -1), (13, -22), (-31, 19)]
+] + [(31, "fock:3", 2, -5), (5, "maximally-mixed", 1, 2)]  # every roll of the mixed grid matches equally
 
 
-@pytest.mark.parametrize("N, spec", TELEPORT_CASES)
-@pytest.mark.parametrize("alpha, beta", [(0, 0), (1, -1), (13, -22), (-31, 19)])
+@pytest.mark.parametrize("N, spec, alpha, beta", TELEPORT_CASES, ids=["-".join(map(str, (a, b, N, spec))) for N, spec, a, b in TELEPORT_CASES])
 def test_teleport_report_is_byte_identical_to_loop_oracle(N, spec, alpha, beta):
     # the four report lines and the exit code of `qps teleport`, labels
     # reduced mod N, against the report printed one line at a time
@@ -308,7 +342,7 @@ def test_teleport_report_is_byte_identical_to_loop_oracle(N, spec, alpha, beta):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    assert (out.getvalue(), code) == oracle.teleport_report(parse_state(spec, N), alpha, beta)
+    assert (out.getvalue(), code) == oracle.teleport_report(parse_state(spec, N), alpha, beta) and code == 0
 
 
 def test_teleport_failure_report_is_byte_identical_to_loop_oracle(monkeypatch):
@@ -326,10 +360,12 @@ def test_teleport_failure_report_is_byte_identical_to_loop_oracle(monkeypatch):
     assert (out.getvalue(), code) == oracle.teleport_report(parse_state("fock:1", 5), 1, 2)
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest", "--dim", "3")
-    assert code == 0
-    assert "FAIL" not in out
+@pytest.mark.parametrize("N", (3, 11, 45, 61, 251))
+def test_selftest_passes(capsys, N):
+    # 72 rays of P^1(Z_45) at N = 45; at N = 251 a stack of S matrices per dual-plane row took 128 s
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "selftest", "--dim", str(N))
+    assert code == 0 and "FAIL" not in out and time.perf_counter() - start < 60
 
 
 # value classes of the writer test: plain values, and the values where the JSON
@@ -454,6 +490,30 @@ def test_grid_writer_bytes_do_not_depend_on_the_block_size(monkeypatch, block, f
     assert out.getvalue() == oracle.grid_text(grid, N, 0j, "phase_fn", fmt)
 
 
+def first_difference(text, ref):
+    # pytest's own diff of two texts of N^2 rows takes minutes
+    return None if text == ref else next(((i, a, b) for i, (a, b) in enumerate(zip(text.splitlines(), ref.splitlines())) if a != b), "line counts")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_wigner_export_at_251_writes_the_row_oracle_bytes(capsys, fmt):
+    # N^2 rows with three-digit labels; loaded back, the JSON grid sums to N
+    code, out, _ = run(capsys, "grid", "--dim", "251", "--what", "wigner", "--state", "fock:3", "--format", fmt)
+    assert code == 0 and first_difference(out, oracle.grid_text(phase_fn(fock_projector(3, 251), 0).grid, 251, 0j, "phase_fn", fmt)) is None
+    if fmt == "json":
+        data = json.loads(out)["data"]
+        assert len(data) == 251**2 and abs(sum(r[2] for r in data) / 251 - 1) < 1e-9
+
+
+def test_glauber_grid_at_251_writes_the_row_oracle_bytes():
+    # values near 1e65, round-off throughout: this pins the writer's exponent form, not the physics
+    grid = phase_fn(fock_projector(3, 251), 1).grid
+    with contextlib.redirect_stdout(out := io.StringIO()):
+        cli.write_grid(grid, 251, 1 + 0j, "phase_fn", None, "json")
+    assert first_difference(out.getvalue(), oracle.grid_text(grid, 251, 1 + 0j, "phase_fn", "json")) is None
+
+
 def test_grid_writer_tables_stay_under_a_megabyte_at_1001():
     # the writer once kept an N^2-row prefix table, 25 MB per key at N = 1001
     tables = {name: f for name, f in vars(_gridtext).items() if hasattr(f, "cache_info")}
@@ -543,3 +603,10 @@ def test_dispatch_honours_a_command_replaced_after_the_first_call(capsys, monkey
     monkeypatch.setattr(cli, "cmd_grid", lambda args: seen.append(args.dim) or 7)
     assert run(capsys, "grid", "--dim", "5", "--what", "kernel")[0] == 7
     assert seen == [5]
+
+
+@pytest.mark.parametrize("demo", sorted((Path(__file__).parents[1] / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(capsys, demo):
+    # the demos import the public API by name, so removing a name that a demo uses fails here
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -288,6 +288,9 @@ OPERANDS = [
     ("scattering_circuit", lambda X: scattering_circuit(X, unitary=np.eye(5)), ONE),
     # labels and a unitary together: the labels were dropped without a word
     ("scattering_circuit", lambda X: scattering_circuit(RHO, 1, 2, unitary=X), (np.eye(5),)),
+    # no labels and no unitary, and one label: each was told "not both"
+    ("scattering_circuit", scattering_circuit, (RHO,)),
+    ("scattering_circuit", lambda X: scattering_circuit(X, 1), (RHO,)),
     ("radon_q", lambda X: radon_q(PhaseSpaceFunction(0, X), 1, 2), (STACK,)),
     ("radon_r", lambda X: radon_r(PhaseSpaceFunction(0, X), 1, 2), (STACK,)),
     ("bipartite_phase_fn", lambda X: bipartite_phase_fn(X, 0, 0), ONE + (np.zeros((2, 25, 25)),)),
@@ -318,6 +321,7 @@ def test_the_operand_cases_that_once_passed_or_named_no_entry():
         # any axis but "Q" was smoothed as R
         (lambda: MarginalDistribution(1, "X", q), 'MarginalDistribution axis must be "Q" or "R"'),
         (lambda: teleport(STACK, 0, 0), "teleport takes one N x N matrix"),
+        (lambda: scattering_circuit(RHO, 1), r"scattering_circuit takes the labels \(eta, xi\) or a unitary, exactly one"),
         (lambda: bipartite_phase_fn(np.zeros((2, 25, 25)), 0, 0), "bipartite_phase_fn takes one N x N matrix"),
         # numpy's truth-value error
         (lambda: teleport(RHO, np.array([1, 2]), 0), "teleport labels must be integers"),

@@ -79,6 +79,16 @@ def test_bipartite_husimi_is_kernel_squared():
             assert abs(grid[m1 + ELL, n1 + ELL, m2 + ELL, n2 + ELL] - ref) < 1e-9
 
 
+def test_bell_closed_forms_on_a_961_dimensional_state():
+    # the two-mode table of a Bell state at N = 31 in one gather and six products
+    N, w = 31, BellLabel(4, -9)
+    m1, n1, m2, n2 = np.ix_(*[labels(N)] * 4)
+    a, b = center_mod(m1 + m2 + w.omega1, N), center_mod(n1 - n2 - w.omega2, N)
+    assert (psi := bell_state(w, N)).shape == (961,)
+    assert np.abs(bipartite_phase_fn(psi, 0, 0).grid - ((a == 0) & (b == 0))).max() < 1e-12
+    assert np.abs(bipartite_phase_fn(psi, -1, -1).grid - kernel_table(N)[a + N // 2, b + N // 2] ** 2 / N).max() < 1e-12
+
+
 def test_bipartite_phase_fn_factorizes_and_normalizes():
     rng = np.random.default_rng(41)
     ra, rb = random_density(N, rng), random_density(N, rng)

@@ -142,6 +142,14 @@ def test_symplectic_generators_unitary(quad):
         assert np.abs(J @ dagger(J) - np.eye(N)).max() < 1e-10
 
 
+def test_symplectic_j_at_509_is_unitary_and_maps_s10_to_s21():
+    N = 509
+    J = symplectic_j(SymplecticParams(2, 1, 1, 1, N))
+    assert np.abs(J @ dagger(J) - np.eye(N)).max() < 1e-12
+    L, R = J @ s_op(1, 0, N) @ dagger(J), s_op(2, 1, N)
+    assert min(np.abs(L - R).max(), np.abs(L + R).max()) < 1e-12
+
+
 def test_symplectic_identity_fixes_labels():
     N = 5
     J = symplectic_j(SymplecticParams(1, 0, 0, 1, N))
