@@ -121,8 +121,8 @@ def _dd_pow10(k):
 
 @_table_cache
 def _pow10_table():
-    """Read-only rows hi, bh, bl, lo of 10^(14 - e) per exponent e, at column e + _EOFF."""
-    return np.array([_dd_pow10(14 + _EOFF - i) for i in range(2 * _EOFF + 1)]).T
+    """Read-only contiguous tables hi, bh, bl, lo of 10^(14 - e) per exponent e, at e + _EOFF."""
+    return tuple(map(np.ascontiguousarray, np.array([_dd_pow10(14 + _EOFF - i) for i in range(2 * _EOFF + 1)]).T))
 
 
 def decimal(x):
@@ -136,7 +136,7 @@ def decimal(x):
     zero = a == 0
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, bh, bl, lo = np.take(_pow10_table(), e + _EOFF, axis=1)
+    hi, bh, bl, lo = (np.take(row, e + _EOFF) for row in _pow10_table())
     # ph + t = a 10^(14 - e): Dekker's exact product of a and hi, plus a lo
     ph = a * hi
     c = _SPLIT * a
@@ -161,20 +161,25 @@ def words(x, fmt):
     x.shape + (WORDS,), its zero bytes to be dropped."""
     quads, trailing, exps, signs = _word_tables()
     m, X, slow = decimal(x)
-    # 10 m < 10^16 in two halves of 8 digits, each in two groups of 4, highest first
-    halves = np.stack(np.divmod(m.astype(np.int64) * 10, 10**8), axis=-1)
-    q, r = np.divmod(halves, 10**4)
+    # 10 m < 10^16 in two halves of 8 digits, each in two groups of 4, highest first (all >= 0,
+    # so a floor division and a subtraction give the quotient and remainder)
+    n = m.astype(np.int64) * 10
+    high = n // 10**8
+    halves = np.stack([high, n - high * 10**8], axis=-1)
+    q = halves // 10**4
+    r = halves - q * 10**4
     # trailing zeros of each half, then of 10 m: a zero gets digit count 0
     tz = np.take(trailing, r) + (r == 0) * np.take(trailing, q)
     nd = 16 - tz[..., 1] - (halves[..., 1] == 0) * tz[..., 0]
     masks, class_rows = _masks(fmt)
     at = X + _EOFF
     text = np.take(masks, np.take(class_rows, at) + nd, axis=0)
-    text[..., 0] &= np.where(np.signbit(x), signs[1], signs[0])
+    text[..., 0] &= np.take(signs, np.signbit(x))
     text[..., 1:5] &= np.take(quads, np.stack([q, r], axis=-1).reshape(x.shape + (4,)))
     text[..., 5] &= np.take(exps, at)
-    scalars = b"".join(_scalar(v, fmt).encode().ljust(WIDTH, b"\0") for v in x[slow].tolist())
-    text[slow] = np.frombuffer(scalars, dtype="<u8").reshape(-1, WORDS)
+    if slow.any():
+        scalars = b"".join(_scalar(v, fmt).encode().ljust(WIDTH, b"\0") for v in x[slow].tolist())
+        text[slow] = np.frombuffer(scalars, dtype="<u8").reshape(-1, WORDS)
     return text
 
 
@@ -222,7 +227,8 @@ def grid_rows(grid, N, fmt):
     out = []
     for r0 in range(0, len(values), _BLOCK):
         x = values[r0 : r0 + _BLOCK]
-        label1, label2 = np.divmod(np.arange(r0, r0 + len(x)), N)
+        label1 = (rows := np.arange(r0, r0 + len(x))) // N
+        label2 = rows - label1 * N
         body = np.empty(len(x), dtype=row)
         body["first"], body["second"] = np.take(first, label1), np.take(second, label2)
         body["re"], body["im"] = words(x, fmt).swapaxes(0, 1)

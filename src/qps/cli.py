@@ -154,17 +154,21 @@ def cmd_grid(args):
 def cmd_tomo(args):
     N = check_dim(args.dim)
     rho = parse_state(args.state, N)
-    if args.seed < 0:
-        raise _invalid("--seed must be an integer >= 0", args.seed)
+    if args.seed is not None:
+        if args.seed < 0:
+            raise _invalid("--seed must be an integer >= 0", args.seed)
+        if args.shots is None:
+            raise UsageError(f"--seed applies to --shots runs only, got --seed {args.seed} and no --shots")
+    seed = 0 if args.seed is None else args.seed
     # a shot count below 1 raises ValueError in the sampler: exit 2
-    rng = None if args.shots is None else np.random.default_rng(args.seed)
+    rng = None if args.shots is None else np.random.default_rng(seed)
     Xi, vals, rebuilt = _ray_loop(rho, args.shots, rng)
     ray_errs = np.abs(vals - _on_rays(Xi)).max(axis=1)
     lines = [f"ray ({za},{zb}): max |dXi| = {_fmt(e)}\n" for (za, zb), e in zip(_ray_cells(N)[0].tolist(), ray_errs.tolist())]
     # two transforms, not one of the difference: a linear shortcut would move the residual's last bits
     err = float(np.abs(_dft2(rebuilt) - _dft2(Xi)).max())
     if args.shots is not None:
-        lines.append(f"shots: {args.shots}  seed: {args.seed}\nstatistical max |dW|: {_fmt(err)}\n")
+        lines.append(f"shots: {args.shots}  seed: {seed}\nstatistical max |dW|: {_fmt(err)}\n")
     else:
         lines.append(f"max |dW|: {_fmt(err)}\n")
     sys.stdout.write("".join(lines))
@@ -273,7 +277,7 @@ def build_parser():
     t.add_argument("--dim", type=int, required=True)
     t.add_argument("--state", default="maximally-mixed")
     t.add_argument("--shots", type=int, default=None)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int, default=None, help="seed of the shot draws, with --shots only (default 0)")
 
     tp = sub.add_parser("teleport", help="three-party teleportation report")
     tp.add_argument("--dim", type=int, required=True)

@@ -262,10 +262,13 @@ def _hartley(N):
 
 
 def _cas(G):
-    """H @ G for a real or complex G of N rows, leading axes a batch: one real product on the
-    float view of G as a contiguous complex array, which holds its real and imaginary parts."""
-    G = np.ascontiguousarray(G, dtype=complex)
-    return (_hartley(G.shape[-2]) @ G.view(float)).view(complex)
+    """H @ G for a real or complex G of N rows, leading axes a batch: one real product, on a real G
+    itself and on a complex G's float view as a contiguous array, which holds its real and
+    imaginary parts; a real G gives a real result."""
+    H = _hartley(G.shape[-2])
+    if G.dtype.kind != "c":
+        return H @ G
+    return (H @ np.ascontiguousarray(G, dtype=complex).view(float)).view(complex)
 
 
 def _cas2(G):
@@ -279,8 +282,8 @@ def _dual_multiply(M, grid):
     even in each label, M(eta, xi) = M(-eta, xi) = M(eta, -xi), as every power of K is: the sines
     of the complex DFTs cancel, leaving H (M * H grid H) H / N^2; the grid's leading axes are a batch."""
     Z = _cas2(grid)  # (H grid H)^T: H is symmetric
-    Z *= M.swapaxes(-1, -2) * (1 / grid.shape[-1] ** 2)
-    return _cas2(Z)
+    # out of place: the real image of a real grid can meet a complex M
+    return _cas2(Z * (M.swapaxes(-1, -2) * (1 / grid.shape[-1] ** 2)))
 
 
 @_table_cache

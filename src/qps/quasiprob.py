@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import check_dim, labels, _integer, _invalid, _phases, _square, _matrix, _dual_multiply, _traces, _shift_rows, _table_cache
-from .theta import kernel_table, fock_coefficients
+from .theta import fock_coefficients
 from .schwinger import check_order, t_op, t_overlap, _require_order, _kernel_power, _t_grid, _t_sum
 
 __all__ = [
@@ -168,23 +168,24 @@ def smoothing_table(N):
 def smooth_p_to_w(P):
     """One smoothing step: Glauber-Sudarshan grid to Wigner grid."""
     _require_order(P.s, 1)
-    return PhaseSpaceFunction(0, _dual_multiply(kernel_table(P.dim), P.grid))
+    return PhaseSpaceFunction(0, _dual_multiply(_kernel_power(-1, P.dim), P.grid))
 
 
 def smooth_w_to_h(W):
     """One smoothing step: Wigner grid to Husimi grid."""
     _require_order(W.s, 0)
-    return PhaseSpaceFunction(-1, _dual_multiply(kernel_table(W.dim), W.grid))
+    return PhaseSpaceFunction(-1, _dual_multiply(_kernel_power(-1, W.dim), W.grid))
 
 
 def smooth_p_to_h(P):
     """Direct two-step shortcut: Glauber-Sudarshan grid to Husimi grid.
 
-    The multiplier is K^2; in phase space the step correlates the grid
-    with the coherent-state overlap probabilities |K|^2.
+    The multiplier is K^2, cached per N as `_kernel_power(-2, N)`; in phase
+    space the step correlates the grid with the coherent-state overlap
+    probabilities |K|^2.
     """
     _require_order(P.s, 1)
-    return PhaseSpaceFunction(-1, _dual_multiply(kernel_table(P.dim) ** 2, P.grid))
+    return PhaseSpaceFunction(-1, _dual_multiply(_kernel_power(-2, P.dim), P.grid))
 
 
 def expectation(O, rho, s):

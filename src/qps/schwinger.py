@@ -253,7 +253,7 @@ def _depolarizer(N):
     """Cached read-only multiplier of the mixture weights w, here |K^(-i omega)|^2 = 1 at every real
     omega: conjugation by sqrt(N) S(eta, xi) multiplies the coefficient of S(eta', xi') by
     exp(2*pi*i*(xi*eta' - eta*xi')/N), so the average multiplies it by `_cas2(w)` / N (w even)."""
-    return _cas2(np.ones((N, N))).real * (1 / N)
+    return _cas2(np.ones((N, N))) * (1 / N)
 
 
 def depolarize(O, omega=0.0):

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import check_dim, half_width, labels, center_mod, _at, _index, _integer, _integers, _invalid, _square, _matrix, _root, _dft, _idft, _dft2, _traces, _traces_at, _table_cache
-from .theta import kernel_table
 from .quasiprob import PhaseSpaceFunction
-from .schwinger import _require_order
+from .schwinger import _require_order, _kernel_power
 
 __all__ = [
     "MarginalDistribution",
@@ -148,7 +147,7 @@ def smooth_marginal(dist):
     N, s = dist.dim, _require_order(dist.s, 1, 0)
     za, zb = dist.line
     ts = labels(N)
-    K = _at(kernel_table(N), za * ts, zb * ts)
+    K = _at(_kernel_power(-1, N), za * ts, zb * ts)
     out = _dft(K * _ray_invert(dist.values))
     # K is even along every ray, so real line sums stay real
     out = out.real if np.isrealobj(dist.values) else out

@@ -64,6 +64,7 @@ from qps.lattice import (
     _idft,
     _dft2,
     _cas,
+    _hartley,
     _phases,
     _traces,
     _conj_phases,
@@ -301,6 +302,15 @@ def cas_sandwich(E):
     return _cas(_cas(E).T).T
 
 
+def complex_cas2(G):
+    """`lattice._cas2` as it took every operand before a real one had a route of its own: cast to
+    complex, then one real product on the float view of each contiguous complex operand."""
+    def cas(G):
+        return (_hartley(G.shape[-2]) @ np.ascontiguousarray(G, dtype=complex).view(float)).view(complex)
+
+    return cas(cas(G).swapaxes(-1, -2))
+
+
 def fancy_at(X, eta, xi):
     """`lattice._at` as the two-array fancy index X[..., row(eta), row(xi)] that it replaced."""
     N, ell = X.shape[-1], half_width(X.shape[-1])
@@ -331,9 +341,10 @@ def fancy_kernel_value(eta, xi, N):
 
 
 def fancy_smooth_marginal(dist):
-    """The values of `tomography.smooth_marginal` as it read K on the ray before `lattice._at`."""
+    """The values of `tomography.smooth_marginal` as it read K = `_kernel_power(-1, N)` on the ray
+    before `lattice._at`."""
     N, (za, zb), ts = dist.dim, dist.line, labels(dist.dim)
-    out = _dft(fancy_at(cached_kernel_table(N), za * ts, zb * ts) * tomography._ray_invert(dist.values))
+    out = _dft(fancy_at(_kernel_power(-1, N), za * ts, zb * ts) * tomography._ray_invert(dist.values))
     return out.real if np.isrealobj(dist.values) else out
 
 

@@ -243,6 +243,20 @@ def test_tomo_negative_seed_exits_2_by_the_seed_rule(capsys):
     assert run(capsys, "tomo", "--dim", "5", "--shots", "10", "--seed", "-1") == (2, "", "error: qps --seed must be an integer >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("seed", ("7", "0"))
+def test_tomo_seed_without_shots_exits_2(capsys, seed):
+    # an exact run draws nothing: --seed was read and dropped without a word
+    assert run(capsys, "tomo", "--dim", "3", "--seed", seed) == (2, "", f"error: --seed applies to --shots runs only, got --seed {seed} and no --shots\n")
+
+
+def test_tomo_shots_without_seed_draw_seed_0(capsys):
+    # the report of an unseeded shot run is the one of --seed 0, which it prints
+    args = ("tomo", "--dim", "5", "--state", "fock:1", "--shots", "1000")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "") and "shots: 1000  seed: 0\n" in out
+    assert run(capsys, *args, "--seed", "0") == (code, out, err)
+
+
 def test_tomo_at_1001_is_exact_to_round_off(capsys):
     # 1,344 rays of P^1(Z_1001): 9.8e-14 when each phase table took its own exp, not the 2N-th roots
     code, out, _ = run(capsys, "tomo", "--dim", "1001", "--state", "fock:3")
@@ -430,6 +444,11 @@ VALUE_CLASSES = (
 )
 
 
+def first_difference(text, ref):
+    # pytest's own diff of two texts of N^2 rows takes minutes
+    return None if text == ref else next(((i, a, b) for i, (a, b) in enumerate(zip(text.splitlines(), ref.splitlines())) if a != b), "line counts")
+
+
 def writer_grid(N, seed, values):
     """An N x N grid whose entries are drawn from `values`, each with
     probability 3/4, and otherwise from any of the value classes."""
@@ -457,7 +476,7 @@ def test_grid_writer_is_byte_identical_to_row_oracle(values, fmt, N, seed, s, ki
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.write_grid(grid, N, s, kind, None, fmt)
-    assert out.getvalue() == oracle.grid_text(grid, N, s, kind, fmt)
+    assert first_difference(out.getvalue(), oracle.grid_text(grid, N, s, kind, fmt)) is None
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -487,12 +506,7 @@ def test_grid_writer_bytes_do_not_depend_on_the_block_size(monkeypatch, block, f
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.write_grid(grid, N, 0j, "phase_fn", None, fmt)
-    assert out.getvalue() == oracle.grid_text(grid, N, 0j, "phase_fn", fmt)
-
-
-def first_difference(text, ref):
-    # pytest's own diff of two texts of N^2 rows takes minutes
-    return None if text == ref else next(((i, a, b) for i, (a, b) in enumerate(zip(text.splitlines(), ref.splitlines())) if a != b), "line counts")
+    assert first_difference(out.getvalue(), oracle.grid_text(grid, N, 0j, "phase_fn", fmt)) is None
 
 
 @pytest.mark.filterwarnings("error")

@@ -52,6 +52,9 @@ RULES = {
     # value of log K and a gather, so no route takes its own exp of the log table
     "log_kernel": (r"_log_kernel", {"theta": ANY}),
     "kernel_orbits": (r"_kernel_orbits", {"theta": ANY, "schwinger": ANY}),
+    # every dual-plane multiplier K^t, K and K^2 of the smoothing steps included, is read
+    # from schwinger._kernel_power; the public K table serves kernel_value and `qps grid`
+    "kernel_table": (r"kernel_table", {"theta": ANY, "cli.<import>": 1, "cli.cmd_grid": 1}),
     # every table is made read-only by lattice._table_cache or lattice._frozen
     "frozen_tables": (r"setflags|writeable", {"lattice": ANY}),
     # lattice._table_cache is the one table cache; cli.build_parser caches its parser, not a table
@@ -125,6 +128,7 @@ BREAKS = [
     ("two_array_index", "quasiprob", "v = grid[rows, cols]"),
     ("log_kernel", "schwinger", "L = _log_kernel(N)"),
     ("kernel_orbits", "quasiprob", "values = _kernel_orbits(N)"),
+    ("kernel_table", "quasiprob", "M = kernel_table(N) ** 2"),
     ("frozen_tables", "theta", "a.setflags(write=False)"),
     ("table_cache", "theta", "from functools import lru_cache"),
     ("table_cache", "cli", "parse = lru_cache(maxsize=4)(parse)"),
