@@ -191,15 +191,20 @@ def smooth_p_to_h(P):
 def expectation(O, rho, s):
     """Mean value Tr(O rho) evaluated through the phase-space overlap rule.
 
+    The rule (1/N) sum O^(-s)(mu, nu) F^(s)(mu, nu) over phase space is, by
+    Parseval, sum Tr[S(eta, xi) O] Tr[S(-eta, -xi) rho] over the dual plane:
+    K^(s) and K^(-s) meet there in one cell and cancel, so the sum is taken
+    without them.  In phase space they do not cancel until the sum, and at
+    s = +-1 the grids reach K^(-+1) ~ 1e20 at N = 61, which round-off swamps.
     Leading axes of O and rho are a batch, and the result is then an array.
     """
     O, N = _square(O)
     rho, M = _square(rho)
     if M != N:
         raise _invalid("takes operands of one size N", (O.shape, rho.shape))
-    s = check_order(s)
-    # O^(-s)(mu, nu) against F^(s)(mu, nu)
-    out = np.sum(_t_grid(O, s) * _t_grid(rho, -s), axis=(-2, -1)) / N
+    check_order(s)
+    # [::-1, ::-1] takes the labels (eta, xi) to (-eta, -xi)
+    out = np.sum(_traces(O) * _traces(rho)[..., ::-1, ::-1], axis=(-2, -1))
     return complex(out) if out.ndim == 0 else out
 
 

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import runpy
+import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -497,9 +499,10 @@ def test_grid_writer_zero_columns(fmt, column, part):
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
-@pytest.mark.parametrize("block", (1, 7, 4096))
+@pytest.mark.parametrize("block", (1, 7, 61, _gridtext._BLOCK, 4096))
 def test_grid_writer_bytes_do_not_depend_on_the_block_size(monkeypatch, block, fmt):
-    # 3,721 rows: the last block holds 1, 4 or all of them, and the JSON last-row rule with it
+    # 3,721 rows: the last block holds 1, 4, a full 61, the default's remainder or all of
+    # them, and the JSON last-row rule with it; 61 rows start every block at label2 = -30
     monkeypatch.setattr(_gridtext, "_BLOCK", block)
     N = 61
     grid = writer_grid(N, 5, _plain)
@@ -526,6 +529,23 @@ def test_glauber_grid_at_251_writes_the_row_oracle_bytes():
     with contextlib.redirect_stdout(out := io.StringIO()):
         cli.write_grid(grid, 251, 1 + 0j, "phase_fn", None, "json")
     assert first_difference(out.getvalue(), oracle.grid_text(grid, 251, 1 + 0j, "phase_fn", "json")) is None
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_grid_writer_peak_memory_is_a_few_blocks_at_any_size(fmt):
+    # the writer once made four arrays of 128 KiB or more per block, each mapped and paged
+    # in afresh: its tracemalloc peak, less the text it returns, was 864-907 KiB at N = 61
+    extra = {}
+    for N in (61, 251):
+        grid = phase_fn(fock_projector(3, N), 0).grid
+        _gridtext.grid_rows(grid, N, fmt)  # the cached tables are not the call's
+        tracemalloc.start()
+        try:
+            rows = _gridtext.grid_rows(grid, N, fmt)
+            extra[N] = tracemalloc.get_traced_memory()[1] - sum(map(sys.getsizeof, rows))
+        finally:
+            tracemalloc.stop()
+    assert max(extra.values()) < 600 * 1024 and max(extra.values()) < 1.1 * min(extra.values()), extra
 
 
 def test_grid_writer_tables_stay_under_a_megabyte_at_1001():

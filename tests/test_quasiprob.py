@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qps.lattice import half_width, labels, center_mod
 from qps.theta import kernel_table
@@ -171,6 +172,24 @@ def test_expectation_matches_trace(s):
     O = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     direct = np.trace(O @ rho)
     assert abs(expectation(O, rho, s) - direct) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(0, 30).map(lambda k: 2 * k + 1),
+    s=st.one_of(st.floats(-1, 1), st.complex_numbers(max_magnitude=1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(N=61, s=1.0, seed=3)
+@example(N=61, s=-1.0, seed=3)
+def test_expectation_matches_trace_at_every_order(N, s, seed):
+    # the overlap rule in phase space once missed Tr(O rho) by 20-300 at N = 61 and
+    # s = +-1, where K^(-+1) reaches 1e20; the error is relative to the bound |O| |rho|
+    rng = np.random.default_rng(seed)
+    rho = random_density(N, rng)
+    O = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    err = abs(expectation(O, rho, s) - np.trace(O @ rho))
+    assert err <= 1e-12 * np.linalg.norm(O) * np.linalg.norm(rho)
 
 
 def test_expectation_rejects_operands_of_different_size():
